@@ -1,0 +1,55 @@
+"""Pinned content hashes beyond the magi-fast golden fixture.
+
+Covers every profile plus the magi-fast sweep variants (lambda, key
+granularity, budget) and frame/frame granularity on skyreels-fast, so a
+refactor of the KV buffer or the trajectory loop that moves any retained id,
+decision or latent bit fails here. The pins change only with a deliberate,
+logged change to simulator behaviour.
+"""
+
+import pytest
+
+from flowcache_sim import PROFILES, build_objects, resolve_config, run_denoise
+
+CASES = [
+    *[(name, name, {}) for name in sorted(PROFILES)],
+    *[(f"magi-fast-lambda-{lam}", "magi-fast", {"mix_lambda": lam})
+      for lam in (0.03, 0.2, 1.0)],
+    *[(f"magi-fast-keys-{gran}", "magi-fast", {"key_granularity": gran})
+      for gran in ("frame", "chunk")],
+    *[(f"magi-fast-budget-{b}", "magi-fast", {"budget_chunks": b})
+      for b in (1, 2, 3)],
+    ("skyreels-fast-frame-frame", "skyreels-fast",
+     {"query_granularity": "frame", "key_granularity": "frame"}),
+]
+
+PINS = {
+    "baseline": "7857c88f9112a10858b8926ff1c884a7209b5021e648cff3e4c15088df3244ba",
+    "magi-fast": "a331145be9c805f44ea5adbb4855f4c0f635fc7ad98101d891e593602521e25e",
+    "magi-slow": "00edfdd74bc24c03f893a8907e14d0d72b9680930b61eecb628467780afe1742",
+    "skyreels-fast": "edd4b411d1755af25434d1a55ac9a908c1c97dd3c1a9cb23111d6d913ce6794c",
+    "skyreels-slow": "9fbbf750a62426dee730516ff001c92bb4cde3f3542bdbfb66a89b008b0a4787",
+    "magi-fast-lambda-0.03": "659dda2c05f2066c61611fa87e38c8244f596f3671d8fb34691abadd5d4f7eb3",
+    "magi-fast-lambda-0.2": "57b77b5a3caf2d6b222f724996172b243fb8ba20a7691b11baf16c38b6de35c9",
+    "magi-fast-lambda-1.0": "9aaa361b3bde1775134cd142cc85822989b2d046ddfac6e45b4908258bacbda6",
+    "magi-fast-keys-frame": "9736bb8896e5572728bac4d19c25cfcffaf69ba048bf0933fb5fc9696f4dd112",
+    "magi-fast-keys-chunk": "0445104c05b5b7463135925a2999b1e3709be363f5f98222988e2a3a7536c8af",
+    "magi-fast-budget-1": "3273180939071d1c7da33922d093c0c4bb117266fc5e1a733025942d67e573fe",
+    "magi-fast-budget-2": "80c8ab016bdd068c8cb5f5938727b8c6bfd4c13a657d9268b5971b8672df0e17",
+    "magi-fast-budget-3": "d03b60abc4e12fdf893d0b5a013e71a6b508ad85a4ab27f24dde4fca65f17689",
+    "skyreels-fast-frame-frame": "f3a6a8847f7d760af8be32f6fc075f75010bb20177b9ab4c29fe6ead6daffd78",
+}
+
+
+def content_hash(profile: str, kv_overrides: dict) -> str:
+    cfg = resolve_config(profile=profile)
+    cfg["kv"].update(kv_overrides)
+    scene, schedule, policy, kv, cost, noise_scale = build_objects(cfg)
+    return run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
+                       noise_scale=noise_scale).content_hash
+
+
+@pytest.mark.parametrize("name,profile,kv_overrides", CASES,
+                         ids=[case[0] for case in CASES])
+def test_content_hash_pinned(name, profile, kv_overrides):
+    assert content_hash(profile, kv_overrides) == PINS[name]
