@@ -17,5 +17,5 @@ from .kvcache import (CompressionConfig, CompressionReport, KVBuffer,
 from .numerics import as_tensor, l1_norm, maxpool1d, softmax, stable_topk
 from .reuse import (ChunkReuseState, Decision, ReusePolicy, decide,
                     estimate_metric, relative_l1)
-from .schedule import PowerLawSchedule, TimeGrid, euler_step
+from .schedule import PowerLawSchedule, euler_step
 from .trace import (RunTrace, curves_csv, import_trace, l1rel_curves, speedup)

@@ -1,7 +1,6 @@
 """Command-line interface: run simulations, verify properties, sweep ablations.
 
 Exit codes: 0 success, 1 verification/check failure, 2 usage or config error.
-Env var FLOWCACHE_SIM_THREADS caps sweep worker parallelism.
 """
 
 from __future__ import annotations
@@ -12,9 +11,7 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -164,9 +161,7 @@ def cmd_sweep(args) -> int:
             "retained_hash": _retained_hash(trace),
         }
 
-    workers = int(os.environ.get("FLOWCACHE_SIM_THREADS", "0")) or min(4, len(values))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        rows = list(pool.map(one, values))
+    rows = [one(v) for v in values]
 
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))

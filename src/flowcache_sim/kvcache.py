@@ -212,9 +212,9 @@ def select_tokens(score_row: np.ndarray, budget_tokens: int, key_granularity: st
 class HeadReport:
     retained_ids: list[int]
     evicted_count: int
-    score_min: Optional[float]   # None when the pass was a no-op
-    score_max: Optional[float]
-    score_mean: Optional[float]
+    score_min: float
+    score_max: float
+    score_mean: float
 
 
 @dataclass
@@ -224,7 +224,6 @@ class CompressionReport:
     global_step: int
     arriving_chunk: int
     candidate_tokens: int
-    no_op: bool
     heads: dict[int, HeadReport] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -232,7 +231,7 @@ class CompressionReport:
             "global_step": self.global_step,
             "arriving_chunk": self.arriving_chunk,
             "candidate_tokens": self.candidate_tokens,
-            "no_op": self.no_op,
+            "no_op": False,   # schema v1 field; every pass evicts
             "heads": {
                 str(h): {
                     "retained_ids": rep.retained_ids,
@@ -247,12 +246,15 @@ class CompressionReport:
 
 
 class KVBuffer:
-    """Per-head key/value store partitioned into clean and active regions.
+    """Key/value store partitioned into clean and active regions.
 
-    The clean region holds (possibly compressed) tokens of finished chunks
-    and is ragged per head after the first compression. The active region
-    only tracks token occupancy of chunks still denoising; their content is
-    never scored. ``budget_tokens=None`` disables compression entirely.
+    The clean region holds the (possibly compressed) tokens of finished
+    chunks as dense token-major arrays: keys and values (L, H, d) and global
+    token ids (L, H). Every compression keeps the same count for each head,
+    so the region stays dense; row i of head h is that head's i-th retained
+    token, in ascending id order. The active region only tracks token
+    occupancy of chunks still denoising; their content is never scored.
+    ``budget_tokens=None`` disables compression entirely.
     """
 
     def __init__(self, key_heads: int, head_dim: int, tokens_per_chunk: int,
@@ -268,20 +270,16 @@ class KVBuffer:
         self.budget_tokens = budget_tokens
         self.active_capacity = active_capacity
         self.frame_tokens = frame_tokens or tokens_per_chunk
-        empty = np.empty((0, head_dim), dtype=FLOAT)
-        self._keys = [empty.copy() for _ in range(key_heads)]
-        self._values = [empty.copy() for _ in range(key_heads)]
-        self._ids = [np.empty(0, dtype=np.int64) for _ in range(key_heads)]
+        self._keys = np.empty((0, key_heads, head_dim), dtype=FLOAT)
+        self._values = np.empty((0, key_heads, head_dim), dtype=FLOAT)
+        self._ids = np.empty((0, key_heads), dtype=np.int64)
         self._active_tokens: dict[int, int] = {}
 
     # -- occupancy ---------------------------------------------------------
 
     @property
     def clean_tokens(self) -> int:
-        return int(self._ids[0].size)
-
-    def clean_tokens_of(self, head: int) -> int:
-        return int(self._ids[head].size)
+        return int(self._ids.shape[0])
 
     @property
     def active_tokens(self) -> int:
@@ -298,10 +296,7 @@ class KVBuffer:
         return self.budget_tokens + self.active_capacity
 
     def retained_ids(self, head: int) -> np.ndarray:
-        return self._ids[head].copy()
-
-    def keys_of(self, head: int) -> np.ndarray:
-        return self._keys[head].copy()
+        return self._ids[:, head].copy()
 
     # -- active region -----------------------------------------------------
 
@@ -322,8 +317,8 @@ class KVBuffer:
                         global_step: int) -> Optional[CompressionReport]:
         """Fold a finished chunk's KV states into the clean region.
 
-        Appends while the clean region fits the budget; once an arrival would
-        overflow it, the merged candidate set is compressed on every arrival.
+        Appends while the clean region fits the budget; once an arrival
+        overflows it, the merged candidate set is compressed on every arrival.
         Returns the compression report, or None during the fill phase.
         """
         if keys.shape != (self.tokens_per_chunk, self.key_heads, self.head_dim):
@@ -332,59 +327,34 @@ class KVBuffer:
             raise InvalidInput("keys and values shapes differ")
         base = (chunk_index - 1) * self.tokens_per_chunk
         new_ids = base + np.arange(self.tokens_per_chunk, dtype=np.int64)
-        candidate_count = max(self.clean_tokens_of(h) for h in range(self.key_heads))
-        candidate_count += self.tokens_per_chunk
-        if self.budget_tokens is None or candidate_count <= self.budget_tokens:
-            for h in range(self.key_heads):
-                self._keys[h] = np.concatenate([self._keys[h], keys[:, h, :]])
-                self._values[h] = np.concatenate([self._values[h], values[:, h, :]])
-                self._ids[h] = np.concatenate([self._ids[h], new_ids])
+        self._keys = np.concatenate([self._keys, keys])
+        self._values = np.concatenate([self._values, values])
+        self._ids = np.concatenate(
+            [self._ids, np.broadcast_to(new_ids[:, None], keys.shape[:2])])
+        if self.budget_tokens is None or self.clean_tokens <= self.budget_tokens:
             return None
-        return self._compress(chunk_index, keys, values, new_ids, queries,
-                              config, global_step)
+        return self._compress(chunk_index, queries, config, global_step)
 
-    def _compress(self, chunk_index: int, new_keys: np.ndarray, new_values: np.ndarray,
-                  new_ids: np.ndarray, queries: np.ndarray, config: CompressionConfig,
-                  global_step: int) -> CompressionReport:
-        # clean-region lengths stay uniform across heads (every compression
-        # retains the same count for each head), so candidates stack into
-        # one (L, H, d) array and all heads are scored in a single pass
-        budget = self.budget_tokens
-        cand_keys = np.stack(
-            [np.concatenate([self._keys[h], new_keys[:, h, :]])
-             for h in range(self.key_heads)], axis=1)
-        cand_values = np.stack(
-            [np.concatenate([self._values[h], new_values[:, h, :]])
-             for h in range(self.key_heads)], axis=1)
-        # id sets are ragged across heads; row i of head h's stack column is
-        # that head's i-th candidate
-        cand_ids = [np.concatenate([self._ids[h], new_ids])
-                    for h in range(self.key_heads)]
-        n_cand = int(cand_ids[0].size)
+    def _compress(self, chunk_index: int, queries: np.ndarray,
+                  config: CompressionConfig, global_step: int) -> CompressionReport:
+        """Score the over-budget clean region and keep the budget per head."""
+        n_cand = self.clean_tokens
+        scores = score_candidates(queries, self._keys, config)
+        keep = np.stack(
+            [select_tokens(row, self.budget_tokens, config.key_granularity,
+                           self.frame_tokens, self.tokens_per_chunk)
+             for row in scores.combined], axis=1)        # (kept, H)
+        heads = np.arange(self.key_heads)
+        self._keys = self._keys[keep, heads]
+        self._values = self._values[keep, heads]
+        self._ids = self._ids[keep, heads]
         report = CompressionReport(
             global_step=global_step, arriving_chunk=chunk_index,
-            candidate_tokens=n_cand, no_op=False)
-        if n_cand <= budget:
-            report.no_op = True
-            for h in range(self.key_heads):
-                self._keys[h] = cand_keys[:, h, :]
-                self._values[h] = cand_values[:, h, :]
-                self._ids[h] = cand_ids[h]
-                report.heads[h] = HeadReport(
-                    retained_ids=[int(i) for i in cand_ids[h]], evicted_count=0,
-                    score_min=None, score_max=None, score_mean=None)
-            return report
-        scores = score_candidates(queries, cand_keys, config)
-        for h in range(self.key_heads):
-            row = scores.combined[h]
-            keep = select_tokens(row, budget, config.key_granularity,
-                                 self.frame_tokens, self.tokens_per_chunk)
-            self._keys[h] = cand_keys[keep, h, :]
-            self._values[h] = cand_values[keep, h, :]
-            self._ids[h] = cand_ids[h][keep]
+            candidate_tokens=n_cand)
+        for h, row in enumerate(scores.combined):
             report.heads[h] = HeadReport(
-                retained_ids=[int(i) for i in cand_ids[h][keep]],
-                evicted_count=int(n_cand - keep.size),
+                retained_ids=self._ids[:, h].tolist(),
+                evicted_count=n_cand - keep.shape[0],
                 score_min=float(row.min()), score_max=float(row.max()),
                 score_mean=float(row.mean()))
         return report

@@ -42,7 +42,6 @@ class ChunkReuseState:
 
     accumulator: float = 0.0
     cached_velocity: Optional[np.ndarray] = None
-    cached_metric: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,6 @@ def apply(decision: Decision, state: ChunkReuseState, latent: np.ndarray, dt: fl
         velocity = compute_velocity()
         metric = relative_l1(velocity, dt, latent)
         state.cached_velocity = velocity
-        state.cached_metric = metric
     else:
         if state.cached_velocity is None:
             raise InternalError("reuse decision with no cached velocity")

@@ -3,20 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput, Singularity
 from .numerics import FLOAT, _ensure_finite
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Descending timestep values and the (uniform) per-step magnitude."""
-
-    times: tuple[float, ...]
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -56,13 +47,6 @@ class PowerLawSchedule:
         if t <= 0:
             raise Singularity(f"log-derivative ratio diverges at t={t}")
         return self.power / t
-
-    @cached_property
-    def time_grid(self) -> TimeGrid:
-        times = tuple(
-            self.total_time * i / self.steps for i in range(self.steps, -1, -1)
-        )
-        return TimeGrid(times=times, dt=self.dt)
 
     def time_at(self, local_step: int) -> float:
         """Timestep value before executing local step ``local_step`` (0-based)."""

@@ -171,7 +171,7 @@ class RunTrace:
             h.update(i64(rep.global_step))
             h.update(i64(rep.arriving_chunk))
             h.update(i64(rep.candidate_tokens))
-            h.update(b"1" if rep.no_op else b"0")
+            h.update(b"0")   # schema v1 no_op flag, always false
             for head in sorted(rep.heads):
                 h.update(i64(head))
                 h.update(np.asarray(rep.heads[head].retained_ids,
@@ -248,9 +248,11 @@ def import_trace(data: dict | str) -> RunTrace:
             kv_active_tokens=r["kv_active_tokens"],
             resident_bytes=r["resident_bytes"]))
     for rep in data["compressions"]:
+        if rep["no_op"] is not False:
+            raise InvalidInput("compression no_op must be false in schema v1")
         report = CompressionReport(
             global_step=rep["global_step"], arriving_chunk=rep["arriving_chunk"],
-            candidate_tokens=rep["candidate_tokens"], no_op=rep["no_op"])
+            candidate_tokens=rep["candidate_tokens"])
         for head, body in rep["heads"].items():
             report.heads[int(head)] = HeadReport(
                 retained_ids=list(body["retained_ids"]),

@@ -121,8 +121,7 @@ class TestSweepCommand:
         assert float(zero["final_l1_error_vs_baseline"]) == 0.0
         assert float(rows[1]["speedup"]) > 1.0
 
-    def test_budget_sweep_orders_peaks(self, small_cfg, capsys, monkeypatch):
-        monkeypatch.setenv("FLOWCACHE_SIM_THREADS", "2")
+    def test_budget_sweep_orders_peaks(self, small_cfg, capsys):
         assert run_cli("sweep", "--axis", "budget", "--values", "4,3,2",
                        "--config", small_cfg) == 0
         rows = self.read_rows(capsys.readouterr().out)

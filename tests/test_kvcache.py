@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcache_sim import (CompressionConfig, KVBuffer, combined_score,
                            granularity_aggregate, importance,
@@ -232,7 +234,7 @@ class TestBuffer:
         self.feed(1)
         self.feed(2)
         report = self.feed(3)
-        assert report is not None and not report.no_op
+        assert report is not None
         assert self.buffer.clean_tokens == 24
         assert report.candidate_tokens == 36
         for head in report.heads.values():
@@ -265,17 +267,6 @@ class TestBuffer:
         self.feed(1)
         assert self.buffer.resident_tokens <= self.buffer.total_capacity
 
-    def test_under_budget_compress_is_noop(self):
-        # force the compression path with fewer candidates than the budget
-        buffer = KVBuffer(key_heads=1, head_dim=4, tokens_per_chunk=4,
-                          budget_tokens=16, active_capacity=8)
-        keys, values = make_chunk_kv(self.rng, 4, 1, 4)
-        report = buffer._compress(1, keys, values, np.arange(4),
-                                  self.rng.normal(size=(5, 1, 4)), cfg(), 0)
-        assert report.no_op
-        assert report.heads[0].evicted_count == 0
-        assert report.heads[0].score_min is None
-
     def test_report_round_trips_json(self):
         self.feed(1)
         self.feed(2)
@@ -294,3 +285,40 @@ class TestBuffer:
             assert buffer.add_clean_chunk(i, keys, values, self.queries[:, :1],
                                           cfg(), i) is None
         assert buffer.clean_tokens == 30
+
+
+@settings(max_examples=60, deadline=None)
+@given(heads=st.integers(1, 3), frames=st.integers(1, 3),
+       frame_size=st.integers(1, 4),
+       granularity=st.sampled_from(("token", "frame", "chunk")),
+       arrivals=st.integers(1, 6), seed=st.integers(0, 2**16), data=st.data())
+def test_buffer_invariants(heads, frames, frame_size, granularity, arrivals,
+                           seed, data):
+    tokens = frames * frame_size
+    group = {"token": 1, "frame": frame_size, "chunk": tokens}[granularity]
+    budget = data.draw(st.integers(group, 3 * tokens), label="budget")
+    rng = np.random.default_rng(seed)
+    buffer = KVBuffer(key_heads=heads, head_dim=4, tokens_per_chunk=tokens,
+                      budget_tokens=budget, active_capacity=tokens,
+                      frame_tokens=frame_size)
+    queries = rng.normal(size=(6, heads, 4))
+    compressing = False
+    for chunk in range(1, arrivals + 1):
+        keys, values = make_chunk_kv(rng, tokens, heads, 4)
+        report = buffer.add_clean_chunk(chunk, keys, values, queries,
+                                        cfg(key_granularity=granularity), chunk)
+        # once the budget overflows, every later arrival compresses
+        assert (report is not None) == (compressing or chunk * tokens > budget)
+        compressing = report is not None
+        assert buffer.clean_tokens <= budget
+        for h in range(heads):
+            ids = buffer.retained_ids(h)
+            assert ids.size == buffer.clean_tokens
+            assert np.all(np.diff(ids) > 0)
+            assert ids.min() >= 0 and ids.max() < chunk * tokens
+        if report is not None:
+            assert set(report.heads) == set(range(heads))
+            for h, head in report.heads.items():
+                assert head.retained_ids == buffer.retained_ids(h).tolist()
+                assert (len(head.retained_ids) + head.evicted_count
+                        == report.candidate_tokens)

@@ -32,7 +32,7 @@ class TestSigma:
 
     def test_monotone_on_grid(self):
         sched = PowerLawSchedule(power=1.7, steps=50)
-        values = [sched.sigma(t) for t in sched.time_grid.times]
+        values = [sched.sigma(t) for t in visited_times(sched)]
         # grid is descending in t, so sigma must strictly decrease
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -55,19 +55,34 @@ class TestLogDerivativeRatio:
         assert sched.log_derivative_ratio(t) == pytest.approx(numeric, rel=1e-6)
 
 
+def visited_times(sched):
+    """Timesteps run_denoise steps from, plus the point one dt past the last."""
+    times = [sched.time_at(i) for i in range(sched.steps)]
+    return np.array(times + [times[-1] - sched.dt])
+
+
 class TestGrid:
     def test_dt_sums_to_total_time(self):
         for steps in (7, 50, 64, 256):
             sched = PowerLawSchedule(power=1.0, total_time=1.0, steps=steps)
-            times = np.array(sched.time_grid.times)
+            times = visited_times(sched)
+            assert times[0] == sched.total_time
+            np.testing.assert_allclose(-np.diff(times), sched.dt, rtol=1e-12)
             assert abs((-np.diff(times)).sum() - sched.total_time) < 1e-12
 
     def test_descending_strictly(self):
-        times = PowerLawSchedule(power=1.0, steps=10).time_grid.times
+        times = visited_times(PowerLawSchedule(power=1.0, steps=10))
         assert all(a > b for a, b in zip(times, times[1:]))
 
     def test_final_point_is_zero(self):
-        assert PowerLawSchedule(power=1.0, steps=4).time_grid.times[-1] == 0.0
+        assert visited_times(PowerLawSchedule(power=1.0, steps=4))[-1] == 0.0
+
+    def test_time_at_domain(self):
+        sched = PowerLawSchedule(power=1.0, steps=4)
+        with pytest.raises(InvalidInput):
+            sched.time_at(4)
+        with pytest.raises(InvalidInput):
+            sched.time_at(-1)
 
     def test_bad_params(self):
         with pytest.raises(InvalidInput):

@@ -6,7 +6,7 @@ import pytest
 
 from flowcache_sim import (KVPlan, PowerLawSchedule, ReusePolicy, SceneConfig,
                            import_trace, l1rel_curves, run_denoise, speedup)
-from flowcache_sim.errors import InvalidComparison
+from flowcache_sim.errors import InvalidComparison, InvalidInput
 from flowcache_sim.trace import curves_csv
 
 GOLDEN = Path(__file__).parent / "data" / "golden_magi_fast.json"
@@ -35,6 +35,13 @@ class TestExport:
         trace = tiny_run()
         again = import_trace(trace.to_json())
         assert again.to_json() == trace.to_json()
+
+    def test_forged_no_op_rejected(self):
+        payload = json.loads(tiny_run().to_json())
+        assert payload["compressions"]
+        payload["compressions"][0]["no_op"] = True
+        with pytest.raises(InvalidInput):
+            import_trace(payload)
 
     def test_zero_reuse_export(self):
         trace = tiny_run(policy=ReusePolicy(0.0, 0))
