@@ -207,3 +207,37 @@ class TestRunLifecycle:
         assert trace.compressions   # compression fired with pooled queries
         tpc = scene.tokens_per_chunk
         assert all(rec.kv_clean_tokens <= 2 * tpc for rec in trace.records)
+
+
+class TestTrajectoryIgnoresKV:
+    """The KV buffer never feeds back into decisions or latents."""
+
+    @staticmethod
+    def magi_fast_run(budget, key_granularity):
+        from flowcache_sim import build_objects, resolve_config
+
+        cfg = resolve_config(profile="magi-fast")
+        cfg["kv"].update(budget_chunks=budget, key_granularity=key_granularity)
+        cfg["noise_scale"] = 0.05
+        scene, sched, policy, kv, cost, noise = build_objects(cfg)
+        return run_denoise(scene, sched, policy=policy, kv=kv, cost=cost,
+                           noise_scale=noise)
+
+    @staticmethod
+    def chunk_rows(trace):
+        return [(cr.chunk, cr.local_step, cr.decision, cr.metric,
+                 cr.accumulator, cr.estimate)
+                for rec in trace.records for cr in rec.chunks]
+
+    def test_budget_and_key_granularity_leave_trajectory_unchanged(self):
+        runs = [self.magi_fast_run(b, gran)
+                for b in (None, 1, 2, 5) for gran in ("token", "frame")]
+        ref = runs[0]
+        assert any(cr.decision == "reuse"
+                   for rec in ref.records for cr in rec.chunks)
+        assert sum(bool(run.compressions) for run in runs) == 6
+        for run in runs[1:]:
+            assert self.chunk_rows(run) == self.chunk_rows(ref)
+            assert sorted(run.final_latents) == sorted(ref.final_latents)
+            for idx, latent in ref.final_latents.items():
+                assert np.array_equal(run.final_latents[idx], latent)

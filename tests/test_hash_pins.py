@@ -1,9 +1,9 @@
 """Pinned content hashes beyond the magi-fast golden fixture.
 
 Covers every profile plus the magi-fast sweep variants (lambda, key
-granularity, budget) and frame/frame granularity on skyreels-fast, so a
-refactor of the KV buffer or the trajectory loop that moves any retained id,
-decision or latent bit fails here. The pins change only with a deliberate,
+granularity, budget including none) and frame/frame granularity on
+skyreels-fast, so a refactor of the KV buffer or the trajectory loop that
+moves any retained id, decision or latent bit fails here. The pins change only with a deliberate,
 logged change to simulator behaviour.
 """
 
@@ -18,7 +18,7 @@ CASES = [
     *[(f"magi-fast-keys-{gran}", "magi-fast", {"key_granularity": gran})
       for gran in ("frame", "chunk")],
     *[(f"magi-fast-budget-{b}", "magi-fast", {"budget_chunks": b})
-      for b in (1, 2, 3)],
+      for b in (None, 1, 2, 3)],
     ("skyreels-fast-frame-frame", "skyreels-fast",
      {"query_granularity": "frame", "key_granularity": "frame"}),
 ]
@@ -34,6 +34,7 @@ PINS = {
     "magi-fast-lambda-1.0": "9aaa361b3bde1775134cd142cc85822989b2d046ddfac6e45b4908258bacbda6",
     "magi-fast-keys-frame": "9736bb8896e5572728bac4d19c25cfcffaf69ba048bf0933fb5fc9696f4dd112",
     "magi-fast-keys-chunk": "0445104c05b5b7463135925a2999b1e3709be363f5f98222988e2a3a7536c8af",
+    "magi-fast-budget-None": "a7e97f6df28c4d9015466ba7e398ab997217bdf03fbe7536429bf4c6c61500cf",
     "magi-fast-budget-1": "3273180939071d1c7da33922d093c0c4bb117266fc5e1a733025942d67e573fe",
     "magi-fast-budget-2": "80c8ab016bdd068c8cb5f5938727b8c6bfd4c13a657d9268b5971b8672df0e17",
     "magi-fast-budget-3": "d03b60abc4e12fdf893d0b5a013e71a6b508ad85a4ab27f24dde4fca65f17689",
