@@ -3,9 +3,10 @@
 A scene is a sequence of chunks with known clean latents, so the optimal
 velocity field has a closed form and every run is exactly reproducible from
 (config, seed). Chunks enter denoising staggered by steps/window global
-steps (at most ``window`` active at once), each performs ``steps`` local
-denoising steps, and finished chunks feed their projected key/value states
-into the KV buffer.
+steps (at most ``window`` active at once) and each performs ``steps`` local
+denoising steps. ``trajectory`` runs that denoising and never touches the KV
+buffer; ``run_denoise`` reads its events, feeds finished chunks' projected
+key/value states into the buffer, and accounts occupancy and cost.
 
 The expensive transformer forward is replaced by a cost model: a computed
 chunk-step is charged a fixed forward cost plus an attention cost
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -252,63 +253,31 @@ class _Projector:
         return self._unit_rows(q)
 
 
-def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
-                policy: Optional[ReusePolicy] = None,
-                kv: Optional[KVPlan] = None,
-                cost: Optional[CostModel] = None,
-                noise_scale: float = 0.0) -> RunTrace:
-    """Drive every chunk from noise to clean and return the full trace.
+def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
+               policy: Optional[ReusePolicy], noise_scale: float) -> Iterator[tuple]:
+    """Drive every chunk from noise to clean, yielding one event per step.
 
-    ``policy=None`` disables the reuse machinery entirely (every step
-    computes); an epsilon=0 policy takes the same decisions and produces a
-    bitwise-identical trace. ``kv.budget_chunks=None`` disables compression
-    while still accounting buffer occupancy.
+    The KV buffer never reads or writes a latent, so the trajectory (chunk
+    lifecycle, reuse decisions, Euler steps) runs here without KV state and
+    ``run_denoise`` derives the KV accounting from its events.
+
+    Step g yields ``(g, records, finished, query_latent)``: the records of
+    the chunks active at g in index order, the chunks that became clean at g,
+    and the latent of the newest chunk still active after g (or None).
     """
-    kv = kv or KVPlan()
-    cost = cost or CostModel()
-    if schedule.steps % scene.window != 0:
-        raise InvalidConfig(
-            f"steps={schedule.steps} not divisible by window={scene.window}")
-
     chunks = make_scene(scene)
     reuse_states = {c.index: ChunkReuseState() for c in chunks}
-    projector = _Projector(scene, kv)
-    tokens_per_chunk = scene.tokens_per_chunk
-    budget_tokens = (None if kv.budget_chunks is None
-                     else kv.budget_chunks * tokens_per_chunk)
-    buffer = KVBuffer(
-        key_heads=kv.key_heads, head_dim=kv.head_dim,
-        tokens_per_chunk=tokens_per_chunk, budget_tokens=budget_tokens,
-        active_capacity=scene.window * tokens_per_chunk,
-        frame_tokens=scene.tokens_per_frame)
-
     starts = {c.index: active_window(c.index, schedule, scene)[0] for c in chunks}
-    n_steps = total_global_steps(schedule, scene)
     dt = schedule.dt
 
-    trace = RunTrace.start(scene=scene, schedule=schedule, policy=policy, kv=kv,
-                           cost=cost, noise_scale=noise_scale)
-
-    def newest_active_latent() -> Optional[np.ndarray]:
-        live = [c for c in chunks if c.status == ACTIVE]
-        return live[-1].latent if live else None
-
-    for g in range(n_steps):
+    for g in range(total_global_steps(schedule, scene)):
+        records, finished, query_latent = [], [], None
         for chunk in chunks:
             if chunk.status == PENDING and starts[chunk.index] == g:
                 chunk.latent = make_initial_noise(scene, chunk.index)
                 chunk.status = ACTIVE
-                buffer.activate_chunk(chunk.index)
-
-        step_flops = 0.0
-        chunk_records: list[ChunkStepRecord] = []
-        finished: list[ChunkState] = []
-        resident_before = buffer.resident_tokens
-
-        for chunk in chunks:
             if chunk.status != ACTIVE:
                 continue
-            t_now = schedule.time_at(chunk.local_step)
             state = reuse_states[chunk.index]
             if policy is None:
                 estimate = None
@@ -316,17 +285,11 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
             else:
                 estimate = estimate_metric(state, dt, chunk.latent)
                 decision = decide(policy, state, chunk.local_step, estimate)
-
-            def forward() -> np.ndarray:
-                return perturbed_velocity(chunk, t_now, schedule, noise_scale,
-                                          scene.seed)
-
-            chunk.latent, metric = apply(decision, state, chunk.latent, dt, forward)
-            if decision.is_compute:
-                step_flops += cost.flops_per_chunk_forward
-                step_flops += (cost.flops_per_kv_token_pair
-                               * tokens_per_chunk * resident_before)
-            chunk_records.append(ChunkStepRecord(
+            chunk.latent, metric = apply(
+                decision, state, chunk.latent, dt,
+                lambda: perturbed_velocity(chunk, schedule.time_at(chunk.local_step),
+                                           schedule, noise_scale, scene.seed))
+            records.append(ChunkStepRecord(
                 chunk=chunk.index, local_step=chunk.local_step,
                 decision=decision.action, metric=metric,
                 accumulator=state.accumulator, estimate=estimate))
@@ -334,28 +297,71 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
             if chunk.local_step == schedule.steps:
                 chunk.status = CLEAN
                 finished.append(chunk)
+            else:
+                query_latent = chunk.latent
+        yield g, records, finished, query_latent
+
+
+def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
+                policy: Optional[ReusePolicy] = None,
+                kv: Optional[KVPlan] = None,
+                cost: Optional[CostModel] = None,
+                noise_scale: float = 0.0) -> RunTrace:
+    """Run the trajectory, account KV occupancy and cost, return the trace.
+
+    ``policy=None`` disables the reuse machinery entirely (every step
+    computes); an epsilon=0 policy takes the same decisions and produces a
+    bitwise-identical trace. ``kv.budget_chunks=None`` disables compression:
+    no buffer is kept and finished chunks add their tokens uncompressed.
+    Otherwise each finished chunk's keys and values enter the buffer, scored
+    against the newest still-active chunk's queries (or its own).
+    """
+    kv = kv or KVPlan()
+    cost = cost or CostModel()
+    tokens_per_chunk = scene.tokens_per_chunk
+    buffer = None
+    if kv.budget_chunks is not None:
+        projector = _Projector(scene, kv)
+        buffer = KVBuffer(
+            key_heads=kv.key_heads, head_dim=kv.head_dim,
+            tokens_per_chunk=tokens_per_chunk, frame_tokens=scene.tokens_per_frame,
+            budget_tokens=kv.budget_chunks * tokens_per_chunk)
+    trace = RunTrace.start(scene=scene, schedule=schedule, policy=policy, kv=kv,
+                           cost=cost, noise_scale=noise_scale)
+    clean_tokens = 0
+    final_latents: dict[int, np.ndarray] = {}
+
+    for g, records, finished, query_latent in trajectory(scene, schedule, policy,
+                                                         noise_scale):
+        resident_before = clean_tokens + len(records) * tokens_per_chunk
+        step_flops = 0.0
+        for record in records:
+            if record.decision == COMPUTE:
+                step_flops += cost.flops_per_chunk_forward
+                step_flops += (cost.flops_per_kv_token_pair
+                               * tokens_per_chunk * resident_before)
 
         for chunk in finished:
-            buffer.retire_chunk(chunk.index)
+            final_latents[chunk.index] = chunk.latent
+            if buffer is None:
+                clean_tokens += tokens_per_chunk
+                continue
             keys, values = projector.keys_values(chunk.latent)
-            query_source = newest_active_latent()
-            if query_source is None:
-                query_source = chunk.latent
-            queries = projector.queries(query_source)
+            queries = projector.queries(
+                chunk.latent if query_latent is None else query_latent)
             if kv.compression.query_granularity == "frame":
                 queries = pool_queries_by_frame(queries, scene.tokens_per_frame)
             report = buffer.add_clean_chunk(
                 chunk.index, keys, values, queries, kv.compression, g)
             if report is not None:
                 trace.add_compression(report)
+            clean_tokens = buffer.clean_tokens
 
+        active_tokens = (len(records) - len(finished)) * tokens_per_chunk
         trace.add_step(StepRecord(
-            global_step=g,
-            chunks=chunk_records,
-            flops=step_flops,
-            kv_clean_tokens=buffer.clean_tokens,
-            kv_active_tokens=buffer.active_tokens,
-            resident_bytes=buffer.resident_tokens * cost.bytes_per_kv_token))
+            global_step=g, chunks=records, flops=step_flops,
+            kv_clean_tokens=clean_tokens, kv_active_tokens=active_tokens,
+            resident_bytes=(clean_tokens + active_tokens) * cost.bytes_per_kv_token))
 
-    trace.finish({c.index: c.latent for c in chunks})
+    trace.finish(final_latents)
     return trace

@@ -88,11 +88,11 @@ def _parse_values(axis: str, raw: str) -> list:
     items = [v.strip() for v in raw.split(",") if v.strip()]
     if not items:
         raise SimulatorError("empty --values list")
-    if axis == "budget":
-        return [int(v) for v in items]
-    if axis in ("lambda", "epsilon"):
-        return [float(v) for v in items]
-    return items   # granularity names
+    parse = {"budget": int, "lambda": float, "epsilon": float}.get(axis, str)
+    try:
+        return [parse(v) for v in items]
+    except ValueError as exc:
+        raise SimulatorError(f"bad --values for axis {axis}: {exc}") from None
 
 
 def _apply_axis(cfg: dict, axis: str, value) -> dict:

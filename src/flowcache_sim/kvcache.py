@@ -1,10 +1,10 @@
-"""Fixed-budget two-region KV buffer with joint importance-redundancy scoring.
+"""Fixed-budget KV buffer with joint importance-redundancy scoring.
 
-The buffer splits a fixed per-head token capacity into a compressed
-clean-chunk region (budget_tokens) and an active denoising region sized for
-the chunk window. Clean chunks append uncompressed until the clean region
-would overflow; from then on every arrival triggers a compression that
-retains the top-scoring tokens per head.
+The buffer holds the clean region only: the key/value states of finished
+chunks, capped at ``budget_tokens`` per head. Clean chunks append
+uncompressed until the region would overflow; from then on every arrival
+triggers a compression that retains the top-scoring tokens per head. Chunks
+still denoising never enter the buffer; the run counts their tokens.
 
 Scoring combines two per-head distributions over the candidate tokens:
 importance (attention mass received from recent query tokens, max-pooled for
@@ -246,71 +246,37 @@ class CompressionReport:
 
 
 class KVBuffer:
-    """Key/value store partitioned into clean and active regions.
+    """Compressed clean region of the key/value cache, under a token budget.
 
-    The clean region holds the (possibly compressed) tokens of finished
-    chunks as dense token-major arrays: keys and values (L, H, d) and global
-    token ids (L, H). Every compression keeps the same count for each head,
-    so the region stays dense; row i of head h is that head's i-th retained
-    token, in ascending id order. The active region only tracks token
-    occupancy of chunks still denoising; their content is never scored.
-    ``budget_tokens=None`` disables compression entirely.
+    Holds the tokens of finished chunks as dense token-major arrays: keys and
+    values (L, H, d) and global token ids (L, H). Every compression keeps the
+    same count for each head, so the region stays dense; row i of head h is
+    that head's i-th retained token, in ascending id order. Chunks still
+    denoising are not stored here: their occupancy is a token count that
+    ``run_denoise`` keeps, and a run without a budget keeps no buffer.
     """
 
     def __init__(self, key_heads: int, head_dim: int, tokens_per_chunk: int,
-                 budget_tokens: Optional[int], active_capacity: int,
-                 frame_tokens: Optional[int] = None):
+                 budget_tokens: int, frame_tokens: Optional[int] = None):
         if key_heads < 1 or head_dim < 1 or tokens_per_chunk < 1:
             raise InvalidConfig("buffer dimensions must be positive")
-        if budget_tokens is not None and budget_tokens < 1:
-            raise InvalidConfig("budget_tokens must be positive or None")
+        if budget_tokens < 1:
+            raise InvalidConfig("budget_tokens must be positive")
         self.key_heads = key_heads
         self.head_dim = head_dim
         self.tokens_per_chunk = tokens_per_chunk
         self.budget_tokens = budget_tokens
-        self.active_capacity = active_capacity
         self.frame_tokens = frame_tokens or tokens_per_chunk
         self._keys = np.empty((0, key_heads, head_dim), dtype=FLOAT)
         self._values = np.empty((0, key_heads, head_dim), dtype=FLOAT)
         self._ids = np.empty((0, key_heads), dtype=np.int64)
-        self._active_tokens: dict[int, int] = {}
-
-    # -- occupancy ---------------------------------------------------------
 
     @property
     def clean_tokens(self) -> int:
         return int(self._ids.shape[0])
 
-    @property
-    def active_tokens(self) -> int:
-        return sum(self._active_tokens.values())
-
-    @property
-    def resident_tokens(self) -> int:
-        return self.clean_tokens + self.active_tokens
-
-    @property
-    def total_capacity(self) -> Optional[int]:
-        if self.budget_tokens is None:
-            return None
-        return self.budget_tokens + self.active_capacity
-
     def retained_ids(self, head: int) -> np.ndarray:
         return self._ids[:, head].copy()
-
-    # -- active region -----------------------------------------------------
-
-    def activate_chunk(self, chunk_index: int) -> None:
-        if chunk_index in self._active_tokens:
-            raise InvalidInput(f"chunk {chunk_index} already active")
-        self._active_tokens[chunk_index] = self.tokens_per_chunk
-
-    def retire_chunk(self, chunk_index: int) -> None:
-        if chunk_index not in self._active_tokens:
-            raise InvalidInput(f"chunk {chunk_index} not active")
-        del self._active_tokens[chunk_index]
-
-    # -- clean region ------------------------------------------------------
 
     def add_clean_chunk(self, chunk_index: int, keys: np.ndarray, values: np.ndarray,
                         queries: np.ndarray, config: CompressionConfig,
@@ -331,7 +297,7 @@ class KVBuffer:
         self._values = np.concatenate([self._values, values])
         self._ids = np.concatenate(
             [self._ids, np.broadcast_to(new_ids[:, None], keys.shape[:2])])
-        if self.budget_tokens is None or self.clean_tokens <= self.budget_tokens:
+        if self.clean_tokens <= self.budget_tokens:
             return None
         return self._compress(chunk_index, queries, config, global_step)
 

@@ -229,42 +229,69 @@ class RunTrace:
 
 
 def import_trace(data: dict | str) -> RunTrace:
-    """Rebuild a trace from its JSON form and verify the content hash."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise InvalidInput(f"unsupported trace schema {data.get('schema_version')}")
-    trace = RunTrace(config=data["config"])
-    for r in data["records"]:
-        trace.add_step(StepRecord(
-            global_step=r["global_step"],
-            chunks=[ChunkStepRecord(
-                chunk=c["chunk"], local_step=c["local_step"],
-                decision=c["decision"], metric=c["metric"],
-                accumulator=c["accumulator"], estimate=c["estimate"])
-                for c in r["chunks"]],
-            flops=r["flops"],
-            kv_clean_tokens=r["kv_clean_tokens"],
-            kv_active_tokens=r["kv_active_tokens"],
-            resident_bytes=r["resident_bytes"]))
-    for rep in data["compressions"]:
-        if rep["no_op"] is not False:
-            raise InvalidInput("compression no_op must be false in schema v1")
-        report = CompressionReport(
-            global_step=rep["global_step"], arriving_chunk=rep["arriving_chunk"],
-            candidate_tokens=rep["candidate_tokens"])
-        for head, body in rep["heads"].items():
-            report.heads[int(head)] = HeadReport(
-                retained_ids=list(body["retained_ids"]),
-                evicted_count=body["evicted_count"],
-                score_min=body["score_min"], score_max=body["score_max"],
-                score_mean=body["score_mean"])
-        trace.add_compression(report)
-    shape = tuple(data["config"]["scene"]["shape"])
-    finals = {int(k): np.asarray(v, dtype=FLOAT).reshape(shape)
-              for k, v in data["final_latents"].items()}
-    trace.finish(finals)
-    if trace.content_hash != data["content_hash"]:
+    """Rebuild a trace from its JSON form and verify the content hash.
+
+    Bad JSON, a missing or malformed field, or a final latent whose length
+    does not match the config shape raises InvalidInput naming the path.
+    """
+    where = "trace"   # path of the object being read, for error messages
+    try:
+        if isinstance(data, str):
+            data = json.loads(data)
+        if data["schema_version"] != SCHEMA_VERSION:
+            raise InvalidInput(f"unsupported trace schema {data['schema_version']}")
+        trace = RunTrace(config=data["config"])
+        for i, r in enumerate(data["records"]):
+            where = f"trace.records[{i}]"
+            step = StepRecord(
+                global_step=r["global_step"], chunks=[], flops=r["flops"],
+                kv_clean_tokens=r["kv_clean_tokens"],
+                kv_active_tokens=r["kv_active_tokens"],
+                resident_bytes=r["resident_bytes"])
+            for j, c in enumerate(r["chunks"]):
+                where = f"trace.records[{i}].chunks[{j}]"
+                step.chunks.append(ChunkStepRecord(
+                    chunk=c["chunk"], local_step=c["local_step"],
+                    decision=c["decision"], metric=c["metric"],
+                    accumulator=c["accumulator"], estimate=c["estimate"]))
+            where = f"trace.records[{i}]"
+            trace.add_step(step)
+        for i, rep in enumerate(data["compressions"]):
+            where = f"trace.compressions[{i}]"
+            if rep["no_op"] is not False:
+                raise InvalidInput("compression no_op must be false in schema v1")
+            report = CompressionReport(
+                global_step=rep["global_step"], arriving_chunk=rep["arriving_chunk"],
+                candidate_tokens=rep["candidate_tokens"])
+            for head, body in rep["heads"].items():
+                where = f"trace.compressions[{i}].heads.{head}"
+                report.heads[int(head)] = HeadReport(
+                    retained_ids=list(body["retained_ids"]),
+                    evicted_count=body["evicted_count"],
+                    score_min=body["score_min"], score_max=body["score_max"],
+                    score_mean=body["score_mean"])
+            trace.add_compression(report)
+        where = "trace.config"
+        scene = data["config"]["scene"]
+        where = "trace.config.scene"
+        shape = tuple(scene["shape"])
+        size = int(np.prod(shape))
+        finals = {}
+        for k, v in data["final_latents"].items():
+            where = f"trace.final_latents.{k}"
+            latent = np.asarray(v, dtype=FLOAT)
+            if latent.shape != (size,):
+                raise InvalidInput(f"{where} has shape {latent.shape}; config "
+                                   f"shape {shape} needs {size} values")
+            finals[int(k)] = latent.reshape(shape)
+        where = "trace"
+        trace.finish(finals)
+        content_hash = data["content_hash"]
+    except KeyError as exc:
+        raise InvalidInput(f"{where}.{exc.args[0]} is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed {where}: {exc}") from None
+    if trace.content_hash != content_hash:
         raise InvalidInput("trace content hash mismatch after import")
     return trace
 

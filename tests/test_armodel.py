@@ -4,7 +4,8 @@ import pytest
 from flowcache_sim import (ChunkState, KVPlan, PowerLawSchedule, ReusePolicy,
                            SceneConfig, active_window, ideal_velocity,
                            make_clean_latent, make_initial_noise,
-                           perturbed_velocity, run_denoise, total_global_steps)
+                           perturbed_velocity, run_denoise, total_global_steps,
+                           trajectory)
 from flowcache_sim.armodel import make_scene
 from flowcache_sim.errors import InvalidConfig, InvalidInput, Singularity
 
@@ -213,13 +214,17 @@ class TestTrajectoryIgnoresKV:
     """The KV buffer never feeds back into decisions or latents."""
 
     @staticmethod
-    def magi_fast_run(budget, key_granularity):
+    def magi_fast_objects(budget=5, key_granularity="token"):
         from flowcache_sim import build_objects, resolve_config
 
         cfg = resolve_config(profile="magi-fast")
         cfg["kv"].update(budget_chunks=budget, key_granularity=key_granularity)
         cfg["noise_scale"] = 0.05
-        scene, sched, policy, kv, cost, noise = build_objects(cfg)
+        return build_objects(cfg)
+
+    def magi_fast_run(self, budget, key_granularity):
+        scene, sched, policy, kv, cost, noise = self.magi_fast_objects(
+            budget, key_granularity)
         return run_denoise(scene, sched, policy=policy, kv=kv, cost=cost,
                            noise_scale=noise)
 
@@ -241,3 +246,16 @@ class TestTrajectoryIgnoresKV:
             assert sorted(run.final_latents) == sorted(ref.final_latents)
             for idx, latent in ref.final_latents.items():
                 assert np.array_equal(run.final_latents[idx], latent)
+
+    def test_trajectory_events_match_run_records(self):
+        scene, sched, policy, kv, cost, noise = self.magi_fast_objects()
+        events = list(trajectory(scene, sched, policy, noise))
+        trace = run_denoise(scene, sched, policy=policy, kv=kv, cost=cost,
+                            noise_scale=noise)
+        assert [g for g, *_ in events] == [r.global_step for r in trace.records]
+        assert [records for _, records, _, _ in events] == [
+            r.chunks for r in trace.records]
+        finished = [c for _, _, done, _ in events for c in done]
+        assert [c.index for c in finished] == list(range(1, scene.num_chunks + 1))
+        for chunk in finished:
+            assert np.array_equal(chunk.latent, trace.final_latents[chunk.index])

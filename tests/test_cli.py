@@ -153,6 +153,13 @@ class TestSweepCommand:
             run_cli("sweep", "--axis", "bogus", "--values", "1")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("axis,values", [("lambda", "0.1,abc"),
+                                             ("budget", "2.5")])
+    def test_bad_value_usage_error(self, axis, values, capsys):
+        assert run_cli("sweep", "--axis", axis, "--values", values) == 2
+        err = capsys.readouterr().err
+        assert axis in err and repr(values.split(",")[-1]) in err
+
     def test_writes_csv(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "sweeps"
         run_cli("sweep", "--axis", "epsilon", "--values", "0.015",

@@ -216,8 +216,7 @@ class TestBuffer:
         self.rng = np.random.default_rng(15)
         self.tokens = 12
         self.buffer = KVBuffer(key_heads=2, head_dim=4, tokens_per_chunk=12,
-                               budget_tokens=24, active_capacity=24,
-                               frame_tokens=4)
+                               budget_tokens=24, frame_tokens=4)
         self.queries = self.rng.normal(size=(10, 4, 4))
 
     def feed(self, chunk_index):
@@ -259,14 +258,6 @@ class TestBuffer:
         b = list(self.buffer.retained_ids(1))
         assert a != b   # per-head selection is independent
 
-    def test_capacity_invariant_with_active_chunks(self):
-        self.buffer.activate_chunk(1)
-        self.buffer.activate_chunk(2)
-        assert self.buffer.active_tokens == 24
-        self.buffer.retire_chunk(1)
-        self.feed(1)
-        assert self.buffer.resident_tokens <= self.buffer.total_capacity
-
     def test_report_round_trips_json(self):
         self.feed(1)
         self.feed(2)
@@ -276,15 +267,6 @@ class TestBuffer:
         assert back["heads"]["0"]["retained_ids"] == [
             int(i) for i in self.buffer.retained_ids(0)]
         assert back["no_op"] is False
-
-    def test_no_budget_grows_unbounded(self):
-        buffer = KVBuffer(key_heads=1, head_dim=4, tokens_per_chunk=6,
-                          budget_tokens=None, active_capacity=6)
-        for i in range(1, 6):
-            keys, values = make_chunk_kv(self.rng, 6, 1, 4)
-            assert buffer.add_clean_chunk(i, keys, values, self.queries[:, :1],
-                                          cfg(), i) is None
-        assert buffer.clean_tokens == 30
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,8 +281,7 @@ def test_buffer_invariants(heads, frames, frame_size, granularity, arrivals,
     budget = data.draw(st.integers(group, 3 * tokens), label="budget")
     rng = np.random.default_rng(seed)
     buffer = KVBuffer(key_heads=heads, head_dim=4, tokens_per_chunk=tokens,
-                      budget_tokens=budget, active_capacity=tokens,
-                      frame_tokens=frame_size)
+                      budget_tokens=budget, frame_tokens=frame_size)
     queries = rng.normal(size=(6, heads, 4))
     compressing = False
     for chunk in range(1, arrivals + 1):

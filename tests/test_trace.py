@@ -43,6 +43,30 @@ class TestExport:
         with pytest.raises(InvalidInput):
             import_trace(payload)
 
+    def test_missing_field_names_its_path(self):
+        payload = json.loads(tiny_run().to_json())
+        del payload["records"][3]["flops"]
+        with pytest.raises(InvalidInput, match=r"records\[3\]\.flops"):
+            import_trace(payload)
+        payload = json.loads(tiny_run().to_json())
+        del payload["records"][5]["chunks"][1]["metric"]
+        with pytest.raises(InvalidInput,
+                           match=r"records\[5\]\.chunks\[1\]\.metric"):
+            import_trace(payload)
+
+    @pytest.mark.parametrize("text", ["[1]", '{"schema_version": 1',
+                                      '{"schema_version": 2}'])
+    def test_non_trace_text_rejected(self, text):
+        with pytest.raises(InvalidInput):
+            import_trace(text)
+
+    def test_truncated_final_latent_rejected(self):
+        payload = json.loads(tiny_run().to_json())
+        payload["final_latents"]["2"] = payload["final_latents"]["2"][:-1]
+        with pytest.raises(InvalidInput,
+                           match=r"final_latents\.2 .* needs 72 values"):
+            import_trace(payload)
+
     def test_zero_reuse_export(self):
         trace = tiny_run(policy=ReusePolicy(0.0, 0))
         payload = json.loads(trace.to_json())
