@@ -14,7 +14,7 @@ from .kvcache import (CompressionConfig, CompressionReport, KVBuffer,
                       combined_score, granularity_aggregate, importance,
                       pooled_importance, redundancy_fast, redundancy_naive,
                       score_candidates, select_tokens)
-from .numerics import as_tensor, l1_norm, maxpool1d, softmax, stable_topk
+from .numerics import l1_norm, maxpool1d, softmax, stable_topk
 from .reuse import (ChunkReuseState, Decision, ReusePolicy, decide,
                     estimate_metric, relative_l1)
 from .schedule import PowerLawSchedule, euler_step

@@ -59,6 +59,8 @@ class SceneConfig:
             raise InvalidConfig("window must satisfy 1 <= window <= num_chunks")
         if len(self.shape) != 4 or any(n < 1 for n in self.shape):
             raise InvalidConfig(f"bad latent shape {self.shape}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.norm_spread <= 0:
             raise InvalidConfig("norm_spread must be positive")
         if self.norm_base <= 0:

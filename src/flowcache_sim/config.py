@@ -9,14 +9,18 @@ the chosen profile.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import math
+import typing
 from typing import Any, Optional
 
 from .armodel import CostModel, KVPlan, SceneConfig
-from .errors import InvalidConfig
+from .errors import InvalidConfig, SimulatorError
 from .kvcache import CompressionConfig
 from .reuse import ReusePolicy
 from .schedule import PowerLawSchedule
+from .trace import _config_snapshot
 
 # Default power for run profiles. The reuse thresholds below only produce
 # reuse when early-trajectory metrics sit under them; on a uniform grid the
@@ -25,41 +29,17 @@ from .schedule import PowerLawSchedule
 # the same band the thresholds were designed for.
 _PROFILE_POWER = 0.25
 
-_BASE: dict[str, Any] = {
-    "scene": {
-        "num_chunks": 10,
-        "window": 4,
-        "shape": [8, 4, 6, 6],
-        "seed": 0,
-        "norm_spread": 0.25,
-        "norm_base": 0.02,
-    },
-    "schedule": {"power": _PROFILE_POWER, "total_time": 1.0, "steps": 64},
-    "policy": {"epsilon": 0.015, "warmup": 5},
-    "kv": {
-        "key_heads": 2,
-        "query_heads": 4,
-        "head_dim": 16,
-        "budget_chunks": 5,
-        "mix_lambda": 0.07,
-        "pool_kernel": 5,
-        "query_window": 50,
-        "query_granularity": "token",
-        "key_granularity": "token",
-    },
-    "cost": {
-        "flops_per_chunk_forward": 1.0,
-        "flops_per_kv_token_pair": 1e-6,
-        "bytes_per_kv_token": 256.0,
-    },
-    "noise_scale": 0.0,
-}
+# the component defaults, so every field and default is stated once
+_BASE: dict[str, Any] = _config_snapshot(
+    SceneConfig(), PowerLawSchedule(power=_PROFILE_POWER),
+    ReusePolicy(epsilon=0.015), KVPlan(), CostModel(), 0.0)
+del _BASE["schema_version"]
 
 
 def _deep_merge(base: dict, overrides: dict, path: str = "") -> dict:
     for key, value in overrides.items():
         where = f"{path}.{key}" if path else key
-        if key not in base and path:
+        if key not in base:
             raise InvalidConfig(f"unknown config field: {where}")
         if isinstance(value, dict) and isinstance(base.get(key), dict):
             _deep_merge(base[key], value, where)
@@ -89,8 +69,6 @@ PROFILES: dict[str, dict[str, Any]] = {
     }),
 }
 
-_SECTIONS = ("scene", "schedule", "policy", "kv", "cost")
-
 
 def resolve_config(profile: Optional[str] = None,
                    config_path: Optional[str] = None,
@@ -114,59 +92,80 @@ def resolve_config(profile: Optional[str] = None,
             raise InvalidConfig(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise InvalidConfig("config file must contain a JSON object")
-        for key in overrides:
-            if key not in (*_SECTIONS, "noise_scale"):
-                raise InvalidConfig(f"unknown config field: {key}")
         _deep_merge(cfg, overrides)
     if seed is not None:
         cfg["scene"]["seed"] = int(seed)
     return cfg
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# annotation -> (accepts value, what a rejected value should have been)
+_TYPE_CHECKS = {
+    int: (_is_int, "an int"),
+    Optional[int]: (lambda v: v is None or _is_int(v), "an int or null"),
+    float: (lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+            "a finite number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    tuple[int, int, int, int]: (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 4
+        and all(map(_is_int, v)), "a list of 4 ints"),
+}
+
+# field type hints per component, resolved once (annotations are strings)
+_HINTS = {cls: typing.get_type_hints(cls)
+          for cls in (SceneConfig, PowerLawSchedule, ReusePolicy, KVPlan,
+                      CompressionConfig, CostModel)}
+
+
+def _checked(where: str, hint, value):
+    accepts, expected = _TYPE_CHECKS[hint]
+    if not accepts(value):
+        raise InvalidConfig(f"{where} must be {expected}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _build(cls, cfg: dict, name: str):
+    """Construct ``cls`` from section ``name``, checking each field's type.
+
+    A nested component (KVPlan's CompressionConfig) reads the same section.
+    """
+    body = cfg.get(name) if isinstance(cfg, dict) else None
+    if not isinstance(body, dict):
+        raise InvalidConfig(f"{name} is missing or not an object")
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        hint = _HINTS[cls][f.name]
+        if hint in _HINTS:
+            kwargs[f.name] = _build(hint, cfg, name)
+        elif f.name not in body:
+            raise InvalidConfig(f"{name}.{f.name} is missing")
+        else:
+            kwargs[f.name] = _checked(f"{name}.{f.name}", hint, body[f.name])
+    try:
+        return cls(**kwargs)
+    except SimulatorError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+
+
 def build_objects(cfg: dict[str, Any]):
     """Validate a resolved config and construct the run components.
 
     Returns (scene, schedule, policy_or_None, kv_plan, cost_model,
-    noise_scale); raises InvalidConfig with a field path on bad values.
+    noise_scale); raises InvalidConfig naming the dotted field path when a
+    field is missing or mistyped, and the component's own error, prefixed
+    with its section, when a value is out of range.
     """
-    def section(name: str) -> dict:
-        body = cfg.get(name)
-        if body is None and name == "policy":
-            return {}
-        if not isinstance(body, dict):
-            raise InvalidConfig(f"missing or malformed section: {name}")
-        return body
-
-    try:
-        sc = section("scene")
-        scene = SceneConfig(
-            num_chunks=sc["num_chunks"], window=sc["window"],
-            shape=tuple(sc["shape"]), seed=sc["seed"],
-            norm_spread=sc["norm_spread"], norm_base=sc["norm_base"])
-        sd = section("schedule")
-        schedule = PowerLawSchedule(
-            power=sd["power"], total_time=sd["total_time"], steps=sd["steps"])
-        policy = None
-        if cfg.get("policy") is not None:
-            po = section("policy")
-            policy = ReusePolicy(epsilon=po["epsilon"], warmup=po["warmup"])
-        kc = section("kv")
-        kv = KVPlan(
-            key_heads=kc["key_heads"], query_heads=kc["query_heads"],
-            head_dim=kc["head_dim"], budget_chunks=kc["budget_chunks"],
-            compression=CompressionConfig(
-                mix_lambda=kc["mix_lambda"], pool_kernel=kc["pool_kernel"],
-                query_window=kc["query_window"],
-                query_granularity=kc["query_granularity"],
-                key_granularity=kc["key_granularity"]))
-        co = section("cost")
-        cost = CostModel(
-            flops_per_chunk_forward=co["flops_per_chunk_forward"],
-            flops_per_kv_token_pair=co["flops_per_kv_token_pair"],
-            bytes_per_kv_token=co["bytes_per_kv_token"])
-        noise_scale = float(cfg.get("noise_scale", 0.0))
-    except KeyError as exc:
-        raise InvalidConfig(f"missing config field: {exc.args[0]}") from exc
+    scene = _build(SceneConfig, cfg, "scene")
+    schedule = _build(PowerLawSchedule, cfg, "schedule")
+    policy = None if cfg.get("policy") is None else _build(
+        ReusePolicy, cfg, "policy")
+    kv = _build(KVPlan, cfg, "kv")
+    cost = _build(CostModel, cfg, "cost")
+    noise_scale = float(_checked("noise_scale", float,
+                                 cfg.get("noise_scale", 0.0)))
     if schedule.steps % scene.window != 0:
         raise InvalidConfig(
             f"schedule.steps={schedule.steps} not divisible by "

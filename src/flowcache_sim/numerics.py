@@ -14,20 +14,6 @@ from .errors import InvalidInput
 FLOAT = np.float64
 
 
-def as_tensor(data, shape=None) -> np.ndarray:
-    """Coerce ``data`` to a float64 array and validate it.
-
-    Rejects empty arrays with non-finite entries. When ``shape`` is given the
-    flat data is reshaped row-major into it.
-    """
-    arr = np.asarray(data, dtype=FLOAT)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput("tensor contains NaN or Inf")
-    return arr
-
-
 def _ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{what} produced a non-finite value")

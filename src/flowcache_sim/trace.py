@@ -13,12 +13,12 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidComparison, InvalidInput
+from .errors import InvalidComparison, InvalidInput, SimulatorError
 from .kvcache import CompressionReport, HeadReport
 from .numerics import FLOAT
 
@@ -64,41 +64,16 @@ class RunTotals:
 
 
 def _config_snapshot(scene, schedule, policy, kv, cost, noise_scale) -> dict:
+    """The run's config dict (``build_objects`` inverts it); kv is flat."""
+    kv_section = asdict(kv)
+    kv_section.update(kv_section.pop("compression"))
     return {
         "schema_version": SCHEMA_VERSION,
-        "scene": {
-            "num_chunks": scene.num_chunks,
-            "window": scene.window,
-            "shape": list(scene.shape),
-            "seed": scene.seed,
-            "norm_spread": scene.norm_spread,
-            "norm_base": scene.norm_base,
-        },
-        "schedule": {
-            "power": schedule.power,
-            "total_time": schedule.total_time,
-            "steps": schedule.steps,
-        },
-        "policy": None if policy is None else {
-            "epsilon": policy.epsilon,
-            "warmup": policy.warmup,
-        },
-        "kv": {
-            "key_heads": kv.key_heads,
-            "query_heads": kv.query_heads,
-            "head_dim": kv.head_dim,
-            "budget_chunks": kv.budget_chunks,
-            "mix_lambda": kv.compression.mix_lambda,
-            "pool_kernel": kv.compression.pool_kernel,
-            "query_window": kv.compression.query_window,
-            "query_granularity": kv.compression.query_granularity,
-            "key_granularity": kv.compression.key_granularity,
-        },
-        "cost": {
-            "flops_per_chunk_forward": cost.flops_per_chunk_forward,
-            "flops_per_kv_token_pair": cost.flops_per_kv_token_pair,
-            "bytes_per_kv_token": cost.bytes_per_kv_token,
-        },
+        "scene": {**asdict(scene), "shape": list(scene.shape)},
+        "schedule": asdict(schedule),
+        "policy": None if policy is None else asdict(policy),
+        "kv": kv_section,
+        "cost": asdict(cost),
         "noise_scale": noise_scale,
     }
 
@@ -231,9 +206,12 @@ class RunTrace:
 def import_trace(data: dict | str) -> RunTrace:
     """Rebuild a trace from its JSON form and verify the content hash.
 
-    Bad JSON, a missing or malformed field, or a final latent whose length
-    does not match the config shape raises InvalidInput naming the path.
+    Bad JSON, a missing or malformed field (the embedded config included), or
+    a final latent whose length does not match the config shape raises
+    InvalidInput naming the path.
     """
+    from .config import build_objects   # config imports armodel, which imports trace
+
     where = "trace"   # path of the object being read, for error messages
     try:
         if isinstance(data, str):
@@ -241,6 +219,10 @@ def import_trace(data: dict | str) -> RunTrace:
         if data["schema_version"] != SCHEMA_VERSION:
             raise InvalidInput(f"unsupported trace schema {data['schema_version']}")
         trace = RunTrace(config=data["config"])
+        try:
+            scene = build_objects(data["config"])[0]
+        except SimulatorError as exc:
+            raise InvalidInput(f"trace.config.{exc}") from None
         for i, r in enumerate(data["records"]):
             where = f"trace.records[{i}]"
             step = StepRecord(
@@ -271,11 +253,7 @@ def import_trace(data: dict | str) -> RunTrace:
                     score_min=body["score_min"], score_max=body["score_max"],
                     score_mean=body["score_mean"])
             trace.add_compression(report)
-        where = "trace.config"
-        scene = data["config"]["scene"]
-        where = "trace.config.scene"
-        shape = tuple(scene["shape"])
-        size = int(np.prod(shape))
+        shape, size = scene.shape, scene.numel
         finals = {}
         for k, v in data["final_latents"].items():
             where = f"trace.final_latents.{k}"

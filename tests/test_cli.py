@@ -11,6 +11,20 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# config file text with one bad field, by the dotted path the error must name
+BAD_CONFIGS = {
+    "scene.num_chunkz": '{"scene": {"num_chunkz": 4}}',
+    "scene.num_chunks": '{"scene": {"num_chunks": "10"}}',
+    "schedule.steps": '{"schedule": {"steps": 64.0}}',
+    "noise_scale": '{"noise_scale": "x"}',
+    "scene.shape": '{"scene": {"shape": "abcd"}}',
+    "kv.query_window": '{"kv": {"query_window": 2.5}}',
+    "kv.pool_kernel": '{"kv": {"pool_kernel": 5.0}}',
+    "kv.budget_chunks": '{"kv": {"budget_chunks": true}}',
+    "policy.epsilon": '{"policy": {"epsilon": NaN}}',
+}
+
+
 class TestRunCommand:
     def test_print_config(self, capsys):
         assert run_cli("run", "--profile", "magi-fast", "--print-config") == 0
@@ -67,11 +81,20 @@ class TestRunCommand:
         assert cfg["noise_scale"] == 0.1
         assert cfg["policy"]["epsilon"] == 0.015   # untouched field kept
 
-    def test_invalid_config_field_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("path", list(BAD_CONFIGS))
+    def test_invalid_config_field_path(self, tmp_path, capsys, path):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"scene": {"num_chunkz": 4}}))
-        assert run_cli("run", "--config", str(cfg_file)) == 2
-        assert "scene.num_chunkz" in capsys.readouterr().err
+        cfg_file.write_text(BAD_CONFIGS[path])
+        assert run_cli("run", "--config", str(cfg_file),
+                       "--out", str(tmp_path / "out")) == 2
+        assert path in capsys.readouterr().err
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"scene": {"seed": -1}}))
+        for flags in (("--seed", "-1"), ("--config", str(cfg_file))):
+            assert run_cli("run", *flags, "--out", str(tmp_path / "out")) == 2
+            assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_indivisible_window_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowcache_sim import as_tensor, l1_norm, maxpool1d, softmax, stable_topk
+from flowcache_sim import l1_norm, maxpool1d, softmax, stable_topk
 from flowcache_sim.errors import InvalidInput
 
 # independently computed: scalar loop over default_rng(42).random(1000)
@@ -131,11 +131,3 @@ class TestStableTopK:
         x = np.array(grid, dtype=np.float64) / 32.0
         k = data.draw(st.integers(1, n))
         assert list(stable_topk(x, k)) == list(stable_topk(x + shift, k))
-
-
-def test_as_tensor_rejects_non_finite():
-    with pytest.raises(InvalidInput):
-        as_tensor([1.0, np.nan])
-    with pytest.raises(InvalidInput):
-        as_tensor([np.inf])
-    assert as_tensor([1, 2], shape=(2,)).dtype == np.float64

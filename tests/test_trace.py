@@ -54,6 +54,20 @@ class TestExport:
                            match=r"records\[5\]\.chunks\[1\]\.metric"):
             import_trace(payload)
 
+    def test_embedded_config_is_validated(self):
+        payload = json.loads(tiny_run().to_json())
+        del payload["config"]["schedule"]["steps"]
+        with pytest.raises(InvalidInput,
+                           match=r"trace\.config\.schedule\.steps is missing"):
+            import_trace(payload)
+        payload = json.loads(tiny_run().to_json())
+        payload["config"]["scene"]["shape"] = [4, 2, 3]
+        with pytest.raises(InvalidInput, match=r"trace\.config\.scene\.shape"):
+            import_trace(payload)
+        payload["config"] = [1]
+        with pytest.raises(InvalidInput, match=r"trace\.config\.scene is missing"):
+            import_trace(payload)
+
     @pytest.mark.parametrize("text", ["[1]", '{"schema_version": 1',
                                       '{"schema_version": 2}'])
     def test_non_trace_text_rejected(self, text):
