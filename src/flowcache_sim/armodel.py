@@ -356,7 +356,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
             report = buffer.add_clean_chunk(
                 chunk.index, keys, values, queries, kv.compression, g)
             if report is not None:
-                trace.add_compression(report)
+                trace.compressions.append(report)
             clean_tokens = buffer.clean_tokens
 
         active_tokens = (len(records) - len(finished)) * tokens_per_chunk

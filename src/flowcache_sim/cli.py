@@ -36,14 +36,22 @@ def _baseline_config(cfg: dict) -> dict:
     return base
 
 
+def _out_dir(raw: str) -> Path:
+    out_dir = Path(raw)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise SimulatorError(f"--out {raw} is not a directory") from None
+    return out_dir
+
+
 def cmd_run(args) -> int:
     cfg = resolve_config(profile=args.profile, config_path=args.config,
                          seed=args.seed)
     if args.print_config:
         print(json.dumps(cfg, indent=2, sort_keys=True))
         return 0
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     trace = _execute(cfg)
     baseline = _execute(_baseline_config(cfg))
@@ -147,6 +155,7 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(profile=args.profile, config_path=args.config,
                          seed=args.seed)
     values = _parse_values(args.axis, args.values)
+    out_dir = _out_dir(args.out) if args.out else None
     reference = _execute(_sweep_reference(cfg, args.axis))
 
     def one(value):
@@ -169,9 +178,7 @@ def cmd_sweep(args) -> int:
     for row in rows:
         writer.writerow(row)
     text = out.getvalue()
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir:
         (out_dir / f"sweep_{args.axis}.csv").write_text(text)
     print(text, end="")
     return 0

@@ -21,10 +21,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInput, InvalidConfig, InvalidInput
-from .numerics import FLOAT, maxpool1d, softmax, stable_topk
+from .numerics import FLOAT, maxpool1d, softmax, softmax_, stable_topk
 
 # Blocked accumulation bound for the fast redundancy kernel; keeps peak
-# transient allocation at O(block * d + L) instead of O(L^2).
+# transient allocation at O(block * H * d + H * L) instead of O(H * L^2).
 _REDUNDANCY_BLOCK = 512
 
 
@@ -84,13 +84,14 @@ def importance(queries: np.ndarray, keys: np.ndarray,
     if h_q % h_k != 0:
         raise InvalidInput(f"query heads {h_q} not divisible by key heads {h_k}")
     group = h_q // h_k
-    window = queries[-min(config.query_window, l_q):]
-    out = np.empty((h_k, l_k), dtype=FLOAT)
-    for h in range(h_k):
-        q_block = window[:, h * group:(h + 1) * group, :]      # (w, group, d)
-        logits = np.einsum("qgd,kd->qgk", q_block, keys[:, h, :]) / np.sqrt(d_k)
-        out[h] = softmax(logits, axis=-1).mean(axis=(0, 1))
-    return out
+    w = min(config.query_window, l_q)
+    # (w, h_q, d) -> (h_k, w * group, d), window rows outermost within a head
+    window = (queries[-w:].reshape(w, h_k, group, d_q)
+              .transpose(1, 0, 2, 3).reshape(h_k, w * group, d_q))
+    # one batched matmul for all key heads: (h_k, w * group, l_k)
+    logits = np.matmul(window, keys.transpose(1, 2, 0))
+    logits /= np.sqrt(d_k)
+    return softmax_(logits, axis=-1).mean(axis=1)
 
 
 def pooled_importance(imp: np.ndarray, config: CompressionConfig) -> np.ndarray:
@@ -98,14 +99,7 @@ def pooled_importance(imp: np.ndarray, config: CompressionConfig) -> np.ndarray:
     imp = np.asarray(imp, dtype=FLOAT)
     if imp.ndim != 2:
         raise InvalidInput("importance must be (heads, tokens)")
-    return np.stack([maxpool1d(row, config.pool_kernel) for row in imp])
-
-
-def _normalized_rows(keys_h: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.einsum("ld,ld->l", keys_h, keys_h))
-    if np.any(norms == 0.0):
-        raise DegenerateInput("zero-norm key row")
-    return keys_h / norms[:, None]
+    return maxpool1d(imp, config.pool_kernel)
 
 
 def redundancy_naive(keys: np.ndarray) -> np.ndarray:
@@ -123,7 +117,11 @@ def redundancy_naive(keys: np.ndarray) -> np.ndarray:
         raise InvalidInput("redundancy needs at least two tokens")
     out = np.empty((keys.shape[1], l_k), dtype=FLOAT)
     for h in range(keys.shape[1]):
-        unit = _normalized_rows(keys[:, h, :])
+        keys_h = keys[:, h, :]
+        norms = np.sqrt(np.einsum("ld,ld->l", keys_h, keys_h))
+        if np.any(norms == 0.0):
+            raise DegenerateInput("zero-norm key row")
+        unit = keys_h / norms[:, None]
         sim = unit @ unit.T
         np.fill_diagonal(sim, 0.0)
         out[h] = softmax(sim.sum(axis=0) / l_k)
@@ -136,30 +134,29 @@ def redundancy_fast(keys: np.ndarray) -> np.ndarray:
     The column mean of the zero-diagonal cosine matrix equals the dot product
     of each unit key with the mean of all unit keys, minus the token's own
     self-similarity contribution (exactly 1/L after row normalization). The
-    mean unit key is accumulated blockwise so peak transient allocation stays
-    O(block * d + L); results match redundancy_naive within 1e-9.
+    mean unit keys of all heads accumulate blockwise, so peak transient memory
+    stays O(block * H * d + H * L); results match redundancy_naive within 1e-9.
     """
     keys = np.asarray(keys, dtype=FLOAT)
     if keys.ndim != 3:
         raise InvalidInput("keys must be rank-3 (tokens, heads, dim)")
-    l_k, h_k, _ = keys.shape
+    l_k, h_k, d = keys.shape
     if l_k < 2:
         raise InvalidInput("redundancy needs at least two tokens")
-    out = np.empty((h_k, l_k), dtype=FLOAT)
-    for h in range(h_k):
-        keys_h = keys[:, h, :]
-        norms = np.sqrt(np.einsum("ld,ld->l", keys_h, keys_h))
-        if np.any(norms == 0.0):
-            raise DegenerateInput("zero-norm key row")
-        mean_unit = np.zeros(keys_h.shape[1], dtype=FLOAT)
-        for start in range(0, l_k, _REDUNDANCY_BLOCK):
-            block = keys_h[start:start + _REDUNDANCY_BLOCK]
-            mean_unit += (block / norms[start:start + _REDUNDANCY_BLOCK, None]).sum(axis=0)
-        mean_unit /= l_k
-        # einsum iterates strided views without a contiguous L x d copy
-        col_mean = np.einsum("ld,d->l", keys_h, mean_unit) / norms - 1.0 / l_k
-        out[h] = softmax(col_mean)
-    return out
+    norms = np.sqrt(np.einsum("lhd,lhd->lh", keys, keys))   # (L, H)
+    if np.any(norms == 0.0):
+        raise DegenerateInput("zero-norm key row")
+    mean_unit = np.zeros((h_k, d), dtype=FLOAT)
+    for start in range(0, l_k, _REDUNDANCY_BLOCK):
+        block = keys[start:start + _REDUNDANCY_BLOCK]
+        mean_unit += (block / norms[start:start + _REDUNDANCY_BLOCK, :, None]).sum(axis=0)
+    mean_unit /= l_k
+    # einsum reads the strided keys without a copy; C order makes each head's
+    # softmax sum contiguous, so the head count cannot change its order
+    col_mean = np.einsum("lhd,hd->hl", keys, mean_unit, order="C")   # (H, L)
+    col_mean /= norms.T
+    col_mean -= 1.0 / l_k
+    return softmax_(col_mean, axis=-1)
 
 
 def combined_score(pooled_imp: np.ndarray, redundancy: np.ndarray,
@@ -227,22 +224,8 @@ class CompressionReport:
     heads: dict[int, HeadReport] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "global_step": self.global_step,
-            "arriving_chunk": self.arriving_chunk,
-            "candidate_tokens": self.candidate_tokens,
-            "no_op": False,   # schema v1 field; every pass evicts
-            "heads": {
-                str(h): {
-                    "retained_ids": rep.retained_ids,
-                    "evicted_count": rep.evicted_count,
-                    "score_min": rep.score_min,
-                    "score_max": rep.score_max,
-                    "score_mean": rep.score_mean,
-                }
-                for h, rep in self.heads.items()
-            },
-        }
+        return {**vars(self), "no_op": False,   # schema v1 field; every pass evicts
+                "heads": {str(h): dict(vars(rep)) for h, rep in self.heads.items()}}
 
 
 class KVBuffer:
@@ -343,5 +326,4 @@ def pool_queries_by_frame(queries: np.ndarray, frame_size: int) -> np.ndarray:
     if queries.shape[0] % frame_size != 0:
         raise InvalidConfig(
             f"{queries.shape[0]} query rows not divisible by frame size {frame_size}")
-    pooled = queries.reshape(-1, frame_size, *queries.shape[1:]).mean(axis=1)
-    return pooled
+    return queries.reshape(-1, frame_size, *queries.shape[1:]).mean(axis=1)

@@ -32,39 +32,47 @@ def l1_norm(x: np.ndarray) -> float:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``.
+    """Numerically stable softmax along ``axis``, into a fresh array.
 
     Uses max-subtraction so inputs with magnitude up to ~1e3 neither overflow
     nor underflow to a zero denominator. Output entries are positive and sum
     to 1 along ``axis`` within 1e-12.
     """
-    x = np.asarray(x, dtype=FLOAT)
+    return softmax_(np.array(x, dtype=FLOAT), axis)
+
+
+def softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``softmax`` in place: overwrite float64 ``x`` (same bits), return it."""
+    if not isinstance(x, np.ndarray) or x.dtype != FLOAT:
+        raise InvalidInput("softmax_ needs a float64 array")
     if x.ndim == 0 or not (-x.ndim <= axis < x.ndim):
         raise InvalidInput(f"axis {axis} invalid for shape {x.shape}")
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-    return _ensure_finite(out, "softmax")
+    x -= np.max(x, axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return _ensure_finite(x, "softmax")
 
 
 def maxpool1d(x: np.ndarray, kernel: int) -> np.ndarray:
-    """Length-preserving 1-D max pool with an odd kernel.
+    """Length-preserving 1-D max pool with an odd kernel, along the last axis.
 
     Window of width ``kernel`` is centered at each position; out-of-range
     positions are ignored (equivalent to -inf padding), so all-negative
-    inputs pool correctly. Output length equals input length and every
-    output element dominates the corresponding input element.
+    inputs pool correctly. Leading axes are pooled independently (row-wise).
+    Output shape equals input shape and every output element dominates the
+    corresponding input element.
     """
     x = np.asarray(x, dtype=FLOAT)
-    if x.ndim != 1:
-        raise InvalidInput("maxpool1d expects a 1-D tensor")
+    if x.ndim < 1:
+        raise InvalidInput("maxpool1d expects at least one axis")
     if kernel < 1 or kernel % 2 == 0:
         raise InvalidInput(f"kernel must be odd and positive, got {kernel}")
     if kernel == 1:
         return x.copy()
     radius = kernel // 2
-    padded = np.pad(x, radius, constant_values=-np.inf)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel)
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(radius, radius)],
+                    constant_values=-np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=-1)
     return windows.max(axis=-1)
 
 

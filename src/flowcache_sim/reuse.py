@@ -50,10 +50,6 @@ class Decision:
     estimate: Optional[float]        # metric estimate available at decision time
     accumulator: float               # post-decision value of f
 
-    @property
-    def is_compute(self) -> bool:
-        return self.action == COMPUTE
-
 
 def relative_l1(velocity: np.ndarray, dt: float, latent: np.ndarray) -> float:
     """||velocity * dt||_1 / ||latent||_1, the per-step relative change."""
@@ -108,7 +104,7 @@ def apply(decision: Decision, state: ChunkReuseState, latent: np.ndarray, dt: fl
     with the cached velocity and the current dt. Returns the new latent and
     the metric to record (true metric on compute, estimate on reuse).
     """
-    if decision.is_compute:
+    if decision.action == COMPUTE:
         velocity = compute_velocity()
         metric = relative_l1(velocity, dt, latent)
         state.cached_velocity = velocity

@@ -105,9 +105,6 @@ class RunTrace:
         self.totals.peak_resident_bytes = max(
             self.totals.peak_resident_bytes, record.resident_bytes)
 
-    def add_compression(self, report: CompressionReport) -> None:
-        self.compressions.append(report)
-
     def finish(self, final_latents: dict[int, np.ndarray]) -> None:
         self.final_latents = {int(k): np.asarray(v, dtype=FLOAT)
                               for k, v in final_latents.items()}
@@ -160,39 +157,15 @@ class RunTrace:
     # -- export ------------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """JSON form: every record and report field, and the totals."""
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config,
-            "records": [
-                {
-                    "global_step": r.global_step,
-                    "chunks": [
-                        {
-                            "chunk": c.chunk,
-                            "local_step": c.local_step,
-                            "decision": c.decision,
-                            "metric": c.metric,
-                            "accumulator": c.accumulator,
-                            "estimate": c.estimate,
-                        }
-                        for c in r.chunks
-                    ],
-                    "flops": r.flops,
-                    "kv_clean_tokens": r.kv_clean_tokens,
-                    "kv_active_tokens": r.kv_active_tokens,
-                    "resident_bytes": r.resident_bytes,
-                }
-                for r in self.records
-            ],
+            "records": [{**vars(r), "chunks": [dict(vars(c)) for c in r.chunks]}
+                        for r in self.records],
             "compressions": [rep.to_dict() for rep in self.compressions],
-            "totals": {
-                "computed_steps": self.totals.computed_steps,
-                "reused_steps": self.totals.reused_steps,
-                "reuse_fraction": self.totals.reuse_fraction,
-                "total_flops": self.totals.total_flops,
-                "peak_resident_tokens": self.totals.peak_resident_tokens,
-                "peak_resident_bytes": self.totals.peak_resident_bytes,
-            },
+            "totals": {**asdict(self.totals),
+                       "reuse_fraction": self.totals.reuse_fraction},
             "final_latents": {
                 str(k): v.ravel().tolist() for k, v in self.final_latents.items()
             },
@@ -252,7 +225,7 @@ def import_trace(data: dict | str) -> RunTrace:
                     evicted_count=body["evicted_count"],
                     score_min=body["score_min"], score_max=body["score_max"],
                     score_mean=body["score_mean"])
-            trace.add_compression(report)
+            trace.compressions.append(report)
         shape, size = scene.shape, scene.numel
         finals = {}
         for k, v in data["final_latents"].items():

@@ -16,7 +16,8 @@ import numpy as np
 
 from .armodel import ChunkState, ideal_velocity, smooth_profile
 from .errors import InvalidInput
-from .kvcache import redundancy_fast, redundancy_naive
+from .kvcache import (CompressionConfig, importance, redundancy_fast,
+                      redundancy_naive)
 from .numerics import FLOAT, l1_norm, maxpool1d, softmax, stable_topk
 from .reuse import COMPUTE, REUSE, ChunkReuseState, ReusePolicy, decide, relative_l1
 from .schedule import PowerLawSchedule
@@ -64,6 +65,20 @@ def _maxpool_oracle(x: np.ndarray, kernel: int) -> np.ndarray:
     return out
 
 
+def _importance_oracle(queries: np.ndarray, keys: np.ndarray,
+                       window: int) -> np.ndarray:
+    # one softmax per (query row, query head) pair, averaged per key head
+    group = queries.shape[1] // keys.shape[1]
+    out = np.zeros(keys.shape[1::-1])
+    for h in range(keys.shape[1]):
+        pairs = [q[h * group + g] for q in queries[-window:] for g in range(group)]
+        for q in pairs:
+            out[h] += _softmax_oracle(np.array(
+                [q @ k / np.sqrt(q.size) for k in keys[:, h]]))
+        out[h] /= len(pairs)
+    return out
+
+
 def _topk_oracle(scores: np.ndarray, k: int) -> list[int]:
     order = sorted(range(scores.size), key=lambda i: (-scores[i], i))
     return sorted(order[:k])
@@ -82,11 +97,15 @@ def suite_kernels(seed: int = 0) -> list[CheckResult]:
     for _ in range(50):
         x = rng.normal(scale=rng.uniform(0.5, 300.0), size=rng.integers(2, 40))
         worst = max(worst, float(np.abs(softmax(x) - _softmax_oracle(x)).max()))
+        m = rng.normal(scale=rng.uniform(0.5, 300.0), size=rng.integers(2, 40, 2))
+        expected = np.stack([_softmax_oracle(row) for row in m])   # row-wise
+        worst = max(worst, float(np.abs(softmax(m) - expected).max()))
     worst = max(worst, float(np.abs(
         softmax(np.array([1.0, 2.0, 3.0])) -
         _softmax_oracle(np.array([1.0, 2.0, 3.0]))).max()))
     results.append(CheckResult(
-        "softmax vs extended-precision oracle (50 random vectors)",
+        "softmax vs extended-precision oracle (50 random vectors, "
+        "50 row-wise matrices)",
         worst <= 1e-15, worst, 1e-15))
 
     overflow = softmax(np.array([1000.0, 0.0]))
@@ -101,9 +120,24 @@ def suite_kernels(seed: int = 0) -> list[CheckResult]:
         x = rng.normal(size=n) - 2.0   # all-negative regions stress padding
         worst = max(worst, float(np.abs(
             maxpool1d(x, kernel) - _maxpool_oracle(x, kernel)).max()))
+        m = rng.normal(size=(int(rng.integers(2, 6)), n)) - 2.0
+        expected = np.stack([_maxpool_oracle(row, kernel) for row in m])
+        worst = max(worst, float(np.abs(maxpool1d(m, kernel) - expected).max()))
     results.append(CheckResult(
-        "maxpool1d vs window-scan oracle (50 random vectors)",
+        "maxpool1d vs window-scan oracle (50 random vectors, "
+        "50 row-wise matrices)",
         worst == 0.0, worst, 0.0))
+
+    worst = 0.0
+    for group, l_q, window in ((1, 12, 5), (2, 12, 5), (1, 3, 8), (2, 3, 8)):
+        queries = rng.normal(size=(l_q, 2 * group, 8))
+        keys = rng.normal(size=(24, 2, 8))
+        got = importance(queries, keys, CompressionConfig(query_window=window))
+        worst = max(worst, float(np.abs(
+            got - _importance_oracle(queries, keys, window)).max()))
+    results.append(CheckResult(
+        "importance vs explicit-loop oracle (GQA groups 1 and 2, "
+        "windows 5 < l_q and 8 > l_q)", worst <= 1e-12, worst, 1e-12))
 
     mismatches = 0
     scores = rng.random(4096)

@@ -96,6 +96,12 @@ class TestRunCommand:
             assert run_cli("run", *flags, "--out", str(tmp_path / "out")) == 2
             assert "seed must be >= 0" in capsys.readouterr().err
 
+    def test_out_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("run", "--profile", "baseline", "--out", str(taken)) == 2
+        assert f"--out {taken} is not a directory" in capsys.readouterr().err
+
     def test_indivisible_window_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"scene": {"window": 5}}))
@@ -189,3 +195,10 @@ class TestSweepCommand:
                 "--config", small_cfg, "--out", str(out))
         capsys.readouterr()
         assert (out / "sweep_epsilon.csv").exists()
+
+    def test_out_is_a_file(self, small_cfg, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli("sweep", "--axis", "epsilon", "--values", "0.015",
+                       "--config", small_cfg, "--out", str(taken)) == 2
+        assert f"--out {taken} is not a directory" in capsys.readouterr().err

@@ -7,6 +7,9 @@ moves any retained id, decision or latent bit fails here. The pins change only w
 logged change to simulator behaviour.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from flowcache_sim import PROFILES, build_objects, resolve_config, run_denoise
@@ -54,3 +57,9 @@ def content_hash(profile: str, kv_overrides: dict) -> str:
                          ids=[case[0] for case in CASES])
 def test_content_hash_pinned(name, profile, kv_overrides):
     assert content_hash(profile, kv_overrides) == PINS[name]
+
+
+def test_golden_fixture_hash_pinned():
+    # a golden regeneration may move presentation fields, never the hash
+    golden = Path(__file__).parent / "data" / "golden_magi_fast.json"
+    assert json.loads(golden.read_text())["content_hash"] == PINS["magi-fast"]

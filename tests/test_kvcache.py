@@ -11,6 +11,7 @@ from flowcache_sim import (CompressionConfig, KVBuffer, combined_score,
                            pooled_importance, redundancy_fast,
                            redundancy_naive, select_tokens)
 from flowcache_sim.errors import DegenerateInput, InvalidConfig, InvalidInput
+from flowcache_sim.numerics import maxpool1d
 
 
 def cfg(**kw):
@@ -76,6 +77,21 @@ class TestImportance:
         with pytest.raises(InvalidInput):
             importance(np.zeros((2, 3, 4)), np.zeros((5, 2, 4)), cfg())
 
+    @settings(max_examples=80, deadline=None)
+    @given(l_q=st.integers(1, 8), h_k=st.integers(1, 3),
+           group=st.sampled_from((1, 2, 4)), d=st.integers(1, 6),
+           l_k=st.integers(1, 12), seed=st.integers(0, 2**16), data=st.data())
+    def test_matches_oracle(self, l_q, h_k, group, d, l_k, seed, data):
+        # windows below and above l_q; a wrong head grouping or transpose
+        # mixes rows of different heads and misses the oracle
+        window = data.draw(st.integers(1, 2 * l_q + 1), label="query_window")
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(l_q, h_k * group, d))
+        keys = rng.normal(size=(l_k, h_k, d))
+        out = importance(q, keys, cfg(query_window=window))
+        np.testing.assert_allclose(out, importance_oracle(q, keys, window),
+                                   rtol=0, atol=1e-12)
+
 
 class TestPooledImportance:
     def test_kernel_one_identity(self):
@@ -88,6 +104,13 @@ class TestPooledImportance:
         imp[0, 4] = 1.0
         out = pooled_importance(imp, cfg(pool_kernel=5))
         np.testing.assert_array_equal(out[0], [0, 0, 1, 1, 1, 1, 1, 0, 0])
+
+    def test_rows_pool_independently(self):
+        imp = np.random.default_rng(16).normal(size=(4, 17))
+        for kernel in (1, 3, 5, 7):
+            out = pooled_importance(imp, cfg(pool_kernel=kernel))
+            np.testing.assert_array_equal(
+                out, [maxpool1d(row, kernel) for row in imp])
 
     def test_window_scan_oracle(self):
         imp = np.random.default_rng(5).random((3, 32))
@@ -134,6 +157,16 @@ class TestRedundancy:
                                     int(rng.integers(2, 32))))
             diff = np.abs(redundancy_fast(keys) - redundancy_naive(keys)).max()
             assert diff < 1e-9
+
+    @pytest.mark.parametrize("l_k", [2, 37, 513, 1100])
+    def test_heads_batch_bit_for_bit(self, l_k):
+        # lengths on both sides of the accumulation block
+        keys = np.random.default_rng(l_k).normal(size=(l_k, 4, 16))
+        batched = redundancy_fast(keys)
+        for h in range(4):
+            np.testing.assert_array_equal(batched[h],
+                                          redundancy_fast(keys[:, h:h + 1])[0])
+        assert np.abs(batched - redundancy_naive(keys)).max() < 1e-9
 
     def test_zero_norm_row_rejected(self):
         keys = np.random.default_rng(9).normal(size=(4, 1, 3))

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from flowcache_sim import l1_norm, maxpool1d, softmax, stable_topk
 from flowcache_sim.errors import InvalidInput
+from flowcache_sim.numerics import softmax_
 
 # independently computed: scalar loop over default_rng(42).random(1000)
 L1_1000_UNIFORMS_SEED42 = 497.17783852843127
@@ -60,6 +61,26 @@ class TestSoftmax:
         with pytest.raises(InvalidInput):
             softmax(np.zeros(3), axis=2)
 
+    def test_leaves_input_unchanged(self):
+        x = np.random.default_rng(1).normal(size=(3, 5))
+        before = x.copy()
+        out = softmax(x)
+        assert out is not x
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_in_place_same_bits(self, axis):
+        x = np.random.default_rng(2).normal(scale=30.0, size=(4, 6))
+        expected = softmax(x, axis=axis)
+        assert softmax_(x, axis=axis) is x
+        np.testing.assert_array_equal(x, expected)
+
+    def test_in_place_needs_float64(self):
+        with pytest.raises(InvalidInput):
+            softmax_(np.arange(3), axis=0)
+        with pytest.raises(InvalidInput):
+            softmax_(np.zeros(3), axis=1)
+
     @given(x=finite_vectors)
     @settings(max_examples=200)
     def test_sums_to_one(self, x):
@@ -90,6 +111,19 @@ class TestMaxPool:
         expected = np.array([
             x[max(0, j - 2):j + 3].max() for j in range(64)])
         np.testing.assert_array_equal(maxpool1d(x, kernel), expected)
+
+    def test_pools_last_axis_row_wise(self):
+        x = np.random.default_rng(8).normal(size=(2, 3, 11))
+        for kernel in (1, 3, 5):
+            out = maxpool1d(x, kernel)
+            for i in range(2):
+                for j in range(3):
+                    np.testing.assert_array_equal(out[i, j],
+                                                  maxpool1d(x[i, j], kernel))
+
+    def test_scalar_rejected(self):
+        with pytest.raises(InvalidInput):
+            maxpool1d(np.float64(1.0), 3)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(InvalidInput):
