@@ -6,6 +6,7 @@ from flowcache_sim import (ChunkState, KVPlan, PowerLawSchedule, ReusePolicy,
                            make_clean_latent, make_initial_noise,
                            perturbed_velocity, run_denoise, total_global_steps,
                            trajectory)
+from flowcache_sim import armodel
 from flowcache_sim.armodel import make_scene
 from flowcache_sim.errors import InvalidConfig, InvalidInput, Singularity
 
@@ -197,6 +198,16 @@ class TestRunLifecycle:
         plain = run_denoise(scene, sched, policy=ReusePolicy(0.0, 0))
         assert saturated.content_hash == plain.content_hash
 
+    def test_policy_none_equals_epsilon_zero_under_noise(self):
+        # without a policy no estimate runs, so nothing may read a latent
+        # norm left over from an earlier step
+        scene = SceneConfig(num_chunks=4, window=2, shape=(4, 2, 3, 3), seed=2)
+        sched = PowerLawSchedule(power=0.25, steps=8)
+        plain = run_denoise(scene, sched, policy=None, noise_scale=0.05)
+        zero = run_denoise(scene, sched, policy=ReusePolicy(0.0, warmup=0),
+                           noise_scale=0.05)
+        assert plain.content_hash == zero.content_hash
+
     def test_frame_level_queries_run_end_to_end(self):
         from flowcache_sim import CompressionConfig
 
@@ -259,3 +270,39 @@ class TestTrajectoryIgnoresKV:
         assert [c.index for c in finished] == list(range(1, scene.num_chunks + 1))
         for chunk in finished:
             assert np.array_equal(chunk.latent, trace.final_latents[chunk.index])
+
+
+class TestNonFiniteSteps:
+    """A step that leaves the finite range fails naming the stage."""
+
+    @staticmethod
+    def run_from(monkeypatch, sched, policy, noise):
+        # a finite start whose L1 norm is finite too: one huge element
+        def huge_noise(scene, chunk_index):
+            x = np.zeros(scene.shape)
+            x.flat[0] = 1e308
+            return x
+
+        monkeypatch.setattr(armodel, "make_initial_noise", huge_noise)
+        scene = small_scene(num_chunks=1, window=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_denoise(scene, sched, policy=policy, noise_scale=noise)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("policy", [None, ReusePolicy(0.015, 0)])
+    def test_velocity_overflow(self, monkeypatch, policy, noise):
+        sched = PowerLawSchedule(power=4.0, steps=1)   # -4 * 1e308 overflows
+        with pytest.raises(InvalidInput,
+                           match="ideal_velocity produced a non-finite value"):
+            self.run_from(monkeypatch, sched, policy, noise)
+
+    @pytest.mark.parametrize("steps", [1, 4])   # the final step, an early one
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("policy", [None, ReusePolicy(0.015, 0)])
+    def test_euler_step_overflow(self, monkeypatch, policy, noise, steps):
+        # the velocity stays small (rate p / t with t = 1e6) but the step
+        # p * dt / t = 4 overshoots: x - 4x = -3e308
+        sched = PowerLawSchedule(power=4.0 * steps, total_time=1e6, steps=steps)
+        with pytest.raises(InvalidInput,
+                           match="euler_step produced a non-finite value"):
+            self.run_from(monkeypatch, sched, policy, noise)

@@ -1,8 +1,9 @@
 """Pinned content hashes beyond the magi-fast golden fixture.
 
 Covers every profile plus the magi-fast sweep variants (lambda, key
-granularity, budget including none) and frame/frame granularity on
-skyreels-fast, so a refactor of the KV buffer or the trajectory loop that
+granularity, budget including none), frame/frame granularity on
+skyreels-fast and a magi-fast run with velocity noise (whose reuse steps
+read a stored velocity norm), so a refactor of the KV buffer or the trajectory loop that
 moves any retained id, decision or latent bit fails here. The pins change only with a deliberate,
 logged change to simulator behaviour.
 """
@@ -13,17 +14,19 @@ from pathlib import Path
 import pytest
 
 from flowcache_sim import PROFILES, build_objects, resolve_config, run_denoise
+from flowcache_sim.config import _deep_merge
 
 CASES = [
     *[(name, name, {}) for name in sorted(PROFILES)],
-    *[(f"magi-fast-lambda-{lam}", "magi-fast", {"mix_lambda": lam})
+    *[(f"magi-fast-lambda-{lam}", "magi-fast", {"kv": {"mix_lambda": lam}})
       for lam in (0.03, 0.2, 1.0)],
-    *[(f"magi-fast-keys-{gran}", "magi-fast", {"key_granularity": gran})
+    *[(f"magi-fast-keys-{gran}", "magi-fast", {"kv": {"key_granularity": gran}})
       for gran in ("frame", "chunk")],
-    *[(f"magi-fast-budget-{b}", "magi-fast", {"budget_chunks": b})
+    *[(f"magi-fast-budget-{b}", "magi-fast", {"kv": {"budget_chunks": b}})
       for b in (None, 1, 2, 3)],
     ("skyreels-fast-frame-frame", "skyreels-fast",
-     {"query_granularity": "frame", "key_granularity": "frame"}),
+     {"kv": {"query_granularity": "frame", "key_granularity": "frame"}}),
+    ("magi-fast-noise-0.05", "magi-fast", {"noise_scale": 0.05}),
 ]
 
 PINS = {
@@ -42,21 +45,21 @@ PINS = {
     "magi-fast-budget-2": "80c8ab016bdd068c8cb5f5938727b8c6bfd4c13a657d9268b5971b8672df0e17",
     "magi-fast-budget-3": "d03b60abc4e12fdf893d0b5a013e71a6b508ad85a4ab27f24dde4fca65f17689",
     "skyreels-fast-frame-frame": "f3a6a8847f7d760af8be32f6fc075f75010bb20177b9ab4c29fe6ead6daffd78",
+    "magi-fast-noise-0.05": "06b68946b3941acfc19b4badf9c809a8ef51681e8bdc3699dd8f1e454a871eb2",
 }
 
 
-def content_hash(profile: str, kv_overrides: dict) -> str:
-    cfg = resolve_config(profile=profile)
-    cfg["kv"].update(kv_overrides)
+def content_hash(profile: str, overrides: dict) -> str:
+    cfg = _deep_merge(resolve_config(profile=profile), overrides)
     scene, schedule, policy, kv, cost, noise_scale = build_objects(cfg)
     return run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
                        noise_scale=noise_scale).content_hash
 
 
-@pytest.mark.parametrize("name,profile,kv_overrides", CASES,
+@pytest.mark.parametrize("name,profile,overrides", CASES,
                          ids=[case[0] for case in CASES])
-def test_content_hash_pinned(name, profile, kv_overrides):
-    assert content_hash(profile, kv_overrides) == PINS[name]
+def test_content_hash_pinned(name, profile, overrides):
+    assert content_hash(profile, overrides) == PINS[name]
 
 
 def test_golden_fixture_hash_pinned():
