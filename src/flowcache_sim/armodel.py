@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidInput, Singularity
 from .kvcache import CompressionConfig, KVBuffer, pool_queries_by_frame
-from .numerics import FLOAT, _ensure_finite, l1_norm
+from .numerics import FLOAT, l1_norm
 from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
                     decide, estimate_metric)
 from .schedule import PowerLawSchedule
@@ -126,6 +126,7 @@ class ChunkState:
     index: int                       # 1-based
     clean_latent: np.ndarray         # ground-truth endpoint of denoising
     latent: Optional[np.ndarray] = None
+    latent_norm: float = 0.0         # L1 norm of latent, taken with it
     local_step: int = 0
     status: str = PENDING
 
@@ -187,14 +188,16 @@ def total_global_steps(schedule: PowerLawSchedule, scene: SceneConfig) -> int:
 
 def ideal_velocity(chunk: ChunkState, t: float,
                    schedule: PowerLawSchedule) -> np.ndarray:
-    """Optimal velocity field: -(sigma'/sigma)(latent - clean) = -(p/t)(...)."""
+    """Optimal velocity field: -(sigma'/sigma)(latent - clean) = -(p/t)(...).
+
+    Not scanned here: the caller's checked ``l1_norm`` of the result is the check.
+    """
     if t <= 0:
         raise Singularity(f"velocity undefined at t={t}")
     if chunk.latent is None:
         raise InvalidInput(f"chunk {chunk.index} has no latent (not active)")
     rate = schedule.log_derivative_ratio(t)
-    return _ensure_finite(-rate * (chunk.latent - chunk.clean_latent),
-                          "ideal_velocity")
+    return -rate * (chunk.latent - chunk.clean_latent)
 
 
 def perturbed_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
@@ -202,7 +205,8 @@ def perturbed_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
     """Ideal velocity plus a seeded perturbation of relative L1 size noise_scale.
 
     Deterministic for fixed (seed, chunk index, local step), independent of
-    any reuse decisions taken so far.
+    any reuse decisions taken so far. With noise, the norm of the ideal
+    velocity is its finiteness check; without, the caller's norm is.
     """
     if noise_scale < 0:
         raise InvalidInput("noise_scale must be >= 0")
@@ -214,7 +218,7 @@ def perturbed_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
     g_norm = np.abs(g).sum()
     if g_norm == 0.0:
         return base
-    return base + (noise_scale * l1_norm(base) / g_norm) * g
+    return base + (noise_scale * l1_norm(base, "ideal_velocity") / g_norm) * g
 
 
 class _Projector:
@@ -277,6 +281,7 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
         for chunk in chunks:
             if chunk.status == PENDING and starts[chunk.index] == g:
                 chunk.latent = make_initial_noise(scene, chunk.index)
+                chunk.latent_norm = l1_norm(chunk.latent, "initial_noise")
                 chunk.status = ACTIVE
             if chunk.status != ACTIVE:
                 continue
@@ -285,12 +290,14 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
                 estimate = None
                 decision = Decision(COMPUTE, None, 0.0)
             else:
-                estimate = estimate_metric(state, dt, chunk.latent)
+                estimate = estimate_metric(state, dt, chunk.latent_norm)
                 decision = decide(policy, state, chunk.local_step, estimate)
             chunk.latent, metric = apply(
-                decision, state, chunk.latent, dt,
+                decision, state, chunk.latent, chunk.latent_norm, dt,
                 lambda: perturbed_velocity(chunk, schedule.time_at(chunk.local_step),
                                            schedule, noise_scale, scene.seed))
+            # one reduction per new latent: next step's norm and this step's check
+            chunk.latent_norm = l1_norm(chunk.latent, "euler_step")
             records.append(ChunkStepRecord(
                 chunk=chunk.index, local_step=chunk.local_step,
                 decision=decision.action, metric=metric,

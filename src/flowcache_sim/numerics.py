@@ -7,6 +7,8 @@ finite; kernels that could overflow guard against producing NaN/Inf.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInput
@@ -14,20 +16,18 @@ from .errors import InvalidInput
 FLOAT = np.float64
 
 
-def _ensure_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{what} produced a non-finite value")
-    return arr
+def l1_norm(x: np.ndarray, what: str = "l1_norm") -> float:
+    """Sum of absolute values over all elements; also ``x``'s finiteness check.
 
-
-def l1_norm(x: np.ndarray) -> float:
-    """Sum of absolute values over all elements."""
+    The sum is finite only when every element is; a non-finite sum raises
+    ``InvalidInput`` naming ``what``, the stage that produced ``x``.
+    """
     x = np.asarray(x, dtype=FLOAT)
     if x.size == 0:
         raise InvalidInput("l1_norm of an empty tensor")
     total = float(np.abs(x).sum())
-    if not np.isfinite(total):
-        raise InvalidInput("l1_norm overflowed")
+    if not math.isfinite(total):
+        raise InvalidInput(f"{what} produced a non-finite value")
     return total
 
 
@@ -47,10 +47,15 @@ def softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
         raise InvalidInput("softmax_ needs a float64 array")
     if x.ndim == 0 or not (-x.ndim <= axis < x.ndim):
         raise InvalidInput(f"axis {axis} invalid for shape {x.shape}")
+    if x.shape[axis] == 0:
+        raise InvalidInput(f"softmax over an empty axis of shape {x.shape}")
     x -= np.max(x, axis=axis, keepdims=True)
     np.exp(x, out=x)
-    x /= x.sum(axis=axis, keepdims=True)
-    return _ensure_finite(x, "softmax")
+    total = x.sum(axis=axis, keepdims=True)
+    if not np.isfinite(total).all():   # finite only when every entry is
+        raise InvalidInput("softmax produced a non-finite value")
+    x /= total
+    return x
 
 
 def maxpool1d(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -65,15 +70,16 @@ def maxpool1d(x: np.ndarray, kernel: int) -> np.ndarray:
     x = np.asarray(x, dtype=FLOAT)
     if x.ndim < 1:
         raise InvalidInput("maxpool1d expects at least one axis")
+    if x.shape[-1] == 0:
+        raise InvalidInput("maxpool1d of an empty row")
     if kernel < 1 or kernel % 2 == 0:
         raise InvalidInput(f"kernel must be odd and positive, got {kernel}")
-    if kernel == 1:
-        return x.copy()
-    radius = kernel // 2
-    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(radius, radius)],
-                    constant_values=-np.inf)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=-1)
-    return windows.max(axis=-1)
+    # max is exact: one shifted np.maximum per side and offset gives the same bits
+    out = x.copy()
+    for s in range(1, min(kernel // 2, x.shape[-1] - 1) + 1):
+        np.maximum(out[..., :-s], x[..., s:], out=out[..., :-s])
+        np.maximum(out[..., s:], x[..., :-s], out=out[..., s:])
+    return out
 
 
 def stable_topk(scores: np.ndarray, k: int) -> np.ndarray:

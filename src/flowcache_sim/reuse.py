@@ -42,6 +42,7 @@ class ChunkReuseState:
 
     accumulator: float = 0.0
     cached_velocity: Optional[np.ndarray] = None
+    velocity_norm: float = 0.0       # L1 norm of cached_velocity, set with it
 
 
 @dataclass(frozen=True)
@@ -55,23 +56,28 @@ def relative_l1(velocity: np.ndarray, dt: float, latent: np.ndarray) -> float:
     """||velocity * dt||_1 / ||latent||_1, the per-step relative change."""
     if velocity.shape != latent.shape:
         raise InvalidInput(f"shape mismatch {velocity.shape} vs {latent.shape}")
+    return _relative(l1_norm(velocity, "velocity"), dt, l1_norm(latent, "latent"))
+
+
+def _relative(velocity_norm: float, dt: float, latent_norm: float) -> float:
+    """``relative_l1`` from the two L1 norms."""
     if dt <= 0:
         raise InvalidInput(f"dt must be positive, got {dt}")
-    denom = l1_norm(latent)
-    if denom == 0.0:
+    if latent_norm == 0.0:
         raise DegenerateInput("relative_l1 against a zero-norm latent")
-    return l1_norm(velocity) * dt / denom
+    return velocity_norm * dt / latent_norm
 
 
-def estimate_metric(state: ChunkReuseState, dt: float, latent: np.ndarray) -> Optional[float]:
+def estimate_metric(state: ChunkReuseState, dt: float, latent_norm: float) -> Optional[float]:
     """Estimate the current step's metric from the last computed velocity.
 
+    Reads the velocity norm stored with it and the latent's ``latent_norm``.
     Returns None when no velocity has been computed yet (only possible while
     a chunk's warmup forces computation anyway).
     """
     if state.cached_velocity is None:
         return None
-    return relative_l1(state.cached_velocity, dt, latent)
+    return _relative(state.velocity_norm, dt, latent_norm)
 
 
 def decide(policy: ReusePolicy, state: ChunkReuseState, local_step: int,
@@ -96,18 +102,20 @@ def decide(policy: ReusePolicy, state: ChunkReuseState, local_step: int,
     return Decision(REUSE, estimate, grown)
 
 
-def apply(decision: Decision, state: ChunkReuseState, latent: np.ndarray, dt: float,
-          compute_velocity: Callable[[], np.ndarray]) -> tuple[np.ndarray, float]:
+def apply(decision: Decision, state: ChunkReuseState, latent: np.ndarray, latent_norm: float,
+          dt: float, compute_velocity: Callable[[], np.ndarray]) -> tuple[np.ndarray, float]:
     """Advance the latent one step under ``decision``.
 
-    Compute: invoke the model, cache the velocity, step with it. Reuse: step
-    with the cached velocity and the current dt. Returns the new latent and
-    the metric to record (true metric on compute, estimate on reuse).
+    Compute: invoke the model, cache the velocity and its checked L1 norm,
+    step with it. Reuse: step with the cached velocity and the current dt.
+    Returns the new latent, which the caller's norm checks, and the metric
+    to record (true metric on compute, estimate on reuse).
     """
     if decision.action == COMPUTE:
         velocity = compute_velocity()
-        metric = relative_l1(velocity, dt, latent)
-        state.cached_velocity = velocity
+        norm = l1_norm(velocity, "ideal_velocity")
+        metric = _relative(norm, dt, latent_norm)
+        state.cached_velocity, state.velocity_norm = velocity, norm
     else:
         if state.cached_velocity is None:
             raise InternalError("reuse decision with no cached velocity")

@@ -55,6 +55,11 @@ class TestImportance:
         np.testing.assert_allclose(out, importance_oracle(q, keys, 50),
                                    atol=1e-10)
 
+    def test_zero_keys_rejected(self):
+        q = np.random.default_rng(4).normal(size=(3, 2, 4))
+        with pytest.raises(InvalidInput):
+            importance(q, np.zeros((0, 2, 4)), cfg())
+
     def test_trailing_window_only(self):
         rng = np.random.default_rng(2)
         q = rng.normal(size=(10, 2, 4))

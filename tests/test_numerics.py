@@ -33,6 +33,15 @@ class TestL1Norm:
         with pytest.raises(InvalidInput):
             l1_norm(np.array([]))
 
+    @pytest.mark.parametrize("x", [[1.0, np.nan], [np.inf, 0.0], [-np.inf],
+                                   [1e308, 1e308]])
+    def test_non_finite_names_stage(self, x):
+        # the norm is the finiteness check of the array it measures
+        with pytest.raises(InvalidInput,
+                           match="euler_step produced a non-finite value"), \
+                np.errstate(over="ignore"):
+            l1_norm(np.array(x), "euler_step")
+
     @given(x=finite_vectors, c=st.floats(-100, 100, allow_nan=False))
     def test_absolute_homogeneity(self, x, c):
         scaled = l1_norm(c * x)
@@ -74,6 +83,19 @@ class TestSoftmax:
         expected = softmax(x, axis=axis)
         assert softmax_(x, axis=axis) is x
         np.testing.assert_array_equal(x, expected)
+
+    @pytest.mark.parametrize("kernel", [softmax, softmax_])
+    @pytest.mark.parametrize("shape,axis", [((0,), 0), ((3, 0), -1), ((0, 3), 0)])
+    def test_empty_axis_rejected(self, kernel, shape, axis):
+        with pytest.raises(InvalidInput):
+            kernel(np.zeros(shape), axis=axis)
+
+    @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 0.0],
+                                     [-np.inf, -np.inf]])
+    def test_non_finite_row_rejected(self, row):
+        with pytest.raises(InvalidInput, match="softmax produced"), \
+                np.errstate(invalid="ignore"):
+            softmax(np.array([[0.0, 1.0], row]), axis=-1)
 
     def test_in_place_needs_float64(self):
         with pytest.raises(InvalidInput):
@@ -121,9 +143,25 @@ class TestMaxPool:
                     np.testing.assert_array_equal(out[i, j],
                                                   maxpool1d(x[i, j], kernel))
 
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+    def test_window_scan_oracle(self, kernel, length):
+        # includes radii wider than the row
+        x = np.random.default_rng(length).normal(size=(2, length))
+        r = kernel // 2
+        expected = np.array([[row[max(0, j - r):j + r + 1].max()
+                              for j in range(length)] for row in x])
+        np.testing.assert_array_equal(maxpool1d(x, kernel), expected)
+
     def test_scalar_rejected(self):
         with pytest.raises(InvalidInput):
             maxpool1d(np.float64(1.0), 3)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_row_rejected(self, shape):
+        for kernel in (1, 3):
+            with pytest.raises(InvalidInput):
+                maxpool1d(np.zeros(shape), kernel)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(InvalidInput):

@@ -118,18 +118,19 @@ class TestEstimateAndApply:
         state = ChunkReuseState()
         latent = np.array([4.0, -4.0])
         decision = Decision(COMPUTE, None, 0.0)
-        new_latent, metric = apply(decision, state, latent, 0.5,
+        new_latent, metric = apply(decision, state, latent, 8.0, 0.5,
                                    lambda: np.array([1.0, 1.0]))
+        assert state.velocity_norm == 2.0
         # unchanged dt and latent: the estimate equals the recorded metric
-        assert estimate_metric(state, 0.5, latent) == metric
+        assert estimate_metric(state, 0.5, 8.0) == metric == 0.125
 
     def test_estimate_none_without_cache(self):
-        assert estimate_metric(ChunkReuseState(), 0.1, np.ones(2)) is None
+        assert estimate_metric(ChunkReuseState(), 0.1, 2.0) is None
 
     def test_reuse_applies_cached_velocity(self):
         state = ChunkReuseState(cached_velocity=np.array([2.0]))
         decision = Decision(REUSE, 0.1, 0.1)
-        new_latent, metric = apply(decision, state, np.array([1.0]), 0.5,
+        new_latent, metric = apply(decision, state, np.array([1.0]), 1.0, 0.5,
                                    lambda: pytest.fail("must not compute"))
         assert new_latent[0] == 2.0
         assert metric == 0.1
@@ -137,7 +138,7 @@ class TestEstimateAndApply:
     def test_reuse_without_cache_is_internal_error(self):
         with pytest.raises(InternalError):
             apply(Decision(REUSE, 0.1, 0.1), ChunkReuseState(), np.ones(1),
-                  0.5, lambda: np.ones(1))
+                  1.0, 0.5, lambda: np.ones(1))
 
     def test_alternating_reuse_error_bounded(self):
         # scalar closed-form system: forcing compute/reuse alternation stays
