@@ -1,19 +1,23 @@
-"""Pinned content hashes beyond the magi-fast golden fixture.
+"""Pinned content hashes and CLI outputs beyond the magi-fast golden fixture.
 
 Covers every profile plus the magi-fast sweep variants (lambda, key
 granularity, budget including none), frame/frame granularity on
 skyreels-fast and a magi-fast run with velocity noise (whose reuse steps
 read a stored velocity norm), so a refactor of the KV buffer or the trajectory loop that
 moves any retained id, decision or latent bit fails here. The pins change only with a deliberate,
-logged change to simulator behaviour.
+logged change to simulator behaviour. The SHA-256 of the ``sweep`` stdout on
+every axis and of ``run``'s report.txt pin the CLI's reference and baseline
+configs too.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from flowcache_sim import PROFILES, build_objects, resolve_config, run_denoise
+from flowcache_sim.cli import main
 from flowcache_sim.config import _deep_merge
 
 CASES = [
@@ -66,3 +70,34 @@ def test_golden_fixture_hash_pinned():
     # a golden regeneration may move presentation fields, never the hash
     golden = Path(__file__).parent / "data" / "golden_magi_fast.json"
     assert json.loads(golden.read_text())["content_hash"] == PINS["magi-fast"]
+
+
+SWEEP_PINS = {
+    ("epsilon", "0,0.01,0.015"):
+        "f7953bdf8cb6e58d39177fd9a1eb73c3fe9c92f95f419e0ec33a4823020ec3a2",
+    ("budget", "8,7,6,5"):
+        "7273f84fa5b9304e2cfcfb60c05805b7490b9551280dfa67f287060dfc7007dc",
+    ("lambda", "0.03,0.07,0.15,0.20"):
+        "19c5b96bf7635d2bac1fe1049820aa42211fc746f522184e38cfe2d30569e638",
+    ("granularity", "token,frame,chunk"):
+        "92b803c35347635c62351f0573f076a57c0ab603a80a733e42dd199239c9b103",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("axis,values", list(SWEEP_PINS),
+                         ids=[axis for axis, _ in SWEEP_PINS])
+def test_sweep_stdout_pinned(axis, values, capsys):
+    assert main(["sweep", "--profile", "magi-fast", "--axis", axis,
+                 "--values", values]) == 0
+    assert sha256(capsys.readouterr().out) == SWEEP_PINS[axis, values]
+
+
+def test_run_report_pinned(tmp_path, capsys):
+    assert main(["run", "--profile", "magi-fast", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (sha256((tmp_path / "report.txt").read_text())
+            == "acb644bdd6d828ff7cc20d9d434168c3cc402a999a22310d0d4093d807e92dc9")
