@@ -28,11 +28,7 @@ from .numerics import FLOAT, l1_norm
 from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
                     decide, estimate_metric)
 from .schedule import PowerLawSchedule
-from .trace import ChunkStepRecord, RunTrace, StepRecord
-
-PENDING = "pending"
-ACTIVE = "active"
-CLEAN = "clean"
+from .trace import ChunkStepRecord, RunTrace, StepRecord, _config_snapshot
 
 # seed-stream tags, so every random draw has a stable address
 _TAG_NOISE = 1
@@ -121,14 +117,14 @@ class CostModel:
 
 @dataclass
 class ChunkState:
-    """One chunk's latent, ground truth, and lifecycle position."""
+    """One chunk's latent, ground truth, denoising progress and reuse state."""
 
     index: int                       # 1-based
     clean_latent: np.ndarray         # ground-truth endpoint of denoising
-    latent: Optional[np.ndarray] = None
+    latent: Optional[np.ndarray] = None   # None until the chunk's window opens
     latent_norm: float = 0.0         # L1 norm of latent, taken with it
-    local_step: int = 0
-    status: str = PENDING
+    local_step: int = 0              # the chunk is clean once this is steps
+    reuse: ChunkReuseState = field(default_factory=ChunkReuseState)
 
 
 def smooth_profile(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -263,29 +259,28 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
                policy: Optional[ReusePolicy], noise_scale: float) -> Iterator[tuple]:
     """Drive every chunk from noise to clean, yielding one event per step.
 
-    The KV buffer never reads or writes a latent, so the trajectory (chunk
-    lifecycle, reuse decisions, Euler steps) runs here without KV state and
-    ``run_denoise`` derives the KV accounting from its events.
+    The KV buffer never reads or writes a latent, so the trajectory (reuse
+    decisions, Euler steps) runs here without KV state and ``run_denoise``
+    derives the KV accounting from its events. Chunk i (0-based) is active
+    exactly while ``i <= g // (steps // window) < i + window``.
 
     Step g yields ``(g, records, finished, query_latent)``: the records of
     the chunks active at g in index order, the chunks that became clean at g,
     and the latent of the newest chunk still active after g (or None).
     """
     chunks = make_scene(scene)
-    reuse_states = {c.index: ChunkReuseState() for c in chunks}
-    starts = {c.index: active_window(c.index, schedule, scene)[0] for c in chunks}
+    global_steps = total_global_steps(schedule, scene)   # checks steps % window
+    stride = schedule.steps // scene.window
     dt = schedule.dt
 
-    for g in range(total_global_steps(schedule, scene)):
+    for g in range(global_steps):
         records, finished, query_latent = [], [], None
-        for chunk in chunks:
-            if chunk.status == PENDING and starts[chunk.index] == g:
+        newest = g // stride
+        for chunk in chunks[max(0, newest - scene.window + 1):newest + 1]:
+            if chunk.latent is None:
                 chunk.latent = make_initial_noise(scene, chunk.index)
                 chunk.latent_norm = l1_norm(chunk.latent, "initial_noise")
-                chunk.status = ACTIVE
-            if chunk.status != ACTIVE:
-                continue
-            state = reuse_states[chunk.index]
+            state = chunk.reuse
             if policy is None:
                 estimate = None
                 decision = Decision(COMPUTE, None, 0.0)
@@ -304,7 +299,6 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
                 accumulator=state.accumulator, estimate=estimate))
             chunk.local_step += 1
             if chunk.local_step == schedule.steps:
-                chunk.status = CLEAN
                 finished.append(chunk)
             else:
                 query_latent = chunk.latent
@@ -316,7 +310,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
                 kv: Optional[KVPlan] = None,
                 cost: Optional[CostModel] = None,
                 noise_scale: float = 0.0) -> RunTrace:
-    """Run the trajectory, account KV occupancy and cost, return the trace.
+    """Run the trajectory; its trace holds the config snapshot, KV use and cost.
 
     ``policy=None`` disables the reuse machinery entirely (every step
     computes); an epsilon=0 policy takes the same decisions and produces a
@@ -335,8 +329,8 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
             key_heads=kv.key_heads, head_dim=kv.head_dim,
             tokens_per_chunk=tokens_per_chunk, frame_tokens=scene.tokens_per_frame,
             budget_tokens=kv.budget_chunks * tokens_per_chunk)
-    trace = RunTrace.start(scene=scene, schedule=schedule, policy=policy, kv=kv,
-                           cost=cost, noise_scale=noise_scale)
+    trace = RunTrace(config=_config_snapshot(scene, schedule, policy, kv, cost,
+                                             noise_scale))
     clean_tokens = 0
     final_latents: dict[int, np.ndarray] = {}
 

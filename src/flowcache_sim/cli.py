@@ -30,12 +30,6 @@ def _execute(cfg: dict):
                        noise_scale=noise_scale)
 
 
-def _baseline_config(cfg: dict) -> dict:
-    base = copy.deepcopy(cfg)
-    base["policy"] = {"epsilon": 0.0, "warmup": 0}
-    return base
-
-
 def _out_dir(raw: str) -> Path:
     out_dir = Path(raw)
     try:
@@ -54,7 +48,8 @@ def cmd_run(args) -> int:
     out_dir = _out_dir(args.out)
 
     trace = _execute(cfg)
-    baseline = _execute(_baseline_config(cfg))
+    # epsilon 0 never reuses, whatever the warmup: the compute-everything run
+    baseline = _execute(_apply_axis(cfg, "epsilon", 0.0))
     gain = speedup(trace, baseline)
 
     (out_dir / "trace.json").write_text(trace.to_json())
@@ -120,18 +115,6 @@ def _apply_axis(cfg: dict, axis: str, value) -> dict:
     return out
 
 
-def _sweep_reference(cfg: dict, axis: str) -> dict:
-    ref = copy.deepcopy(cfg)
-    if axis == "epsilon":
-        policy = ref.get("policy") or {"epsilon": 0.0, "warmup": 0}
-        policy["epsilon"] = 0.0
-        ref["policy"] = policy
-    elif axis == "budget":
-        ref["kv"]["budget_chunks"] = None
-        ref["policy"] = {"epsilon": 0.0, "warmup": 0}
-    return ref
-
-
 def _final_latent_error(trace, reference) -> float:
     errs = []
     for idx, latent in trace.final_latents.items():
@@ -156,7 +139,9 @@ def cmd_sweep(args) -> int:
                          seed=args.seed)
     values = _parse_values(args.axis, args.values)
     out_dir = _out_dir(args.out) if args.out else None
-    reference = _execute(_sweep_reference(cfg, args.axis))
+    at = {"budget": None, "epsilon": 0.0}
+    reference = _execute(_apply_axis(cfg, args.axis, at[args.axis])
+                         if args.axis in at else cfg)
 
     def one(value):
         trace = _execute(_apply_axis(cfg, args.axis, value))

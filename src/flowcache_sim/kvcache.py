@@ -51,16 +51,6 @@ class CompressionConfig:
             raise InvalidConfig(f"unknown key granularity {self.key_granularity!r}")
 
 
-@dataclass(frozen=True)
-class SelectionScores:
-    """Per-head score vectors produced while compressing (head-major arrays)."""
-
-    importance: np.ndarray         # (heads, L) rows sum to 1
-    pooled_importance: np.ndarray  # (heads, L)
-    redundancy: np.ndarray         # (heads, L) rows sum to 1
-    combined: np.ndarray           # (heads, L)
-
-
 def importance(queries: np.ndarray, keys: np.ndarray,
                config: CompressionConfig) -> np.ndarray:
     """Per-head attention mass over historical tokens, rows summing to 1.
@@ -81,6 +71,8 @@ def importance(queries: np.ndarray, keys: np.ndarray,
         raise InvalidInput(f"head dim mismatch {d_q} vs {d_k}")
     if l_q < 1:
         raise InvalidInput("need at least one query row")
+    if h_q < 1 or h_k < 1:
+        raise InvalidInput(f"need a query and a key head, got {h_q} and {h_k}")
     if h_q % h_k != 0:
         raise InvalidInput(f"query heads {h_q} not divisible by key heads {h_k}")
     group = h_q // h_k
@@ -237,11 +229,12 @@ class KVBuffer:
     that head's i-th retained token, in ascending id order. Chunks still
     denoising are not stored here: their occupancy is a token count that
     ``run_denoise`` keeps, and a run without a budget keeps no buffer.
+    ``frame_tokens`` is the group size that frame key granularity selects.
     """
 
     def __init__(self, key_heads: int, head_dim: int, tokens_per_chunk: int,
-                 budget_tokens: int, frame_tokens: Optional[int] = None):
-        if key_heads < 1 or head_dim < 1 or tokens_per_chunk < 1:
+                 budget_tokens: int, frame_tokens: int):
+        if min(key_heads, head_dim, tokens_per_chunk, frame_tokens) < 1:
             raise InvalidConfig("buffer dimensions must be positive")
         if budget_tokens < 1:
             raise InvalidConfig("budget_tokens must be positive")
@@ -249,7 +242,7 @@ class KVBuffer:
         self.head_dim = head_dim
         self.tokens_per_chunk = tokens_per_chunk
         self.budget_tokens = budget_tokens
-        self.frame_tokens = frame_tokens or tokens_per_chunk
+        self.frame_tokens = frame_tokens
         self._keys = np.empty((0, key_heads, head_dim), dtype=FLOAT)
         self._values = np.empty((0, key_heads, head_dim), dtype=FLOAT)
         self._ids = np.empty((0, key_heads), dtype=np.int64)
@@ -292,7 +285,7 @@ class KVBuffer:
         keep = np.stack(
             [select_tokens(row, self.budget_tokens, config.key_granularity,
                            self.frame_tokens, self.tokens_per_chunk)
-             for row in scores.combined], axis=1)        # (kept, H)
+             for row in scores], axis=1)                 # (kept, H)
         heads = np.arange(self.key_heads)
         self._keys = self._keys[keep, heads]
         self._values = self._values[keep, heads]
@@ -300,7 +293,7 @@ class KVBuffer:
         report = CompressionReport(
             global_step=global_step, arriving_chunk=chunk_index,
             candidate_tokens=n_cand)
-        for h, row in enumerate(scores.combined):
+        for h, row in enumerate(scores):
             report.heads[h] = HeadReport(
                 retained_ids=self._ids[:, h].tolist(),
                 evicted_count=n_cand - keep.shape[0],
@@ -310,14 +303,12 @@ class KVBuffer:
 
 
 def score_candidates(queries: np.ndarray, keys: np.ndarray,
-                     config: CompressionConfig) -> SelectionScores:
-    """Full scoring pipeline for a candidate key set (all heads at once)."""
+                     config: CompressionConfig) -> np.ndarray:
+    """Combined (heads, L) score of a candidate key set, all heads at once."""
     imp = importance(queries, keys, config)
     pooled = pooled_importance(imp, config)
     red = redundancy_fast(keys)
-    combined = combined_score(pooled, red, config.mix_lambda)
-    return SelectionScores(importance=imp, pooled_importance=pooled,
-                           redundancy=red, combined=combined)
+    return combined_score(pooled, red, config.mix_lambda)
 
 
 def pool_queries_by_frame(queries: np.ndarray, frame_size: int) -> np.ndarray:

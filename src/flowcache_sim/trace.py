@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -87,11 +87,6 @@ class RunTrace:
     final_latents: dict[int, np.ndarray] = field(default_factory=dict)
     content_hash: str = ""
 
-    @classmethod
-    def start(cls, scene, schedule, policy, kv, cost, noise_scale) -> "RunTrace":
-        return cls(config=_config_snapshot(scene, schedule, policy, kv, cost,
-                                           noise_scale))
-
     def add_step(self, record: StepRecord) -> None:
         self.records.append(record)
         for cr in record.chunks:
@@ -106,8 +101,7 @@ class RunTrace:
             self.totals.peak_resident_bytes, record.resident_bytes)
 
     def finish(self, final_latents: dict[int, np.ndarray]) -> None:
-        self.final_latents = {int(k): np.asarray(v, dtype=FLOAT)
-                              for k, v in final_latents.items()}
+        self.final_latents = final_latents
         self.content_hash = self._compute_hash()
 
     # -- hashing -----------------------------------------------------------
@@ -176,12 +170,30 @@ class RunTrace:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
+# record field annotation -> whether a JSON value fits it as the hash packs it
+_FITS = {"int": lambda v: type(v) is int and -2**63 <= v < 2**63,
+         "float": lambda v: type(v) is float or _FITS["int"](v),
+         "Optional[float]": lambda v: v is None or _FITS["float"](v),
+         "str": lambda v: type(v) is str,
+         "list[int]": lambda v: type(v) is list and all(map(_FITS["int"], v))}
+
+
+def _record(cls, body: dict, where: str, **given):
+    """``cls`` read from the JSON object ``body``, ``given`` fields aside."""
+    for f in fields(cls):
+        if f.name not in given:
+            if not _FITS[f.type](body[f.name]):
+                raise InvalidInput(f"{where}.{f.name} must be {f.type.replace('int', 'int64')}")
+            given[f.name] = body[f.name]
+    return cls(**given)
+
+
 def import_trace(data: dict | str) -> RunTrace:
     """Rebuild a trace from its JSON form and verify the content hash.
 
-    Bad JSON, a missing or malformed field (the embedded config included), or
-    a final latent whose length does not match the config shape raises
-    InvalidInput naming the path.
+    Bad JSON, a missing or mistyped field (the embedded config included; a
+    record's ints must fit in 64 bits), or a final latent whose length does
+    not match the config shape raises InvalidInput naming the path.
     """
     from .config import build_objects   # config imports armodel, which imports trace
 
@@ -198,36 +210,26 @@ def import_trace(data: dict | str) -> RunTrace:
             raise InvalidInput(f"trace.config.{exc}") from None
         for i, r in enumerate(data["records"]):
             where = f"trace.records[{i}]"
-            step = StepRecord(
-                global_step=r["global_step"], chunks=[], flops=r["flops"],
-                kv_clean_tokens=r["kv_clean_tokens"],
-                kv_active_tokens=r["kv_active_tokens"],
-                resident_bytes=r["resident_bytes"])
+            step = _record(StepRecord, r, where, chunks=[])
             for j, c in enumerate(r["chunks"]):
                 where = f"trace.records[{i}].chunks[{j}]"
-                step.chunks.append(ChunkStepRecord(
-                    chunk=c["chunk"], local_step=c["local_step"],
-                    decision=c["decision"], metric=c["metric"],
-                    accumulator=c["accumulator"], estimate=c["estimate"]))
-            where = f"trace.records[{i}]"
+                step.chunks.append(_record(ChunkStepRecord, c, where))
             trace.add_step(step)
         for i, rep in enumerate(data["compressions"]):
             where = f"trace.compressions[{i}]"
             if rep["no_op"] is not False:
                 raise InvalidInput("compression no_op must be false in schema v1")
-            report = CompressionReport(
-                global_step=rep["global_step"], arriving_chunk=rep["arriving_chunk"],
-                candidate_tokens=rep["candidate_tokens"])
+            report = _record(CompressionReport, rep, where, heads={})
+            if not isinstance(rep["heads"], dict):
+                raise InvalidInput(f"{where}.heads must be an object")
             for head, body in rep["heads"].items():
                 where = f"trace.compressions[{i}].heads.{head}"
-                report.heads[int(head)] = HeadReport(
-                    retained_ids=list(body["retained_ids"]),
-                    evicted_count=body["evicted_count"],
-                    score_min=body["score_min"], score_max=body["score_max"],
-                    score_mean=body["score_mean"])
+                report.heads[int(head)] = _record(HeadReport, body, where)
             trace.compressions.append(report)
         shape, size = scene.shape, scene.numel
         finals = {}
+        if not isinstance(data.get("final_latents"), dict):
+            raise InvalidInput("trace.final_latents is missing or not an object")
         for k, v in data["final_latents"].items():
             where = f"trace.final_latents.{k}"
             latent = np.asarray(v, dtype=FLOAT)
@@ -240,7 +242,7 @@ def import_trace(data: dict | str) -> RunTrace:
         content_hash = data["content_hash"]
     except KeyError as exc:
         raise InvalidInput(f"{where}.{exc.args[0]} is missing") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError, struct.error) as exc:
         raise InvalidInput(f"malformed {where}: {exc}") from None
     if trace.content_hash != content_hash:
         raise InvalidInput("trace content hash mismatch after import")

@@ -307,8 +307,7 @@ def suite_policy(seed: int = 0, streams: int = 1000) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # kvequiv: fast redundancy kernel vs the materialized reference
 
-def suite_kvequiv(seed: int = 0, instances: int = 100,
-                  big: bool = True) -> list[CheckResult]:
+def suite_kvequiv(seed: int = 0, instances: int = 100) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results = []
     worst = 0.0
@@ -324,40 +323,39 @@ def suite_kvequiv(seed: int = 0, instances: int = 100,
         "(L<=512, d<=64, heads<=8)",
         worst < 1e-9, worst, 1e-9, detail="max elementwise difference"))
 
-    if big:
-        l_k, d = 4096, 128
-        keys = rng.normal(size=(l_k, 1, d))
-        naive_footprint = float(l_k * l_k * 8)
+    l_k, d = 4096, 128
+    keys = rng.normal(size=(l_k, 1, d))
+    naive_footprint = float(l_k * l_k * 8)
 
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        redundancy_fast(keys)
-        fast_peak = tracemalloc.get_traced_memory()[1] - base
-        tracemalloc.stop()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    redundancy_fast(keys)
+    fast_peak = tracemalloc.get_traced_memory()[1] - base
+    tracemalloc.stop()
 
-        ratio = fast_peak / naive_footprint
-        results.append(CheckResult(
-            "fast-path peak transient allocation vs L^2 footprint "
-            f"(L={l_k}, d={d})",
-            ratio < 0.02, ratio, 0.02,
-            detail=f"fast peak {fast_peak / 1e6:.2f} MB vs "
-                   f"naive L^2 {naive_footprint / 1e6:.2f} MB"))
+    ratio = fast_peak / naive_footprint
+    results.append(CheckResult(
+        "fast-path peak transient allocation vs L^2 footprint "
+        f"(L={l_k}, d={d})",
+        ratio < 0.02, ratio, 0.02,
+        detail=f"fast peak {fast_peak / 1e6:.2f} MB vs "
+               f"naive L^2 {naive_footprint / 1e6:.2f} MB"))
 
-        t0 = time.perf_counter()
-        fast_out = redundancy_fast(keys)
-        fast_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        naive_out = redundancy_naive(keys)
-        naive_s = time.perf_counter() - t0
-        results.append(CheckResult(
-            f"fast-path wall time vs naive (L={l_k}, d={d})",
-            fast_s < 0.25 * naive_s, fast_s / naive_s, 0.25,
-            detail=f"fast {fast_s * 1e3:.1f} ms, naive {naive_s * 1e3:.1f} ms"))
-        results.append(CheckResult(
-            f"fast vs naive agreement at L={l_k}, d={d}",
-            float(np.abs(fast_out - naive_out).max()) < 1e-9,
-            float(np.abs(fast_out - naive_out).max()), 1e-9))
+    t0 = time.perf_counter()
+    fast_out = redundancy_fast(keys)
+    fast_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    naive_out = redundancy_naive(keys)
+    naive_s = time.perf_counter() - t0
+    results.append(CheckResult(
+        f"fast-path wall time vs naive (L={l_k}, d={d})",
+        fast_s < 0.25 * naive_s, fast_s / naive_s, 0.25,
+        detail=f"fast {fast_s * 1e3:.1f} ms, naive {naive_s * 1e3:.1f} ms"))
+    results.append(CheckResult(
+        f"fast vs naive agreement at L={l_k}, d={d}",
+        float(np.abs(fast_out - naive_out).max()) < 1e-9,
+        float(np.abs(fast_out - naive_out).max()), 1e-9))
     return results
 
 

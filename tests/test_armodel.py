@@ -148,6 +148,21 @@ class TestRunLifecycle:
             if rec.global_step in interior:
                 assert active == scene.window
 
+    @pytest.mark.parametrize("chunks,window,steps",
+                             [(1, 1, 4), (5, 1, 3), (6, 3, 6), (7, 7, 7), (4, 2, 8)])
+    def test_steps_visit_exactly_the_active_windows(self, chunks, window, steps):
+        scene = small_scene(num_chunks=chunks, window=window)
+        sched = PowerLawSchedule(power=0.25, steps=steps)
+        spans = {c: active_window(c, sched, scene) for c in range(1, chunks + 1)}
+        seen = 0
+        for g, records, finished, _ in trajectory(scene, sched, None, 0.0):
+            assert [r.chunk for r in records] == [
+                c for c, (start, end) in spans.items() if start <= g < end]
+            assert [c.index for c in finished] == [
+                c for c, (_, end) in spans.items() if end - 1 == g]
+            seen += 1
+        assert seen == total_global_steps(sched, scene)
+
     def test_status_transitions_once(self):
         scene = small_scene()
         sched = PowerLawSchedule(power=0.25, steps=8)

@@ -60,6 +60,12 @@ class TestImportance:
         with pytest.raises(InvalidInput):
             importance(q, np.zeros((0, 2, 4)), cfg())
 
+    @pytest.mark.parametrize("q_heads,k_heads", [(2, 0), (0, 2), (0, 0)])
+    def test_zero_heads_rejected(self, q_heads, k_heads):
+        q = np.ones((3, q_heads, 4))
+        with pytest.raises(InvalidInput, match="need a query and a key head"):
+            importance(q, np.ones((5, k_heads, 4)), cfg())
+
     def test_trailing_window_only(self):
         rng = np.random.default_rng(2)
         q = rng.normal(size=(10, 2, 4))
@@ -305,6 +311,14 @@ class TestBuffer:
         assert back["heads"]["0"]["retained_ids"] == [
             int(i) for i in self.buffer.retained_ids(0)]
         assert back["no_op"] is False
+
+    @pytest.mark.parametrize("field", ["key_heads", "head_dim",
+                                       "tokens_per_chunk", "frame_tokens"])
+    def test_nonpositive_dimension_rejected(self, field):
+        dims = dict(key_heads=2, head_dim=4, tokens_per_chunk=12,
+                    budget_tokens=24, frame_tokens=4)
+        with pytest.raises(InvalidConfig, match="dimensions must be positive"):
+            KVBuffer(**{**dims, field: 0})
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,9 +3,12 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowcache_sim import (KVPlan, PowerLawSchedule, ReusePolicy, SceneConfig,
-                           import_trace, l1rel_curves, run_denoise, speedup)
+from flowcache_sim import (CostModel, KVPlan, PowerLawSchedule, ReusePolicy,
+                           SceneConfig, import_trace, l1rel_curves, run_denoise,
+                           speedup)
 from flowcache_sim.errors import InvalidComparison, InvalidInput
 from flowcache_sim.trace import curves_csv
 
@@ -80,6 +83,36 @@ class TestExport:
         with pytest.raises(InvalidInput,
                            match=r"final_latents\.2 .* needs 72 values"):
             import_trace(payload)
+
+    @pytest.mark.parametrize("mutate,path", [
+        (lambda p: p["records"][0]["chunks"][0].update(decision=5),
+         r"records\[0\]\.chunks\[0\]\.decision"),
+        (lambda p: p["records"][0]["chunks"][0].update(decision=None),
+         r"records\[0\]\.chunks\[0\]\.decision"),
+        (lambda p: p["compressions"][0].update(heads=[]),
+         r"compressions\[0\]\.heads must be an object"),
+        (lambda p: p.update(final_latents=[]), r"trace\.final_latents is missing"),
+        (lambda p: p.pop("final_latents"), r"trace\.final_latents is missing"),
+        (lambda p: p["records"][0].update(global_step=2**70),
+         r"records\[0\]\.global_step must be int64"),
+        (lambda p: p["compressions"][0]["heads"]["1"].update(retained_ids=[2**70]),
+         r"compressions\[0\]\.heads\.1\.retained_ids must be list\[int64\]"),
+    ], ids=["decision-int", "decision-none", "heads-list", "finals-list",
+            "finals-missing", "global-step-huge", "retained-id-huge"])
+    def test_mutated_field_names_its_path(self, mutate, path):
+        payload = json.loads(tiny_run().to_json())
+        mutate(payload)
+        with pytest.raises(InvalidInput, match=path):
+            import_trace(payload)
+
+    def test_int_valued_float_field_round_trips(self):
+        # a config may give a float knob as an int; resident_bytes is then one
+        scene = SceneConfig(num_chunks=3, window=2, shape=(4, 2, 3, 3), seed=1)
+        trace = run_denoise(scene, PowerLawSchedule(power=0.25, steps=8),
+                            cost=CostModel(bytes_per_kv_token=256))
+        payload = json.loads(trace.to_json())
+        assert type(payload["records"][0]["resident_bytes"]) is int
+        assert import_trace(payload).content_hash == trace.content_hash
 
     def test_zero_reuse_export(self):
         trace = tiny_run(policy=ReusePolicy(0.0, 0))
@@ -190,3 +223,37 @@ def test_compression_never_raises_peak_bytes():
             <= unbounded.totals.peak_resident_bytes)
     assert (compressed.totals.peak_resident_tokens
             < unbounded.totals.peak_resident_tokens)
+
+
+def json_paths(node, prefix=()):
+    """Every key/index path below ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+TINY_JSON = tiny_run().to_json()
+TINY_PATHS = list(json_paths(json.loads(TINY_JSON)))
+ODD_VALUES = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(), st.floats(),
+    st.just(float("nan")), st.integers(2**63, 2**80), st.integers(-2**80, -2**63 - 1),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(TINY_PATHS), value=ODD_VALUES)
+def test_mutated_trace_imports_or_raises_invalid_input(path, value):
+    # one field set to an odd value: the same hash or InvalidInput, nothing else
+    payload = json.loads(TINY_JSON)
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        back = import_trace(payload)
+    except InvalidInput:
+        return
+    assert back.content_hash == json.loads(TINY_JSON)["content_hash"]
