@@ -114,6 +114,20 @@ class CostModel:
                self.bytes_per_kv_token) < 0:
             raise InvalidConfig("cost model entries must be nonnegative")
 
+    def step_flops(self, computed: int, tokens_per_chunk: int,
+                   resident_before: int) -> float:
+        """Charge of one global step in which ``computed`` chunks compute.
+
+        Each pays the forward plus attention of its tokens over the tokens
+        resident as the step starts; reused chunks are free. Summed chunk by
+        chunk, forward first, so every caller gets the same float order.
+        """
+        flops = 0.0
+        for _ in range(computed):
+            flops += self.flops_per_chunk_forward
+            flops += self.flops_per_kv_token_pair * tokens_per_chunk * resident_before
+        return flops
+
 
 @dataclass
 class ChunkState:
@@ -171,8 +185,8 @@ def active_window(chunk_index: int, schedule: PowerLawSchedule,
     if not 1 <= chunk_index <= scene.num_chunks:
         raise InvalidInput(f"chunk index {chunk_index} out of range")
     if schedule.steps % scene.window != 0:
-        raise InvalidConfig(
-            f"steps={schedule.steps} not divisible by window={scene.window}")
+        raise InvalidConfig(f"schedule.steps={schedule.steps} not divisible "
+                            f"by scene.window={scene.window}")
     stride = schedule.steps // scene.window
     start = (chunk_index - 1) * stride
     return start, start + schedule.steps
@@ -336,13 +350,9 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
 
     for g, records, finished, query_latent in trajectory(scene, schedule, policy,
                                                          noise_scale):
-        resident_before = clean_tokens + len(records) * tokens_per_chunk
-        step_flops = 0.0
-        for record in records:
-            if record.decision == COMPUTE:
-                step_flops += cost.flops_per_chunk_forward
-                step_flops += (cost.flops_per_kv_token_pair
-                               * tokens_per_chunk * resident_before)
+        step_flops = cost.step_flops(
+            sum(record.decision == COMPUTE for record in records),
+            tokens_per_chunk, clean_tokens + len(records) * tokens_per_chunk)
 
         for chunk in finished:
             final_latents[chunk.index] = chunk.latent
@@ -368,3 +378,23 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
 
     trace.finish(final_latents)
     return trace
+
+
+def recompute_flops(trace: RunTrace, scene: SceneConfig, cost: CostModel) -> float:
+    """Total flops of the trace's epsilon-0 twin, which computes every chunk-step.
+
+    Exact without simulating the twin: the chunks active at a step follow
+    from the window arithmetic, and the clean region after each arrival
+    holds a count the budget fixes (a compression keeps ``min(budget, n)``
+    tokens or ``budget // group`` whole groups, whatever it scores). So each
+    step's resident tokens are the trace's own; only the computed count
+    differs. Summed in ``run_denoise``'s order, the total is bit-identical.
+    """
+    tokens_per_chunk = scene.tokens_per_chunk
+    total, clean_tokens = 0.0, 0
+    for rec in trace.records:
+        active = len(rec.chunks)
+        total += cost.step_flops(active, tokens_per_chunk,
+                                 clean_tokens + active * tokens_per_chunk)
+        clean_tokens = rec.kv_clean_tokens
+    return total

@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .armodel import run_denoise
+from .armodel import recompute_flops, run_denoise
 from .config import PROFILES, build_objects, resolve_config
 from .errors import SimulatorError
-from .trace import curves_csv, speedup
+from .trace import curves_csv, flops_speedup, speedup
 from .verify import SUITES, run_suite
 
 _SWEEP_AXES = ("lambda", "budget", "granularity", "epsilon")
@@ -47,10 +47,11 @@ def cmd_run(args) -> int:
         return 0
     out_dir = _out_dir(args.out)
 
-    trace = _execute(cfg)
-    # epsilon 0 never reuses, whatever the warmup: the compute-everything run
-    baseline = _execute(_apply_axis(cfg, "epsilon", 0.0))
-    gain = speedup(trace, baseline)
+    scene, schedule, policy, kv, cost, noise_scale = build_objects(cfg)
+    trace = run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
+                        noise_scale=noise_scale)
+    # the epsilon-0 (compute-everything) baseline's flops, from this run's records
+    gain = flops_speedup(trace, recompute_flops(trace, scene, cost))
 
     (out_dir / "trace.json").write_text(trace.to_json())
     (out_dir / "curves.csv").write_text(curves_csv(trace))

@@ -15,7 +15,7 @@ import math
 import typing
 from typing import Any, Optional
 
-from .armodel import CostModel, KVPlan, SceneConfig
+from .armodel import CostModel, KVPlan, SceneConfig, total_global_steps
 from .errors import InvalidConfig, SimulatorError
 from .kvcache import CompressionConfig
 from .reuse import ReusePolicy
@@ -166,10 +166,7 @@ def build_objects(cfg: dict[str, Any]):
     cost = _build(CostModel, cfg, "cost")
     noise_scale = float(_checked("noise_scale", float,
                                  cfg.get("noise_scale", 0.0)))
-    if schedule.steps % scene.window != 0:
-        raise InvalidConfig(
-            f"schedule.steps={schedule.steps} not divisible by "
-            f"scene.window={scene.window}")
+    total_global_steps(schedule, scene)   # checks steps % window
     if noise_scale < 0:
         raise InvalidConfig("noise_scale must be >= 0")
     return scene, schedule, policy, kv, cost, noise_scale

@@ -216,7 +216,7 @@ class CompressionReport:
     heads: dict[int, HeadReport] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "no_op": False,   # schema v1 field; every pass evicts
+        return {**vars(self), "no_op": False,   # every pass evicts
                 "heads": {str(h): dict(vars(rep)) for h, rep in self.heads.items()}}
 
 

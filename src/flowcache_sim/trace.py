@@ -8,6 +8,8 @@ outcomes, final latents) while excluding presentation-only fields.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import csv
 import hashlib
 import io
@@ -22,7 +24,8 @@ from .errors import InvalidComparison, InvalidInput, SimulatorError
 from .kvcache import CompressionReport, HeadReport
 from .numerics import FLOAT
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+_LATENT_DTYPE = np.dtype("<f8")   # final latents in trace.json: little-endian float64
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ class RunTrace:
             h.update(i64(rep.global_step))
             h.update(i64(rep.arriving_chunk))
             h.update(i64(rep.candidate_tokens))
-            h.update(b"0")   # schema v1 no_op flag, always false
+            h.update(b"0")   # the no_op flag, always false
             for head in sorted(rep.heads):
                 h.update(i64(head))
                 h.update(np.asarray(rep.heads[head].retained_ids,
@@ -161,13 +164,15 @@ class RunTrace:
             "totals": {**asdict(self.totals),
                        "reuse_fraction": self.totals.reuse_fraction},
             "final_latents": {
-                str(k): v.ravel().tolist() for k, v in self.final_latents.items()
+                str(k): base64.b64encode(
+                    np.ascontiguousarray(v, dtype=_LATENT_DTYPE).tobytes()).decode()
+                for k, v in self.final_latents.items()
             },
             "content_hash": self.content_hash,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 # record field annotation -> whether a JSON value fits it as the hash packs it
@@ -176,6 +181,31 @@ _FITS = {"int": lambda v: type(v) is int and -2**63 <= v < 2**63,
          "Optional[float]": lambda v: v is None or _FITS["float"](v),
          "str": lambda v: type(v) is str,
          "list[int]": lambda v: type(v) is list and all(map(_FITS["int"], v))}
+
+
+def _int_key(key: str, where: str) -> int:
+    """An object key that names an int64 index (a head or a chunk id)."""
+    try:
+        index = int(key)
+    except ValueError:
+        index = None
+    if not _FITS["int"](index):
+        raise InvalidInput(f"{where} key must be an int64")
+    return index
+
+
+def _latent(text, where: str, scene) -> np.ndarray:
+    """A final latent from its base64 little-endian float64 bytes."""
+    if type(text) is not str:
+        raise InvalidInput(f"{where} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error:
+        raise InvalidInput(f"{where} is not valid base64") from None
+    if len(raw) != scene.numel * _LATENT_DTYPE.itemsize:
+        raise InvalidInput(f"{where} has {len(raw)} bytes; config shape "
+                           f"{scene.shape} needs {scene.numel} float64 values")
+    return np.frombuffer(raw, dtype=_LATENT_DTYPE).astype(FLOAT).reshape(scene.shape)
 
 
 def _record(cls, body: dict, where: str, **given):
@@ -191,9 +221,10 @@ def _record(cls, body: dict, where: str, **given):
 def import_trace(data: dict | str) -> RunTrace:
     """Rebuild a trace from its JSON form and verify the content hash.
 
-    Bad JSON, a missing or mistyped field (the embedded config included; a
-    record's ints must fit in 64 bits), or a final latent whose length does
-    not match the config shape raises InvalidInput naming the path.
+    Only schema v2 is read. Bad JSON, a missing or mistyped field (the
+    embedded config included; a record's ints and the head and chunk keys
+    must fit in 64 bits), or a final latent that is not strict base64 of the
+    config shape's float64 bytes raises InvalidInput naming the path.
     """
     from .config import build_objects   # config imports armodel, which imports trace
 
@@ -218,25 +249,21 @@ def import_trace(data: dict | str) -> RunTrace:
         for i, rep in enumerate(data["compressions"]):
             where = f"trace.compressions[{i}]"
             if rep["no_op"] is not False:
-                raise InvalidInput("compression no_op must be false in schema v1")
+                raise InvalidInput(f"{where}.no_op must be false")
             report = _record(CompressionReport, rep, where, heads={})
             if not isinstance(rep["heads"], dict):
                 raise InvalidInput(f"{where}.heads must be an object")
             for head, body in rep["heads"].items():
                 where = f"trace.compressions[{i}].heads.{head}"
-                report.heads[int(head)] = _record(HeadReport, body, where)
+                index = _int_key(head, where)
+                report.heads[index] = _record(HeadReport, body, where)
             trace.compressions.append(report)
-        shape, size = scene.shape, scene.numel
         finals = {}
         if not isinstance(data.get("final_latents"), dict):
             raise InvalidInput("trace.final_latents is missing or not an object")
         for k, v in data["final_latents"].items():
             where = f"trace.final_latents.{k}"
-            latent = np.asarray(v, dtype=FLOAT)
-            if latent.shape != (size,):
-                raise InvalidInput(f"{where} has shape {latent.shape}; config "
-                                   f"shape {shape} needs {size} values")
-            finals[int(k)] = latent.reshape(shape)
+            finals[_int_key(k, where)] = _latent(v, where, scene)
         where = "trace"
         trace.finish(finals)
         content_hash = data["content_hash"]
@@ -285,6 +312,11 @@ def speedup(trace: RunTrace, baseline: RunTrace) -> float:
     for section in ("scene", "schedule"):
         if trace.config[section] != baseline.config[section]:
             raise InvalidComparison(f"{section} configs differ")
+    return flops_speedup(trace, baseline.totals.total_flops)
+
+
+def flops_speedup(trace: RunTrace, baseline_flops: float) -> float:
+    """Ratio of ``baseline_flops`` to this run's model flops."""
     if trace.totals.total_flops <= 0:
         raise InvalidComparison("trace has no recorded model cost")
-    return baseline.totals.total_flops / trace.totals.total_flops
+    return baseline_flops / trace.totals.total_flops

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from flowcache_sim import (ChunkState, KVPlan, PowerLawSchedule, ReusePolicy,
-                           SceneConfig, active_window, ideal_velocity,
-                           make_clean_latent, make_initial_noise,
-                           perturbed_velocity, run_denoise, total_global_steps,
-                           trajectory)
+from flowcache_sim import (PROFILES, ChunkState, KVPlan, PowerLawSchedule,
+                           ReusePolicy, SceneConfig, active_window, build_objects,
+                           ideal_velocity, make_clean_latent, make_initial_noise,
+                           perturbed_velocity, resolve_config, run_denoise,
+                           total_global_steps, trajectory)
 from flowcache_sim import armodel
-from flowcache_sim.armodel import make_scene
+from flowcache_sim.armodel import make_scene, recompute_flops
+from flowcache_sim.cli import _apply_axis
+from flowcache_sim.config import _deep_merge
 from flowcache_sim.errors import InvalidConfig, InvalidInput, Singularity
 
 
@@ -37,7 +39,8 @@ class TestActiveWindow:
     def test_divisibility_enforced(self):
         sched = PowerLawSchedule(power=1.0, steps=64)
         scene = SceneConfig(num_chunks=10, window=3)
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="^schedule.steps=64 not "
+                                                "divisible by scene.window=3$"):
             active_window(1, sched, scene)
 
     def test_index_range(self):
@@ -321,3 +324,37 @@ class TestNonFiniteSteps:
         with pytest.raises(InvalidInput,
                            match="euler_step produced a non-finite value"):
             self.run_from(monkeypatch, sched, policy, noise)
+
+
+# one-field variants of a profile whose epsilon-0 twin recompute_flops derives
+TWIN_VARIANTS = {
+    "default": {},
+    "budget-None": {"kv": {"budget_chunks": None}},
+    "budget-1": {"kv": {"budget_chunks": 1}},
+    "noise-0.05": {"noise_scale": 0.05},
+    "frame-frame": {"kv": {"query_granularity": "frame", "key_granularity": "frame"}},
+    "policy-None": {"policy": None},
+    "int-cost": {"cost": {"flops_per_chunk_forward": 3, "flops_per_kv_token_pair": 1,
+                          "bytes_per_kv_token": 256}},
+}
+
+
+def simulate(cfg):
+    scene, sched, policy, kv, cost, noise = build_objects(cfg)
+    trace = run_denoise(scene, sched, policy=policy, kv=kv, cost=cost,
+                        noise_scale=noise)
+    return trace, scene, cost
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_recompute_flops_equals_epsilon0_run(profile):
+    # bit for bit, so the run report's speedup needs no second simulation
+    for seed in (0, 3):
+        for overrides in TWIN_VARIANTS.values():
+            cfg = _deep_merge(resolve_config(profile=profile, seed=seed), overrides)
+            trace, scene, cost = simulate(cfg)
+            twin = simulate(_apply_axis(cfg, "epsilon", 0.0))[0]
+            derived = recompute_flops(trace, scene, cost)
+            assert type(derived) is float
+            assert derived == twin.totals.total_flops, (seed, overrides)
+

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from flowcache_sim import PowerLawSchedule, SceneConfig, run_denoise
 from flowcache_sim.cli import main
+from flowcache_sim.errors import InvalidConfig
 
 
 def run_cli(*argv):
@@ -103,10 +105,24 @@ class TestRunCommand:
         assert f"--out {taken} is not a directory" in capsys.readouterr().err
 
     def test_indivisible_window_rejected(self, tmp_path, capsys):
+        # the CLI and a library run_denoise caller get the same message
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"scene": {"window": 5}}))
-        assert run_cli("run", "--config", str(cfg_file)) == 2
-        assert "divisible" in capsys.readouterr().err
+        assert run_cli("run", "--config", str(cfg_file),
+                       "--out", str(tmp_path / "out")) == 2
+        with pytest.raises(InvalidConfig) as exc:
+            run_denoise(SceneConfig(window=5), PowerLawSchedule(power=0.25))
+        assert str(exc.value) == "schedule.steps=64 not divisible by scene.window=5"
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_zero_cost_run_writes_nothing(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"cost": {
+            "flops_per_chunk_forward": 0, "flops_per_kv_token_pair": 0}}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg_file), "--out", str(out)) == 2
+        assert "trace has no recorded model cost" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 from pathlib import Path
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcache_sim import (CostModel, KVPlan, PowerLawSchedule, ReusePolicy,
-                           SceneConfig, import_trace, l1rel_curves, run_denoise,
-                           speedup)
+from flowcache_sim import (PROFILES, CostModel, KVPlan, PowerLawSchedule,
+                           ReusePolicy, SceneConfig, build_objects, import_trace,
+                           l1rel_curves, resolve_config, run_denoise, speedup)
 from flowcache_sim.errors import InvalidComparison, InvalidInput
 from flowcache_sim.trace import curves_csv
 
@@ -26,6 +27,9 @@ def tiny_run(policy=ReusePolicy(0.05, 2), seed=1, **kv_kw):
     sched = PowerLawSchedule(power=0.25, steps=8)
     return run_denoise(scene, sched, policy=policy,
                        kv=KVPlan(budget_chunks=2, **kv_kw))
+
+
+HUGE = "99999999999999999999"   # an int key beyond int64
 
 
 class TestExport:
@@ -72,17 +76,54 @@ class TestExport:
             import_trace(payload)
 
     @pytest.mark.parametrize("text", ["[1]", '{"schema_version": 1',
-                                      '{"schema_version": 2}'])
+                                      '{"schema_version": 2}',
+                                      '{"schema_version": 3}'])
     def test_non_trace_text_rejected(self, text):
         with pytest.raises(InvalidInput):
             import_trace(text)
 
+    def test_schema_v1_text_rejected(self):
+        # v1: indent-1 JSON with final latents as decimal lists
+        trace = tiny_run()
+        payload = json.loads(trace.to_json())
+        payload["schema_version"] = payload["config"]["schema_version"] = 1
+        payload["final_latents"] = {str(k): v.ravel().tolist()
+                                    for k, v in trace.final_latents.items()}
+        with pytest.raises(InvalidInput, match="unsupported trace schema 1"):
+            import_trace(json.dumps(payload, indent=1, sort_keys=True))
+
     def test_truncated_final_latent_rejected(self):
         payload = json.loads(tiny_run().to_json())
-        payload["final_latents"]["2"] = payload["final_latents"]["2"][:-1]
+        raw = base64.b64decode(payload["final_latents"]["2"])
+        payload["final_latents"]["2"] = base64.b64encode(raw[:-8]).decode()
         with pytest.raises(InvalidInput,
-                           match=r"final_latents\.2 .* needs 72 values"):
+                           match=r"final_latents\.2 has 568 bytes; .* needs 72 "
+                                 r"float64 values"):
             import_trace(payload)
+
+    def test_final_latents_are_little_endian_float64_base64(self):
+        trace = tiny_run()
+        payload = json.loads(trace.to_json())
+        assert sorted(payload["final_latents"]) == ["1", "2", "3"]
+        for k, text in payload["final_latents"].items():
+            assert base64.b64decode(text, validate=True) == (
+                trace.final_latents[int(k)].astype("<f8").tobytes())
+
+    def test_compact_json(self):
+        text = tiny_run().to_json()
+        assert text == json.dumps(json.loads(text), sort_keys=True,
+                                  separators=(",", ":"))
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_profile_round_trip(self, profile):
+        scene, sched, policy, kv, cost, noise = build_objects(
+            resolve_config(profile=profile))
+        trace = run_denoise(scene, sched, policy=policy, kv=kv, cost=cost,
+                            noise_scale=noise)
+        text = trace.to_json()
+        back = import_trace(text)
+        assert back.content_hash == trace.content_hash
+        assert back.to_json() == text
 
     @pytest.mark.parametrize("mutate,path", [
         (lambda p: p["records"][0]["chunks"][0].update(decision=5),
@@ -97,8 +138,22 @@ class TestExport:
          r"records\[0\]\.global_step must be int64"),
         (lambda p: p["compressions"][0]["heads"]["1"].update(retained_ids=[2**70]),
          r"compressions\[0\]\.heads\.1\.retained_ids must be list\[int64\]"),
+        (lambda p: p["compressions"][0]["heads"].update({HUGE: {}}),
+         rf"trace\.compressions\[0\]\.heads\.{HUGE} key must be an int64"),
+        (lambda p: p["compressions"][0]["heads"].update({"x": {}}),
+         r"trace\.compressions\[0\]\.heads\.x key must be an int64"),
+        (lambda p: p["final_latents"].update({HUGE: p["final_latents"]["1"]}),
+         rf"trace\.final_latents\.{HUGE} key must be an int64"),
+        (lambda p: p["final_latents"].update({"2": [0.0] * 72}),
+         r"trace\.final_latents\.2 must be a base64 string"),
+        (lambda p: p["final_latents"].update({"2": "*" + p["final_latents"]["2"][1:]}),
+         r"trace\.final_latents\.2 is not valid base64"),
+        (lambda p: p["final_latents"].update({"2": " " + p["final_latents"]["2"]}),
+         r"trace\.final_latents\.2 is not valid base64"),
     ], ids=["decision-int", "decision-none", "heads-list", "finals-list",
-            "finals-missing", "global-step-huge", "retained-id-huge"])
+            "finals-missing", "global-step-huge", "retained-id-huge",
+            "head-key-huge", "head-key-text", "finals-key-huge",
+            "finals-list-latent", "finals-not-base64", "finals-space-base64"])
     def test_mutated_field_names_its_path(self, mutate, path):
         payload = json.loads(tiny_run().to_json())
         mutate(payload)
