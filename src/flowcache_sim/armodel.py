@@ -135,7 +135,7 @@ class ChunkState:
 
     index: int                       # 1-based
     clean_latent: np.ndarray         # ground-truth endpoint of denoising
-    latent: Optional[np.ndarray] = None   # None until the chunk's window opens
+    latent: Optional[np.ndarray] = None   # None until denoising starts
     latent_norm: float = 0.0         # L1 norm of latent, taken with it
     local_step: int = 0              # the chunk is clean once this is steps
     reuse: ChunkReuseState = field(default_factory=ChunkReuseState)
@@ -168,11 +168,6 @@ def make_initial_noise(scene: SceneConfig, chunk_index: int) -> np.ndarray:
     """Standard normal starting state, seeded per (scene seed, chunk)."""
     rng = np.random.default_rng([scene.seed, chunk_index, _TAG_NOISE])
     return rng.standard_normal(scene.shape)
-
-
-def make_scene(scene: SceneConfig) -> list[ChunkState]:
-    return [ChunkState(index=i, clean_latent=make_clean_latent(scene, i))
-            for i in range(1, scene.num_chunks + 1)]
 
 
 def active_window(chunk_index: int, schedule: PowerLawSchedule,
@@ -281,19 +276,23 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
     Step g yields ``(g, records, finished, query_latent)``: the records of
     the chunks active at g in index order, the chunks that became clean at g,
     and the latent of the newest chunk still active after g (or None).
+    A chunk's state is made when its window opens and dropped once yielded
+    as finished, so at most ``window`` chunk states are live.
     """
-    chunks = make_scene(scene)
     global_steps = total_global_steps(schedule, scene)   # checks steps % window
     stride = schedule.steps // scene.window
     dt = schedule.dt
+    active: list[ChunkState] = []
 
     for g in range(global_steps):
         records, finished, query_latent = [], [], None
-        newest = g // stride
-        for chunk in chunks[max(0, newest - scene.window + 1):newest + 1]:
-            if chunk.latent is None:
-                chunk.latent = make_initial_noise(scene, chunk.index)
-                chunk.latent_norm = l1_norm(chunk.latent, "initial_noise")
+        if g % stride == 0 and g // stride < scene.num_chunks:
+            index = g // stride + 1
+            chunk = ChunkState(index=index, clean_latent=make_clean_latent(scene, index),
+                               latent=make_initial_noise(scene, index))
+            chunk.latent_norm = l1_norm(chunk.latent, "initial_noise")
+            active.append(chunk)
+        for chunk in active:
             state = chunk.reuse
             if policy is None:
                 estimate = None
@@ -317,6 +316,7 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
             else:
                 query_latent = chunk.latent
         yield g, records, finished, query_latent
+        del active[:len(finished)]   # the oldest chunks finish first
 
 
 def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
@@ -331,7 +331,8 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     bitwise-identical trace. ``kv.budget_chunks=None`` disables compression:
     no buffer is kept and finished chunks add their tokens uncompressed.
     Otherwise each finished chunk's keys and values enter the buffer, scored
-    against the newest still-active chunk's queries (or its own).
+    against the newest still-active chunk's queries (or its own). At most
+    ``window`` chunk states are live; a finished chunk keeps only its latent.
     """
     kv = kv or KVPlan()
     cost = cost or CostModel()

@@ -45,7 +45,6 @@ def cmd_run(args) -> int:
     if args.print_config:
         print(json.dumps(cfg, indent=2, sort_keys=True))
         return 0
-    out_dir = _out_dir(args.out)
 
     scene, schedule, policy, kv, cost, noise_scale = build_objects(cfg)
     trace = run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
@@ -53,6 +52,7 @@ def cmd_run(args) -> int:
     # the epsilon-0 (compute-everything) baseline's flops, from this run's records
     gain = flops_speedup(trace, recompute_flops(trace, scene, cost))
 
+    out_dir = _out_dir(args.out)   # only once nothing before it can exit 2
     (out_dir / "trace.json").write_text(trace.to_json())
     (out_dir / "curves.csv").write_text(curves_csv(trace))
     totals = trace.totals
@@ -139,7 +139,6 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(profile=args.profile, config_path=args.config,
                          seed=args.seed)
     values = _parse_values(args.axis, args.values)
-    out_dir = _out_dir(args.out) if args.out else None
     at = {"budget": None, "epsilon": 0.0}
     reference = _execute(_apply_axis(cfg, args.axis, at[args.axis])
                          if args.axis in at else cfg)
@@ -164,8 +163,8 @@ def cmd_sweep(args) -> int:
     for row in rows:
         writer.writerow(row)
     text = out.getvalue()
-    if out_dir:
-        (out_dir / f"sweep_{args.axis}.csv").write_text(text)
+    if args.out:
+        (_out_dir(args.out) / f"sweep_{args.axis}.csv").write_text(text)
     print(text, end="")
     return 0
 

@@ -80,10 +80,16 @@ def importance(queries: np.ndarray, keys: np.ndarray,
     # (w, h_q, d) -> (h_k, w * group, d), window rows outermost within a head
     window = (queries[-w:].reshape(w, h_k, group, d_q)
               .transpose(1, 0, 2, 3).reshape(h_k, w * group, d_q))
-    # one batched matmul for all key heads: (h_k, w * group, l_k)
-    logits = np.matmul(window, keys.transpose(1, 2, 0))
-    logits /= np.sqrt(d_k)
-    return softmax_(logits, axis=-1).mean(axis=1)
+    # one key head at a time: the peak holds one head's (w * group, l_k)
+    # logits, and each head's GEMM is the one a batched matmul runs (same bits)
+    keys_t = keys.transpose(1, 2, 0)
+    out = np.empty((h_k, l_k), dtype=FLOAT)
+    for h in range(h_k):
+        logits = np.matmul(window[h], keys_t[h])
+        logits /= np.sqrt(d_k)
+        out[h] = softmax_(logits, axis=-1).mean(axis=0)
+        del logits   # freed before the next head's are allocated
+    return out
 
 
 def pooled_importance(imp: np.ndarray, config: CompressionConfig) -> np.ndarray:

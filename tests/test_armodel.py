@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,7 @@ from flowcache_sim import (PROFILES, ChunkState, KVPlan, PowerLawSchedule,
                            perturbed_velocity, resolve_config, run_denoise,
                            total_global_steps, trajectory)
 from flowcache_sim import armodel
-from flowcache_sim.armodel import make_scene, recompute_flops
+from flowcache_sim.armodel import recompute_flops
 from flowcache_sim.cli import _apply_axis
 from flowcache_sim.config import _deep_merge
 from flowcache_sim.errors import InvalidConfig, InvalidInput, Singularity
@@ -75,7 +79,8 @@ class TestVelocities:
     def setup_method(self):
         self.sched = PowerLawSchedule(power=1.0, steps=8)
         self.scene = small_scene()
-        self.chunk = make_scene(self.scene)[0]
+        self.chunk = ChunkState(index=1,
+                                clean_latent=make_clean_latent(self.scene, 1))
         self.chunk.latent = make_initial_noise(self.scene, 1)
 
     def test_fixed_point(self):
@@ -99,7 +104,7 @@ class TestVelocities:
         # within 1e-3 relative L1 at every grid point
         scene = small_scene(norm_base=0.5)
         sched = PowerLawSchedule(power=1.5, steps=512)
-        chunk = make_scene(scene)[0]
+        chunk = ChunkState(index=1, clean_latent=make_clean_latent(scene, 1))
         noise = make_initial_noise(scene, 1)
         diff = noise - chunk.clean_latent
         chunk.latent = noise.copy()
@@ -182,7 +187,8 @@ class TestRunLifecycle:
         scene = small_scene(num_chunks=2, window=1, norm_base=0.2)
         sched = PowerLawSchedule(power=power, steps=256)
         trace = run_denoise(scene, sched, policy=ReusePolicy(0.0, 0))
-        for chunk in make_scene(scene):
+        for i in range(1, scene.num_chunks + 1):
+            chunk = ChunkState(index=i, clean_latent=make_clean_latent(scene, i))
             final = trace.final_latents[chunk.index]
             rel = (np.abs(final - chunk.clean_latent).sum()
                    / np.abs(chunk.clean_latent).sum())
@@ -288,6 +294,49 @@ class TestTrajectoryIgnoresKV:
         assert [c.index for c in finished] == list(range(1, scene.num_chunks + 1))
         for chunk in finished:
             assert np.array_equal(chunk.latent, trace.final_latents[chunk.index])
+
+
+class TestWorkingSet:
+    """Chunk state lives only while its window is open."""
+
+    @staticmethod
+    def live_chunk_states():
+        return sum(type(o) is ChunkState for o in gc.get_objects())
+
+    def test_finished_chunk_states_die_by_the_next_step(self):
+        scene = SceneConfig(num_chunks=12, window=3, shape=(4, 2, 3, 3), seed=5)
+        sched = PowerLawSchedule(power=1.0, steps=6)
+        gc.collect()
+        before = self.live_chunk_states()
+        refs, seen = [], 0
+        for _, _, finished, _ in trajectory(scene, sched, ReusePolicy(0.015, 1), 0.0):
+            assert all(ref() is None for ref in refs)
+            assert self.live_chunk_states() - before <= scene.window
+            refs = [weakref.ref(chunk) for chunk in finished]
+            seen += len(refs)
+        del finished
+        assert all(ref() is None for ref in refs)
+        assert seen == scene.num_chunks
+
+    @staticmethod
+    def transient_bytes(num_chunks):
+        scene = SceneConfig(num_chunks=num_chunks, window=4, shape=(8, 4, 6, 6))
+        sched = PowerLawSchedule(power=1.0, steps=8)
+        tracemalloc.start()
+        try:
+            trace = run_denoise(scene, sched, ReusePolicy(0.015, 2),
+                                KVPlan(budget_chunks=None))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.final_latents) == num_chunks
+        return peak - retained
+
+    def test_peak_above_the_trace_does_not_grow_with_chunks(self):
+        self.transient_bytes(20)   # warm caches outside the measured runs
+        latent_bytes = 8 * SceneConfig(shape=(8, 4, 6, 6)).numel
+        assert (self.transient_bytes(80)
+                <= self.transient_bytes(20) + latent_bytes)
 
 
 class TestNonFiniteSteps:

@@ -90,6 +90,7 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(cfg_file),
                        "--out", str(tmp_path / "out")) == 2
         assert path in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -122,7 +123,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert run_cli("run", "--config", str(cfg_file), "--out", str(out)) == 2
         assert "trace has no recorded model cost" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -200,10 +201,13 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("axis,values", [("lambda", "0.1,abc"),
                                              ("budget", "2.5")])
-    def test_bad_value_usage_error(self, axis, values, capsys):
-        assert run_cli("sweep", "--axis", axis, "--values", values) == 2
+    def test_bad_value_usage_error(self, axis, values, tmp_path, capsys):
+        out = tmp_path / "sweeps"
+        assert run_cli("sweep", "--axis", axis, "--values", values,
+                       "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert axis in err and repr(values.split(",")[-1]) in err
+        assert not out.exists()
 
     def test_writes_csv(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "sweeps"

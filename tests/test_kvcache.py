@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from flowcache_sim import (CompressionConfig, KVBuffer, combined_score,
                            pooled_importance, redundancy_fast,
                            redundancy_naive, select_tokens)
 from flowcache_sim.errors import DegenerateInput, InvalidConfig, InvalidInput
-from flowcache_sim.numerics import maxpool1d
+from flowcache_sim.numerics import maxpool1d, softmax_
 
 
 def cfg(**kw):
@@ -37,6 +38,19 @@ def importance_oracle(queries, keys, window):
                 count += 1
         out[h] /= count
     return out
+
+
+def batched_importance(queries, keys, window):
+    """All key heads' logits in one matmul: the expression the per-head loop replaced."""
+    l_q, h_q, d = queries.shape
+    h_k = keys.shape[1]
+    group = h_q // h_k
+    w = min(window, l_q)
+    rows = (queries[-w:].reshape(w, h_k, group, d)
+            .transpose(1, 0, 2, 3).reshape(h_k, w * group, d))
+    logits = np.matmul(rows, keys.transpose(1, 2, 0))
+    logits /= np.sqrt(d)
+    return softmax_(logits, axis=-1).mean(axis=1)
 
 
 class TestImportance:
@@ -87,6 +101,32 @@ class TestImportance:
     def test_head_divisibility(self):
         with pytest.raises(InvalidInput):
             importance(np.zeros((2, 3, 4)), np.zeros((5, 2, 4)), cfg())
+
+    @pytest.mark.parametrize("h_k", [1, 2, 4])
+    @pytest.mark.parametrize("group", [1, 2])
+    @pytest.mark.parametrize("window", [7, 60])
+    def test_per_head_loop_matches_batched_bits(self, h_k, group, window):
+        rng = np.random.default_rng(10 * h_k + group)
+        q = rng.normal(size=(33, h_k * group, 16))
+        keys = rng.normal(size=(301, h_k, 16))
+        assert np.array_equal(importance(q, keys, cfg(query_window=window)),
+                              batched_importance(q, keys, window))
+
+    def test_transient_is_one_heads_logits(self):
+        h_k, group, w, l_k = 4, 2, 50, 2000
+        rng = np.random.default_rng(11)
+        q = rng.normal(size=(w, h_k * group, 16))
+        keys = rng.normal(size=(l_k, h_k, 16))
+        config = cfg(query_window=w)
+        importance(q, keys, config)   # warm caches outside the measured call
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            importance(q, keys, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1.3 * (w * group * l_k * 8)
 
     @settings(max_examples=80, deadline=None)
     @given(l_q=st.integers(1, 8), h_k=st.integers(1, 3),
