@@ -6,7 +6,7 @@ velocity field has a closed form and every run is exactly reproducible from
 steps (at most ``window`` active at once) and each performs ``steps`` local
 denoising steps. ``trajectory`` runs that denoising and never touches the KV
 buffer; ``run_denoise`` reads its events, feeds finished chunks' projected
-key/value states into the buffer, and accounts occupancy and cost.
+keys and queries into the buffer, and accounts occupancy and cost.
 
 The expensive transformer forward is replaced by a cost model: a computed
 chunk-step is charged a fixed forward cost plus an attention cost
@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import InvalidConfig, InvalidInput, Singularity
-from .kvcache import CompressionConfig, KVBuffer, pool_queries_by_frame
+from .kvcache import CompressionConfig, KVBuffer
 from .numerics import FLOAT, l1_norm
 from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
                     decide, estimate_metric)
@@ -107,7 +107,7 @@ class CostModel:
 
     flops_per_chunk_forward: float = 1.0
     flops_per_kv_token_pair: float = 1e-6
-    bytes_per_kv_token: float = 256.0   # 2 stores * heads * dim * 4B (fp32 accounting)
+    bytes_per_kv_token: float = 256.0   # 2 stores (K and V; only K kept) * heads * dim * 4B
 
     def __post_init__(self):
         if min(self.flops_per_chunk_forward, self.flops_per_kv_token_pair,
@@ -226,42 +226,29 @@ def perturbed_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
     return base + (noise_scale * l1_norm(base, "ideal_velocity") / g_norm) * g
 
 
-class _Projector:
-    """Seeded linear maps from latent channels to per-head K/Q/V rows.
+def _projection_weights(scene: SceneConfig, plan: KVPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (heads, channels, dim) key and query maps from latent channels."""
+    rng = np.random.default_rng([scene.seed, _TAG_PROJ])
+    c = scene.shape[0]
+    scale = 1.0 / math.sqrt(c)
+    w_key = rng.standard_normal((plan.key_heads, c, plan.head_dim)) * scale
+    # value weights, unread: standard_normal is a ziggurat, so a skip moves w_query and all hashes
+    rng.standard_normal((plan.key_heads, c, plan.head_dim))
+    w_query = rng.standard_normal((plan.query_heads, c, plan.head_dim)) * scale
+    return w_key, w_query
 
-    Key and query rows are l2-normalized per token so attention logits have
-    a usable scale regardless of latent magnitude; values are left raw.
+
+def _project(latent: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per-head (tokens, heads, dim) rows of ``latent`` under the map ``w``.
+
+    Rows are l2-normalized per token so attention logits have a usable scale
+    regardless of latent magnitude; an all-zero token stays zero.
     """
-
-    def __init__(self, scene: SceneConfig, plan: KVPlan):
-        rng = np.random.default_rng([scene.seed, _TAG_PROJ])
-        c = scene.shape[0]
-        scale = 1.0 / math.sqrt(c)
-        self.w_key = rng.standard_normal((plan.key_heads, c, plan.head_dim)) * scale
-        self.w_value = rng.standard_normal((plan.key_heads, c, plan.head_dim)) * scale
-        self.w_query = rng.standard_normal((plan.query_heads, c, plan.head_dim)) * scale
-
-    @staticmethod
-    def _tokens(latent: np.ndarray) -> np.ndarray:
-        c = latent.shape[0]
-        return latent.reshape(c, -1).T          # (tokens, channels)
-
-    @staticmethod
-    def _unit_rows(x: np.ndarray) -> np.ndarray:
-        norms = np.sqrt(np.einsum("thd,thd->th", x, x))
-        norms[norms == 0.0] = 1.0
-        return x / norms[:, :, None]
-
-    def keys_values(self, latent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        feats = self._tokens(latent)
-        keys = np.einsum("tc,hcd->thd", feats, self.w_key)
-        values = np.einsum("tc,hcd->thd", feats, self.w_value)
-        return self._unit_rows(keys), values
-
-    def queries(self, latent: np.ndarray) -> np.ndarray:
-        feats = self._tokens(latent)
-        q = np.einsum("tc,hcd->thd", feats, self.w_query)
-        return self._unit_rows(q)
+    c = latent.shape[0]
+    rows = np.einsum("tc,hcd->thd", latent.reshape(c, -1).T, w)
+    norms = np.sqrt(np.einsum("thd,thd->th", rows, rows))
+    norms[norms == 0.0] = 1.0
+    return rows / norms[:, :, None]
 
 
 def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
@@ -330,16 +317,17 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     computes); an epsilon=0 policy takes the same decisions and produces a
     bitwise-identical trace. ``kv.budget_chunks=None`` disables compression:
     no buffer is kept and finished chunks add their tokens uncompressed.
-    Otherwise each finished chunk's keys and values enter the buffer, scored
-    against the newest still-active chunk's queries (or its own). At most
-    ``window`` chunk states are live; a finished chunk keeps only its latent.
+    Otherwise each finished chunk's keys enter the buffer with the queries
+    of the newest still-active chunk (or its own), which the buffer pools
+    and scores against when it compresses. At most ``window`` chunk states
+    are live; a finished chunk keeps only its latent.
     """
     kv = kv or KVPlan()
     cost = cost or CostModel()
     tokens_per_chunk = scene.tokens_per_chunk
     buffer = None
     if kv.budget_chunks is not None:
-        projector = _Projector(scene, kv)
+        w_key, w_query = _projection_weights(scene, kv)
         buffer = KVBuffer(
             key_heads=kv.key_heads, head_dim=kv.head_dim,
             tokens_per_chunk=tokens_per_chunk, frame_tokens=scene.tokens_per_frame,
@@ -360,13 +348,10 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
             if buffer is None:
                 clean_tokens += tokens_per_chunk
                 continue
-            keys, values = projector.keys_values(chunk.latent)
-            queries = projector.queries(
-                chunk.latent if query_latent is None else query_latent)
-            if kv.compression.query_granularity == "frame":
-                queries = pool_queries_by_frame(queries, scene.tokens_per_frame)
+            queries = _project(
+                chunk.latent if query_latent is None else query_latent, w_query)
             report = buffer.add_clean_chunk(
-                chunk.index, keys, values, queries, kv.compression, g)
+                chunk.index, _project(chunk.latent, w_key), queries, kv.compression, g)
             if report is not None:
                 trace.compressions.append(report)
             clean_tokens = buffer.clean_tokens

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .armodel import recompute_flops, run_denoise
-from .config import PROFILES, build_objects, resolve_config
+from .config import PROFILES, build_objects, resolve_config, section
 from .errors import SimulatorError
 from .trace import curves_csv, flops_speedup, speedup
 from .verify import SUITES, run_suite
@@ -102,17 +102,17 @@ def _parse_values(axis: str, raw: str) -> list:
 def _apply_axis(cfg: dict, axis: str, value) -> dict:
     out = copy.deepcopy(cfg)
     if axis == "lambda":
-        out["kv"]["mix_lambda"] = value
+        section(out, "kv")["mix_lambda"] = value
     elif axis == "budget":
         # budget rows exclude reuse so the memory axis is isolated
-        out["kv"]["budget_chunks"] = value
+        section(out, "kv")["budget_chunks"] = value
         out["policy"] = {"epsilon": 0.0, "warmup": 0}
     elif axis == "granularity":
-        out["kv"]["key_granularity"] = value
+        section(out, "kv")["key_granularity"] = value
     elif axis == "epsilon":
-        policy = out.get("policy") or {"epsilon": 0.0, "warmup": 0}
-        policy["epsilon"] = value
-        out["policy"] = policy
+        if out.get("policy") is None:
+            out["policy"] = {"epsilon": 0.0, "warmup": 0}
+        section(out, "policy")["epsilon"] = value
     return out
 
 

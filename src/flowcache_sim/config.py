@@ -94,8 +94,16 @@ def resolve_config(profile: Optional[str] = None,
             raise InvalidConfig("config file must contain a JSON object")
         _deep_merge(cfg, overrides)
     if seed is not None:
-        cfg["scene"]["seed"] = int(seed)
+        section(cfg, "scene")["seed"] = int(seed)
     return cfg
+
+
+def section(cfg: dict, name: str) -> dict:
+    """The config section ``name``; InvalidConfig unless it is an object."""
+    body = cfg.get(name) if isinstance(cfg, dict) else None
+    if not isinstance(body, dict):
+        raise InvalidConfig(f"{name} is missing or not an object")
+    return body
 
 
 def _is_int(v) -> bool:
@@ -132,9 +140,7 @@ def _build(cls, cfg: dict, name: str):
 
     A nested component (KVPlan's CompressionConfig) reads the same section.
     """
-    body = cfg.get(name) if isinstance(cfg, dict) else None
-    if not isinstance(body, dict):
-        raise InvalidConfig(f"{name} is missing or not an object")
+    body = section(cfg, name)
     kwargs = {}
     for f in dataclasses.fields(cls):
         hint = _HINTS[cls][f.name]

@@ -1,7 +1,7 @@
 """Fixed-budget KV buffer with joint importance-redundancy scoring.
 
-The buffer holds the clean region only: the key/value states of finished
-chunks, capped at ``budget_tokens`` per head. Clean chunks append
+The buffer holds the clean region only: the keys of finished chunks,
+capped at ``budget_tokens`` per head. Clean chunks append
 uncompressed until the region would overflow; from then on every arrival
 triggers a compression that retains the top-scoring tokens per head. Chunks
 still denoising never enter the buffer; the run counts their tokens.
@@ -9,8 +9,9 @@ still denoising never enter the buffer; the run counts their tokens.
 Scoring combines two per-head distributions over the candidate tokens:
 importance (attention mass received from recent query tokens, max-pooled for
 robustness) and redundancy (mean cosine similarity to the other cached keys,
-penalized). Selection keeps the ``budget`` highest-scoring tokens per head,
-optionally at frame or chunk granularity.
+penalized); neither reads values, so none are kept. Queries are optionally
+mean-pooled per frame before scoring. Selection keeps the ``budget``
+highest-scoring tokens per head, optionally at frame or chunk granularity.
 """
 
 from __future__ import annotations
@@ -214,28 +215,25 @@ class HeadReport:
 
 @dataclass
 class CompressionReport:
-    """JSON-serializable record of one compression pass."""
+    """Record of one compression pass; ``RunTrace.to_dict`` writes its JSON."""
 
     global_step: int
     arriving_chunk: int
     candidate_tokens: int
     heads: dict[int, HeadReport] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "no_op": False,   # every pass evicts
-                "heads": {str(h): dict(vars(rep)) for h, rep in self.heads.items()}}
-
 
 class KVBuffer:
-    """Compressed clean region of the key/value cache, under a token budget.
+    """Compressed clean region of the key cache, under a token budget.
 
-    Holds the tokens of finished chunks as dense token-major arrays: keys and
-    values (L, H, d) and global token ids (L, H). Every compression keeps the
-    same count for each head, so the region stays dense; row i of head h is
-    that head's i-th retained token, in ascending id order. Chunks still
+    Holds the tokens of finished chunks as dense token-major arrays: keys
+    (L, H, d) and global token ids (L, H). Every compression keeps the same
+    count for each head, so the region stays dense; row i of head h is that
+    head's i-th retained token, in ascending id order. Chunks still
     denoising are not stored here: their occupancy is a token count that
     ``run_denoise`` keeps, and a run without a budget keeps no buffer.
-    ``frame_tokens`` is the group size that frame key granularity selects.
+    ``frame_tokens`` is the frame size: the group that frame key granularity
+    selects and the rows that frame query granularity mean-pools.
     """
 
     def __init__(self, key_heads: int, head_dim: int, tokens_per_chunk: int,
@@ -250,7 +248,6 @@ class KVBuffer:
         self.budget_tokens = budget_tokens
         self.frame_tokens = frame_tokens
         self._keys = np.empty((0, key_heads, head_dim), dtype=FLOAT)
-        self._values = np.empty((0, key_heads, head_dim), dtype=FLOAT)
         self._ids = np.empty((0, key_heads), dtype=np.int64)
 
     @property
@@ -260,23 +257,21 @@ class KVBuffer:
     def retained_ids(self, head: int) -> np.ndarray:
         return self._ids[:, head].copy()
 
-    def add_clean_chunk(self, chunk_index: int, keys: np.ndarray, values: np.ndarray,
+    def add_clean_chunk(self, chunk_index: int, keys: np.ndarray,
                         queries: np.ndarray, config: CompressionConfig,
                         global_step: int) -> Optional[CompressionReport]:
-        """Fold a finished chunk's KV states into the clean region.
+        """Fold a finished chunk's keys into the clean region.
 
         Appends while the clean region fits the budget; once an arrival
-        overflows it, the merged candidate set is compressed on every arrival.
-        Returns the compression report, or None during the fill phase.
+        overflows it, the merged candidate set is compressed on every arrival,
+        scored against ``queries``. Returns the compression report, or None
+        during the fill phase, which never reads ``queries``.
         """
         if keys.shape != (self.tokens_per_chunk, self.key_heads, self.head_dim):
             raise InvalidInput(f"bad key shape {keys.shape}")
-        if values.shape != keys.shape:
-            raise InvalidInput("keys and values shapes differ")
         base = (chunk_index - 1) * self.tokens_per_chunk
         new_ids = base + np.arange(self.tokens_per_chunk, dtype=np.int64)
         self._keys = np.concatenate([self._keys, keys])
-        self._values = np.concatenate([self._values, values])
         self._ids = np.concatenate(
             [self._ids, np.broadcast_to(new_ids[:, None], keys.shape[:2])])
         if self.clean_tokens <= self.budget_tokens:
@@ -287,6 +282,8 @@ class KVBuffer:
                   config: CompressionConfig, global_step: int) -> CompressionReport:
         """Score the over-budget clean region and keep the budget per head."""
         n_cand = self.clean_tokens
+        if config.query_granularity == "frame":
+            queries = pool_queries_by_frame(queries, self.frame_tokens)
         scores = score_candidates(queries, self._keys, config)
         keep = np.stack(
             [select_tokens(row, self.budget_tokens, config.key_granularity,
@@ -294,7 +291,6 @@ class KVBuffer:
              for row in scores], axis=1)                 # (kept, H)
         heads = np.arange(self.key_heads)
         self._keys = self._keys[keep, heads]
-        self._values = self._values[keep, heads]
         self._ids = self._ids[keep, heads]
         report = CompressionReport(
             global_step=global_step, arriving_chunk=chunk_index,

@@ -160,7 +160,9 @@ class RunTrace:
             "config": self.config,
             "records": [{**vars(r), "chunks": [dict(vars(c)) for c in r.chunks]}
                         for r in self.records],
-            "compressions": [rep.to_dict() for rep in self.compressions],
+            "compressions": [{**vars(c), "no_op": False,   # always false: every pass evicts
+                              "heads": {str(h): dict(vars(r)) for h, r in c.heads.items()}}
+                             for c in self.compressions],
             "totals": {**asdict(self.totals),
                        "reuse_fraction": self.totals.reuse_fraction},
             "final_latents": {

@@ -245,6 +245,31 @@ class TestRunLifecycle:
         assert all(rec.kv_clean_tokens <= 2 * tpc for rec in trace.records)
 
 
+class TestProjection:
+    """One unit-row projection serves keys and queries, bit for bit as before."""
+
+    @staticmethod
+    def written_out(latent, w):
+        feats = latent.reshape(latent.shape[0], -1).T
+        rows = np.einsum("tc,hcd->thd", feats, w)
+        norms = np.sqrt(np.einsum("thd,thd->th", rows, rows))
+        norms[norms == 0.0] = 1.0
+        return rows / norms[:, :, None]
+
+    def test_keys_and_queries_bit_equal_with_a_zero_token(self):
+        scene = small_scene()
+        w_key, w_query = armodel._projection_weights(scene, KVPlan())
+        latent = make_initial_noise(scene, 1)
+        latent[:, 0, 0, 0] = 0.0   # token 0 is all zero across channels
+        for w in (w_key, w_query):
+            got = armodel._project(latent, w)
+            assert got.shape == (scene.tokens_per_chunk, w.shape[0], w.shape[2])
+            assert np.array_equal(got, self.written_out(latent, w))
+            assert not np.isnan(got).any()
+            assert np.all(got[0] == 0.0)
+            assert np.allclose(np.linalg.norm(got[1:], axis=-1), 1.0)
+
+
 class TestTrajectoryIgnoresKV:
     """The KV buffer never feeds back into decisions or latents."""
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from flowcache_sim import PowerLawSchedule, SceneConfig, run_denoise
+from flowcache_sim import cli
 from flowcache_sim.cli import main
 from flowcache_sim.errors import InvalidConfig
 
@@ -12,6 +13,14 @@ from flowcache_sim.errors import InvalidConfig
 def run_cli(*argv):
     return main(list(argv))
 
+
+def no_simulation(*args, **kwargs):
+    raise AssertionError("a config error must exit before any simulation")
+
+
+# one valid --values entry per sweep axis
+AXIS_VALUE = {"budget": "2", "lambda": "0.1", "granularity": "frame",
+              "epsilon": "0.01"}
 
 # config file text with one bad field, by the dotted path the error must name
 BAD_CONFIGS = {
@@ -90,6 +99,17 @@ class TestRunCommand:
         assert run_cli("run", "--config", str(cfg_file),
                        "--out", str(tmp_path / "out")) == 2
         assert path in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("body", ['{"scene": 5}', '{"scene": null}'])
+    def test_seed_over_a_non_object_scene(self, tmp_path, capsys, monkeypatch,
+                                          body):
+        monkeypatch.setattr(cli, "run_denoise", no_simulation)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(body)
+        assert run_cli("run", "--config", str(cfg_file), "--seed", "3",
+                       "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == "error: scene is missing or not an object\n"
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
@@ -193,6 +213,26 @@ class TestSweepCommand:
                        "--config", small_cfg) == 0
         rows = self.read_rows(capsys.readouterr().out)
         assert [r["value"] for r in rows] == ["token", "frame", "chunk"]
+
+    @pytest.mark.parametrize("axis,name", [
+        ("budget", "kv"), ("lambda", "kv"), ("granularity", "kv"),
+        ("epsilon", "policy")])
+    def test_non_object_section(self, tmp_path, capsys, monkeypatch, axis, name):
+        monkeypatch.setattr(cli, "run_denoise", no_simulation)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({name: 3}))
+        assert run_cli("sweep", "--axis", axis, "--values", AXIS_VALUE[axis],
+                       "--config", str(cfg_file)) == 2
+        assert capsys.readouterr().err == f"error: {name} is missing or not an object\n"
+
+    @pytest.mark.parametrize("axis", list(AXIS_VALUE))
+    def test_null_policy_runs_on_every_axis(self, tmp_path, capsys, axis):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"policy": None, "scene": {
+            "num_chunks": 4, "window": 2, "shape": [4, 2, 3, 3]}}))
+        assert run_cli("sweep", "--axis", axis, "--values", AXIS_VALUE[axis],
+                       "--config", str(cfg_file)) == 0
+        assert len(self.read_rows(capsys.readouterr().out)) == 1
 
     def test_bad_axis_usage_error(self):
         with pytest.raises(SystemExit) as exc:

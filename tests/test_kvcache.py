@@ -12,7 +12,9 @@ from flowcache_sim import (CompressionConfig, KVBuffer, combined_score,
                            pooled_importance, redundancy_fast,
                            redundancy_naive, select_tokens)
 from flowcache_sim.errors import DegenerateInput, InvalidConfig, InvalidInput
+from flowcache_sim.kvcache import pool_queries_by_frame
 from flowcache_sim.numerics import maxpool1d, softmax_
+from flowcache_sim.trace import RunTrace
 
 
 def cfg(**kw):
@@ -304,9 +306,9 @@ class TestBuffer:
         self.queries = self.rng.normal(size=(10, 4, 4))
 
     def feed(self, chunk_index):
-        keys, values = make_chunk_kv(self.rng, self.tokens, 2, 4)
-        return self.buffer.add_clean_chunk(chunk_index, keys, values,
-                                           self.queries, cfg(), chunk_index)
+        keys, _ = make_chunk_kv(self.rng, self.tokens, 2, 4)   # values still drawn
+        return self.buffer.add_clean_chunk(chunk_index, keys, self.queries,
+                                           cfg(), chunk_index)
 
     def test_fill_phase_appends(self):
         assert self.feed(1) is None
@@ -346,7 +348,8 @@ class TestBuffer:
         self.feed(1)
         self.feed(2)
         report = self.feed(3)
-        payload = json.dumps(report.to_dict())
+        payload = json.dumps(RunTrace(config={}, compressions=[report])
+                             .to_dict()["compressions"][0])
         back = json.loads(payload)
         assert back["heads"]["0"]["retained_ids"] == [
             int(i) for i in self.buffer.retained_ids(0)]
@@ -359,6 +362,41 @@ class TestBuffer:
                     budget_tokens=24, frame_tokens=4)
         with pytest.raises(InvalidConfig, match="dimensions must be positive"):
             KVBuffer(**{**dims, field: 0})
+
+
+class TestFrameQueries:
+    """The buffer pools frame queries itself, and only when it compresses."""
+
+    @staticmethod
+    def buffer():
+        return KVBuffer(key_heads=2, head_dim=4, tokens_per_chunk=12,
+                        budget_tokens=24, frame_tokens=4)
+
+    def test_pooled_in_buffer_equals_pooled_by_caller(self):
+        rng = np.random.default_rng(21)
+        queries = rng.normal(size=(12, 4, 4))
+        frame, token = self.buffer(), self.buffer()
+        reports = 0
+        for i in range(1, 5):
+            keys, _ = make_chunk_kv(rng, 12, 2, 4)
+            got = frame.add_clean_chunk(i, keys, queries,
+                                        cfg(query_granularity="frame"), i)
+            want = token.add_clean_chunk(i, keys, pool_queries_by_frame(queries, 4),
+                                         cfg(), i)
+            assert got == want   # dataclass equality: ids and float scores exact
+            reports += got is not None
+        assert reports == 2
+
+    def test_fill_phase_does_not_pool(self):
+        rng = np.random.default_rng(22)
+        queries = rng.normal(size=(7, 4, 4))   # 7 rows: not whole frames of 4
+        frame = cfg(query_granularity="frame")
+        buffer = self.buffer()
+        for i in (1, 2):   # 24 tokens fit the budget: nothing scores the queries
+            assert buffer.add_clean_chunk(
+                i, make_chunk_kv(rng, 12, 2, 4)[0], queries, frame, i) is None
+        with pytest.raises(InvalidConfig, match="not divisible by frame size"):
+            buffer.add_clean_chunk(3, make_chunk_kv(rng, 12, 2, 4)[0], queries, frame, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,8 +415,8 @@ def test_buffer_invariants(heads, frames, frame_size, granularity, arrivals,
     queries = rng.normal(size=(6, heads, 4))
     compressing = False
     for chunk in range(1, arrivals + 1):
-        keys, values = make_chunk_kv(rng, tokens, heads, 4)
-        report = buffer.add_clean_chunk(chunk, keys, values, queries,
+        keys, _ = make_chunk_kv(rng, tokens, heads, 4)
+        report = buffer.add_clean_chunk(chunk, keys, queries,
                                         cfg(key_granularity=granularity), chunk)
         # once the budget overflows, every later arrival compresses
         assert (report is not None) == (compressing or chunk * tokens > budget)
