@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcache_sim import PROFILES, build_objects, run_denoise
-from flowcache_sim.errors import InvalidConfig, SimulatorError
+from flowcache_sim.errors import InvalidConfig, InvalidInput, SimulatorError
 from flowcache_sim.trace import RunTrace, _config_snapshot
 
 TINY = copy.deepcopy(PROFILES["magi-fast"])
@@ -54,3 +54,32 @@ def test_one_bad_field_runs_or_raises_simulator_error(where, value):
     except SimulatorError:
         return
     assert isinstance(trace, RunTrace)
+
+
+# one out-of-range or unknown kv value each, with the error build_objects raises
+KV_INVALID = [
+    ("key_heads", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
+    ("query_heads", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
+    ("head_dim", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
+    ("query_heads", 3, InvalidConfig, "kv: query_heads must be a multiple of key_heads"),
+    ("budget_chunks", 0, InvalidConfig, "kv: budget_chunks must be positive or None"),
+    ("mix_lambda", 1.5, InvalidInput, "kv: mix_lambda must be in [0, 1], got 1.5"),
+    ("mix_lambda", -0.1, InvalidInput, "kv: mix_lambda must be in [0, 1], got -0.1"),
+    ("pool_kernel", 4, InvalidInput, "kv: pool_kernel must be odd, got 4"),
+    ("pool_kernel", 0, InvalidInput, "kv: pool_kernel must be odd, got 0"),
+    ("query_window", 0, InvalidInput, "kv: query_window must be >= 1"),
+    ("query_granularity", "pixel", InvalidConfig,
+     "kv: unknown query granularity 'pixel'"),
+    ("key_granularity", "pixel", InvalidConfig, "kv: unknown key granularity 'pixel'"),
+]
+
+
+@pytest.mark.parametrize("key, value, error, message", KV_INVALID,
+                         ids=[f"{key}={value}" for key, value, *_ in KV_INVALID])
+def test_kv_value_rejected(key, value, error, message):
+    cfg = copy.deepcopy(TINY)
+    cfg["kv"][key] = value
+    with pytest.raises(error) as info:
+        build_objects(cfg)
+    assert type(info.value) is error
+    assert str(info.value) == message
