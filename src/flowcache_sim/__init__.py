@@ -3,14 +3,14 @@ fixed-budget KV compression in autoregressive video generation."""
 
 __version__ = "0.1.0"
 
-from .armodel import (ChunkState, CostModel, KVPlan, SceneConfig,
-                      active_window, ideal_velocity, make_clean_latent,
-                      make_initial_noise, perturbed_velocity, run_denoise,
-                      total_global_steps, trajectory)
+from .armodel import (ChunkState, CostModel, SceneConfig, active_window,
+                      ideal_velocity, make_clean_latent, make_initial_noise,
+                      perturbed_velocity, run_denoise, total_global_steps,
+                      trajectory)
 from .config import PROFILES, build_objects, resolve_config
 from .errors import (DegenerateInput, InternalError, InvalidComparison,
                      InvalidConfig, InvalidInput, SimulatorError, Singularity)
-from .kvcache import (CompressionConfig, CompressionReport, KVBuffer,
+from .kvcache import (CompressionReport, KVBuffer, KVPlan,
                       combined_score, granularity_aggregate, importance,
                       pooled_importance, redundancy_fast, redundancy_naive,
                       score_candidates, select_tokens)

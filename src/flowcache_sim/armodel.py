@@ -6,7 +6,7 @@ velocity field has a closed form and every run is exactly reproducible from
 steps (at most ``window`` active at once) and each performs ``steps`` local
 denoising steps. ``trajectory`` runs that denoising and never touches the KV
 buffer; ``run_denoise`` reads its events, feeds finished chunks' projected
-keys and queries into the buffer, and accounts occupancy and cost.
+keys into the buffer, and accounts occupancy and cost.
 
 The expensive transformer forward is replaced by a cost model: a computed
 chunk-step is charged a fixed forward cost plus an attention cost
@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import InvalidConfig, InvalidInput, Singularity
-from .kvcache import CompressionConfig, KVBuffer
+from .kvcache import KVBuffer, KVPlan
 from .numerics import FLOAT, l1_norm
 from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
                     decide, estimate_metric)
@@ -83,25 +83,6 @@ class SceneConfig:
 
 
 @dataclass(frozen=True)
-class KVPlan:
-    """Buffer geometry plus compression settings for a run."""
-
-    key_heads: int = 2
-    query_heads: int = 4
-    head_dim: int = 16
-    budget_chunks: Optional[int] = 5   # None disables compression
-    compression: CompressionConfig = field(default_factory=CompressionConfig)
-
-    def __post_init__(self):
-        if self.key_heads < 1 or self.query_heads < 1 or self.head_dim < 1:
-            raise InvalidConfig("head counts and head_dim must be positive")
-        if self.query_heads % self.key_heads != 0:
-            raise InvalidConfig("query_heads must be a multiple of key_heads")
-        if self.budget_chunks is not None and self.budget_chunks < 1:
-            raise InvalidConfig("budget_chunks must be positive or None")
-
-
-@dataclass(frozen=True)
 class CostModel:
     """Abstract cost accounting for the simulated forward pass."""
 
@@ -135,7 +116,7 @@ class ChunkState:
 
     index: int                       # 1-based
     clean_latent: np.ndarray         # ground-truth endpoint of denoising
-    latent: Optional[np.ndarray] = None   # None until denoising starts
+    latent: np.ndarray               # current state, noise when the window opens
     latent_norm: float = 0.0         # L1 norm of latent, taken with it
     local_step: int = 0              # the chunk is clean once this is steps
     reuse: ChunkReuseState = field(default_factory=ChunkReuseState)
@@ -199,8 +180,6 @@ def ideal_velocity(chunk: ChunkState, t: float,
     """
     if t <= 0:
         raise Singularity(f"velocity undefined at t={t}")
-    if chunk.latent is None:
-        raise InvalidInput(f"chunk {chunk.index} has no latent (not active)")
     rate = schedule.log_derivative_ratio(t)
     return -rate * (chunk.latent - chunk.clean_latent)
 
@@ -317,10 +296,10 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     computes); an epsilon=0 policy takes the same decisions and produces a
     bitwise-identical trace. ``kv.budget_chunks=None`` disables compression:
     no buffer is kept and finished chunks add their tokens uncompressed.
-    Otherwise each finished chunk's keys enter the buffer with the queries
-    of the newest still-active chunk (or its own), which the buffer pools
-    and scores against when it compresses. At most ``window`` chunk states
-    are live; a finished chunk keeps only its latent.
+    Otherwise each finished chunk's keys enter the buffer with a callable
+    projecting the queries of the newest still-active chunk (or its own),
+    which the buffer calls only when it compresses. At most ``window``
+    chunk states are live; a finished chunk keeps only its latent.
     """
     kv = kv or KVPlan()
     cost = cost or CostModel()
@@ -328,10 +307,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     buffer = None
     if kv.budget_chunks is not None:
         w_key, w_query = _projection_weights(scene, kv)
-        buffer = KVBuffer(
-            key_heads=kv.key_heads, head_dim=kv.head_dim,
-            tokens_per_chunk=tokens_per_chunk, frame_tokens=scene.tokens_per_frame,
-            budget_tokens=kv.budget_chunks * tokens_per_chunk)
+        buffer = KVBuffer(kv, tokens_per_chunk, scene.tokens_per_frame)
     trace = RunTrace(config=_config_snapshot(scene, schedule, policy, kv, cost,
                                              noise_scale))
     clean_tokens = 0
@@ -348,10 +324,10 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
             if buffer is None:
                 clean_tokens += tokens_per_chunk
                 continue
-            queries = _project(
-                chunk.latent if query_latent is None else query_latent, w_query)
+            query_source = chunk.latent if query_latent is None else query_latent
             report = buffer.add_clean_chunk(
-                chunk.index, _project(chunk.latent, w_key), queries, kv.compression, g)
+                chunk.index, _project(chunk.latent, w_key),
+                lambda: _project(query_source, w_query), g)
             if report is not None:
                 trace.compressions.append(report)
             clean_tokens = buffer.clean_tokens

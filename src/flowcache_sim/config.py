@@ -15,12 +15,12 @@ import math
 import typing
 from typing import Any, Optional
 
-from .armodel import CostModel, KVPlan, SceneConfig, total_global_steps
+from .armodel import CostModel, SceneConfig, total_global_steps
 from .errors import InvalidConfig, SimulatorError
-from .kvcache import CompressionConfig
+from .kvcache import KVPlan
 from .reuse import ReusePolicy
 from .schedule import PowerLawSchedule
-from .trace import _config_snapshot
+from .trace import SCHEMA_VERSION, _config_snapshot
 
 # Default power for run profiles. The reuse thresholds below only produce
 # reuse when early-trajectory metrics sit under them; on a uniform grid the
@@ -76,7 +76,9 @@ def resolve_config(profile: Optional[str] = None,
     """Produce the fully-resolved config dict for a run.
 
     Precedence: profile defaults, then config-file fields, then the seed
-    flag. With neither profile nor file, the magi-fast profile applies.
+    flag. With neither profile nor file, the magi-fast profile applies. A
+    config file may carry ``schema_version`` (as a trace's config does) only
+    if it is the current one.
     """
     if profile is not None and profile not in PROFILES:
         raise InvalidConfig(
@@ -92,6 +94,9 @@ def resolve_config(profile: Optional[str] = None,
             raise InvalidConfig(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise InvalidConfig("config file must contain a JSON object")
+        version = overrides.pop("schema_version", SCHEMA_VERSION)
+        if not _is_int(version) or version != SCHEMA_VERSION:
+            raise InvalidConfig(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
         _deep_merge(cfg, overrides)
     if seed is not None:
         section(cfg, "scene")["seed"] = int(seed)
@@ -124,8 +129,7 @@ _TYPE_CHECKS = {
 
 # field type hints per component, resolved once (annotations are strings)
 _HINTS = {cls: typing.get_type_hints(cls)
-          for cls in (SceneConfig, PowerLawSchedule, ReusePolicy, KVPlan,
-                      CompressionConfig, CostModel)}
+          for cls in (SceneConfig, PowerLawSchedule, ReusePolicy, KVPlan, CostModel)}
 
 
 def _checked(where: str, hint, value):
@@ -136,20 +140,13 @@ def _checked(where: str, hint, value):
 
 
 def _build(cls, cfg: dict, name: str):
-    """Construct ``cls`` from section ``name``, checking each field's type.
-
-    A nested component (KVPlan's CompressionConfig) reads the same section.
-    """
+    """Construct ``cls`` from section ``name``, checking each field's type."""
     body = section(cfg, name)
     kwargs = {}
     for f in dataclasses.fields(cls):
-        hint = _HINTS[cls][f.name]
-        if hint in _HINTS:
-            kwargs[f.name] = _build(hint, cfg, name)
-        elif f.name not in body:
+        if f.name not in body:
             raise InvalidConfig(f"{name}.{f.name} is missing")
-        else:
-            kwargs[f.name] = _checked(f"{name}.{f.name}", hint, body[f.name])
+        kwargs[f.name] = _checked(f"{name}.{f.name}", _HINTS[cls][f.name], body[f.name])
     try:
         return cls(**kwargs)
     except SimulatorError as exc:

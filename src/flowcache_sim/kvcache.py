@@ -1,23 +1,25 @@
 """Fixed-budget KV buffer with joint importance-redundancy scoring.
 
-The buffer holds the clean region only: the keys of finished chunks,
-capped at ``budget_tokens`` per head. Clean chunks append
-uncompressed until the region would overflow; from then on every arrival
-triggers a compression that retains the top-scoring tokens per head. Chunks
-still denoising never enter the buffer; the run counts their tokens.
+``KVPlan`` is the run's ``kv`` config section; the buffer is built from it.
+The buffer holds the clean region only: the keys of finished chunks, capped
+at the plan's budget per head. Clean chunks append uncompressed until the
+region would overflow; from then on every arrival triggers a compression
+that retains the top-scoring tokens per head. Chunks still denoising never
+enter the buffer; the run counts their tokens.
 
 Scoring combines two per-head distributions over the candidate tokens:
 importance (attention mass received from recent query tokens, max-pooled for
 robustness) and redundancy (mean cosine similarity to the other cached keys,
-penalized); neither reads values, so none are kept. Queries are optionally
-mean-pooled per frame before scoring. Selection keeps the ``budget``
-highest-scoring tokens per head, optionally at frame or chunk granularity.
+penalized); neither reads values, so none are kept. Queries are asked for
+only when a compression scores them, optionally mean-pooled per frame.
+Selection keeps the ``budget`` highest-scoring tokens per head, optionally at
+frame or chunk granularity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,9 +32,13 @@ _REDUNDANCY_BLOCK = 512
 
 
 @dataclass(frozen=True)
-class CompressionConfig:
-    """Scoring and selection knobs for one compression pass."""
+class KVPlan:
+    """The run's ``kv`` section: buffer geometry, budget and scoring settings."""
 
+    key_heads: int = 2
+    query_heads: int = 4
+    head_dim: int = 16
+    budget_chunks: Optional[int] = 5   # None disables compression
     mix_lambda: float = 0.07          # weight on importance vs redundancy
     pool_kernel: int = 5              # odd max-pool width over token scores
     query_window: int = 50            # trailing query tokens used for importance
@@ -50,10 +56,15 @@ class CompressionConfig:
             raise InvalidConfig(f"unknown query granularity {self.query_granularity!r}")
         if self.key_granularity not in ("token", "frame", "chunk"):
             raise InvalidConfig(f"unknown key granularity {self.key_granularity!r}")
+        if self.key_heads < 1 or self.query_heads < 1 or self.head_dim < 1:
+            raise InvalidConfig("head counts and head_dim must be positive")
+        if self.query_heads % self.key_heads != 0:
+            raise InvalidConfig("query_heads must be a multiple of key_heads")
+        if self.budget_chunks is not None and self.budget_chunks < 1:
+            raise InvalidConfig("budget_chunks must be positive or None")
 
 
-def importance(queries: np.ndarray, keys: np.ndarray,
-               config: CompressionConfig) -> np.ndarray:
+def importance(queries: np.ndarray, keys: np.ndarray, plan: KVPlan) -> np.ndarray:
     """Per-head attention mass over historical tokens, rows summing to 1.
 
     ``queries`` is (L_q, H_q, d) and ``keys`` is (L_k, H_k, d); query heads
@@ -77,7 +88,7 @@ def importance(queries: np.ndarray, keys: np.ndarray,
     if h_q % h_k != 0:
         raise InvalidInput(f"query heads {h_q} not divisible by key heads {h_k}")
     group = h_q // h_k
-    w = min(config.query_window, l_q)
+    w = min(plan.query_window, l_q)
     # (w, h_q, d) -> (h_k, w * group, d), window rows outermost within a head
     window = (queries[-w:].reshape(w, h_k, group, d_q)
               .transpose(1, 0, 2, 3).reshape(h_k, w * group, d_q))
@@ -93,12 +104,12 @@ def importance(queries: np.ndarray, keys: np.ndarray,
     return out
 
 
-def pooled_importance(imp: np.ndarray, config: CompressionConfig) -> np.ndarray:
+def pooled_importance(imp: np.ndarray, plan: KVPlan) -> np.ndarray:
     """Max-pool each head's importance row for robustness to spiky scores."""
     imp = np.asarray(imp, dtype=FLOAT)
     if imp.ndim != 2:
         raise InvalidInput("importance must be (heads, tokens)")
-    return maxpool1d(imp, config.pool_kernel)
+    return maxpool1d(imp, plan.pool_kernel)
 
 
 def redundancy_naive(keys: np.ndarray) -> np.ndarray:
@@ -224,7 +235,7 @@ class CompressionReport:
 
 
 class KVBuffer:
-    """Compressed clean region of the key cache, under a token budget.
+    """Compressed clean region of the key cache, under the plan's budget.
 
     Holds the tokens of finished chunks as dense token-major arrays: keys
     (L, H, d) and global token ids (L, H). Every compression keeps the same
@@ -232,23 +243,22 @@ class KVBuffer:
     head's i-th retained token, in ascending id order. Chunks still
     denoising are not stored here: their occupancy is a token count that
     ``run_denoise`` keeps, and a run without a budget keeps no buffer.
-    ``frame_tokens`` is the frame size: the group that frame key granularity
-    selects and the rows that frame query granularity mean-pools.
+    The budget is ``plan.budget_chunks`` whole chunks. ``frame_tokens`` is
+    the frame size: the group that frame key granularity selects and the
+    rows that frame query granularity mean-pools.
     """
 
-    def __init__(self, key_heads: int, head_dim: int, tokens_per_chunk: int,
-                 budget_tokens: int, frame_tokens: int):
-        if min(key_heads, head_dim, tokens_per_chunk, frame_tokens) < 1:
+    def __init__(self, plan: KVPlan, tokens_per_chunk: int, frame_tokens: int):
+        if min(tokens_per_chunk, frame_tokens) < 1:
             raise InvalidConfig("buffer dimensions must be positive")
-        if budget_tokens < 1:
-            raise InvalidConfig("budget_tokens must be positive")
-        self.key_heads = key_heads
-        self.head_dim = head_dim
+        if plan.budget_chunks is None:
+            raise InvalidConfig("a KV buffer needs budget_chunks")
+        self.plan = plan
         self.tokens_per_chunk = tokens_per_chunk
-        self.budget_tokens = budget_tokens
+        self.budget_tokens = plan.budget_chunks * tokens_per_chunk
         self.frame_tokens = frame_tokens
-        self._keys = np.empty((0, key_heads, head_dim), dtype=FLOAT)
-        self._ids = np.empty((0, key_heads), dtype=np.int64)
+        self._keys = np.empty((0, plan.key_heads, plan.head_dim), dtype=FLOAT)
+        self._ids = np.empty((0, plan.key_heads), dtype=np.int64)
 
     @property
     def clean_tokens(self) -> int:
@@ -258,16 +268,17 @@ class KVBuffer:
         return self._ids[:, head].copy()
 
     def add_clean_chunk(self, chunk_index: int, keys: np.ndarray,
-                        queries: np.ndarray, config: CompressionConfig,
+                        queries: Callable[[], np.ndarray],
                         global_step: int) -> Optional[CompressionReport]:
         """Fold a finished chunk's keys into the clean region.
 
         Appends while the clean region fits the budget; once an arrival
         overflows it, the merged candidate set is compressed on every arrival,
-        scored against ``queries``. Returns the compression report, or None
-        during the fill phase, which never reads ``queries``.
+        scored against the query rows ``queries()`` returns. Returns the
+        compression report, or None during the fill phase, which never
+        calls ``queries``.
         """
-        if keys.shape != (self.tokens_per_chunk, self.key_heads, self.head_dim):
+        if keys.shape != (self.tokens_per_chunk, *self._keys.shape[1:]):
             raise InvalidInput(f"bad key shape {keys.shape}")
         base = (chunk_index - 1) * self.tokens_per_chunk
         new_ids = base + np.arange(self.tokens_per_chunk, dtype=np.int64)
@@ -276,20 +287,22 @@ class KVBuffer:
             [self._ids, np.broadcast_to(new_ids[:, None], keys.shape[:2])])
         if self.clean_tokens <= self.budget_tokens:
             return None
-        return self._compress(chunk_index, queries, config, global_step)
+        return self._compress(chunk_index, queries, global_step)
 
-    def _compress(self, chunk_index: int, queries: np.ndarray,
-                  config: CompressionConfig, global_step: int) -> CompressionReport:
+    def _compress(self, chunk_index: int, queries: Callable[[], np.ndarray],
+                  global_step: int) -> CompressionReport:
         """Score the over-budget clean region and keep the budget per head."""
+        plan = self.plan
         n_cand = self.clean_tokens
-        if config.query_granularity == "frame":
-            queries = pool_queries_by_frame(queries, self.frame_tokens)
-        scores = score_candidates(queries, self._keys, config)
+        query_rows = queries()
+        if plan.query_granularity == "frame":
+            query_rows = pool_queries_by_frame(query_rows, self.frame_tokens)
+        scores = score_candidates(query_rows, self._keys, plan)
         keep = np.stack(
-            [select_tokens(row, self.budget_tokens, config.key_granularity,
+            [select_tokens(row, self.budget_tokens, plan.key_granularity,
                            self.frame_tokens, self.tokens_per_chunk)
              for row in scores], axis=1)                 # (kept, H)
-        heads = np.arange(self.key_heads)
+        heads = np.arange(plan.key_heads)
         self._keys = self._keys[keep, heads]
         self._ids = self._ids[keep, heads]
         report = CompressionReport(
@@ -305,12 +318,12 @@ class KVBuffer:
 
 
 def score_candidates(queries: np.ndarray, keys: np.ndarray,
-                     config: CompressionConfig) -> np.ndarray:
+                     plan: KVPlan) -> np.ndarray:
     """Combined (heads, L) score of a candidate key set, all heads at once."""
-    imp = importance(queries, keys, config)
-    pooled = pooled_importance(imp, config)
+    imp = importance(queries, keys, plan)
+    pooled = pooled_importance(imp, plan)
     red = redundancy_fast(keys)
-    return combined_score(pooled, red, config.mix_lambda)
+    return combined_score(pooled, red, plan.mix_lambda)
 
 
 def pool_queries_by_frame(queries: np.ndarray, frame_size: int) -> np.ndarray:

@@ -67,15 +67,13 @@ class RunTotals:
 
 
 def _config_snapshot(scene, schedule, policy, kv, cost, noise_scale) -> dict:
-    """The run's config dict (``build_objects`` inverts it); kv is flat."""
-    kv_section = asdict(kv)
-    kv_section.update(kv_section.pop("compression"))
+    """The run's config dict (``build_objects`` inverts it)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "scene": {**asdict(scene), "shape": list(scene.shape)},
         "schedule": asdict(schedule),
         "policy": None if policy is None else asdict(policy),
-        "kv": kv_section,
+        "kv": asdict(kv),
         "cost": asdict(cost),
         "noise_scale": noise_scale,
     }

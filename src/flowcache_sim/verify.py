@@ -16,8 +16,7 @@ import numpy as np
 
 from .armodel import ChunkState, ideal_velocity, smooth_profile
 from .errors import InvalidInput
-from .kvcache import (CompressionConfig, importance, redundancy_fast,
-                      redundancy_naive)
+from .kvcache import KVPlan, importance, redundancy_fast, redundancy_naive
 from .numerics import FLOAT, l1_norm, maxpool1d, softmax, stable_topk
 from .reuse import COMPUTE, REUSE, ChunkReuseState, ReusePolicy, decide, relative_l1
 from .schedule import PowerLawSchedule
@@ -132,7 +131,7 @@ def suite_kernels(seed: int = 0) -> list[CheckResult]:
     for group, l_q, window in ((1, 12, 5), (2, 12, 5), (1, 3, 8), (2, 3, 8)):
         queries = rng.normal(size=(l_q, 2 * group, 8))
         keys = rng.normal(size=(24, 2, 8))
-        got = importance(queries, keys, CompressionConfig(query_window=window))
+        got = importance(queries, keys, KVPlan(query_window=window))
         worst = max(worst, float(np.abs(
             got - _importance_oracle(queries, keys, window)).max()))
     results.append(CheckResult(
@@ -183,7 +182,7 @@ def theorem_metric_series(power: float, steps: int, chunk_seed: int,
     sigma_min = schedule.sigma(schedule.total_time / steps)
     amplitude = 0.25 * sigma_min * np.abs(noise).min()
     clean = amplitude * _smooth_unit(shape, rng)
-    chunk = ChunkState(index=1, clean_latent=clean)
+    chunk = ChunkState(index=1, clean_latent=clean, latent=noise)
     diff = noise - clean
     metrics = np.empty(steps, dtype=FLOAT)
     for j, ls in enumerate(range(steps)):
@@ -234,7 +233,7 @@ def suite_corollary(seed: int = 0, chunks: int = 8,
     interior = range(1, steps)   # grid indices with t strictly inside (0, T)
     metrics = np.empty((chunks, steps - 1), dtype=FLOAT)
     for ci in range(chunks):
-        chunk = ChunkState(index=ci + 1, clean_latent=cleans[ci])
+        chunk = ChunkState(index=ci + 1, clean_latent=cleans[ci], latent=shared_noise)
         for j, i in enumerate(interior):
             t = schedule.total_time * i / steps
             chunk.latent = cleans[ci] + schedule.sigma(t) * diffs[ci]

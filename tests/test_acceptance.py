@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from flowcache_sim import (CompressionConfig, KVPlan, PowerLawSchedule,
+from flowcache_sim import (KVPlan, PowerLawSchedule,
                            ReusePolicy, SceneConfig, importance, l1rel_curves,
                            pooled_importance, redundancy_fast, run_denoise,
                            select_tokens, speedup, stable_topk)
@@ -83,7 +83,7 @@ def test_criterion_5_topb_selection_oracle():
                                    key=lambda i: (-scores[i], i))[:budget])
             mismatches += got != oracle
         # end-to-end: lambda=1 selection must equal the pooled-importance top-B
-        cfg = CompressionConfig(mix_lambda=1.0)
+        cfg = KVPlan(mix_lambda=1.0)
         for seed in range(5):
             r = np.random.default_rng(seed)
             queries = r.normal(size=(20, 4, 8))
@@ -105,7 +105,7 @@ def test_criterion_5_topb_selection_oracle():
 
 def test_criterion_6_distribution_invariants():
     rng = np.random.default_rng(1)
-    cfg = CompressionConfig()
+    cfg = KVPlan()
     worst = 0.0
     for _ in range(100):
         l_q = int(rng.integers(1, 30))

@@ -80,8 +80,8 @@ class TestVelocities:
         self.sched = PowerLawSchedule(power=1.0, steps=8)
         self.scene = small_scene()
         self.chunk = ChunkState(index=1,
-                                clean_latent=make_clean_latent(self.scene, 1))
-        self.chunk.latent = make_initial_noise(self.scene, 1)
+                                clean_latent=make_clean_latent(self.scene, 1),
+                                latent=make_initial_noise(self.scene, 1))
 
     def test_fixed_point(self):
         self.chunk.latent = self.chunk.clean_latent.copy()
@@ -104,10 +104,10 @@ class TestVelocities:
         # within 1e-3 relative L1 at every grid point
         scene = small_scene(norm_base=0.5)
         sched = PowerLawSchedule(power=1.5, steps=512)
-        chunk = ChunkState(index=1, clean_latent=make_clean_latent(scene, 1))
         noise = make_initial_noise(scene, 1)
+        chunk = ChunkState(index=1, clean_latent=make_clean_latent(scene, 1),
+                           latent=noise.copy())
         diff = noise - chunk.clean_latent
-        chunk.latent = noise.copy()
         worst = 0.0
         for local in range(sched.steps):
             t = sched.time_at(local)
@@ -188,7 +188,8 @@ class TestRunLifecycle:
         sched = PowerLawSchedule(power=power, steps=256)
         trace = run_denoise(scene, sched, policy=ReusePolicy(0.0, 0))
         for i in range(1, scene.num_chunks + 1):
-            chunk = ChunkState(index=i, clean_latent=make_clean_latent(scene, i))
+            chunk = ChunkState(index=i, clean_latent=make_clean_latent(scene, i),
+                               latent=make_initial_noise(scene, i))
             final = trace.final_latents[chunk.index]
             rel = (np.abs(final - chunk.clean_latent).sum()
                    / np.abs(chunk.clean_latent).sum())
@@ -233,12 +234,9 @@ class TestRunLifecycle:
         assert plain.content_hash == zero.content_hash
 
     def test_frame_level_queries_run_end_to_end(self):
-        from flowcache_sim import CompressionConfig
-
         scene = small_scene(num_chunks=4, window=2)
         sched = PowerLawSchedule(power=0.25, steps=8)
-        kv = KVPlan(budget_chunks=2, compression=CompressionConfig(
-            query_granularity="frame"))
+        kv = KVPlan(budget_chunks=2, query_granularity="frame")
         trace = run_denoise(scene, sched, policy=None, kv=kv)
         assert trace.compressions   # compression fired with pooled queries
         tpc = scene.tokens_per_chunk

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,28 @@ class TestRunCommand:
             run_denoise(SceneConfig(window=5), PowerLawSchedule(power=0.25))
         assert str(exc.value) == "schedule.steps=64 not divisible by scene.window=5"
         assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+    def test_trace_config_replays(self, tmp_path, capsys):
+        # a run's own trace.json config, schema_version included, is a config file
+        golden = Path(__file__).parent / "data" / "golden_magi_fast.json"
+        recorded = json.loads(golden.read_text())
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(recorded["config"]))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg_file), "--out", str(out)) == 0
+        replayed = json.loads((out / "trace.json").read_text())
+        assert replayed["content_hash"] == recorded["content_hash"]
+
+    @pytest.mark.parametrize("version", [1, 3, "2", 2.0, None])
+    def test_other_schema_version_rejected(self, tmp_path, capsys, monkeypatch,
+                                           version):
+        monkeypatch.setattr(cli, "run_denoise", no_simulation)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"schema_version": version}))
+        assert run_cli("run", "--config", str(cfg_file),
+                       "--out", str(tmp_path / "out")) == 2
+        assert "schema_version" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_cost_run_writes_nothing(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

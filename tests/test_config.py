@@ -1,11 +1,13 @@
 import copy
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcache_sim import PROFILES, build_objects, run_denoise
+from flowcache_sim import PROFILES, KVPlan, build_objects, run_denoise
+from flowcache_sim.config import _BASE
 from flowcache_sim.errors import InvalidConfig, InvalidInput, SimulatorError
 from flowcache_sim.trace import RunTrace, _config_snapshot
 
@@ -83,3 +85,7 @@ def test_kv_value_rejected(key, value, error, message):
         build_objects(cfg)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_kv_plan_fields_are_the_kv_section():
+    assert {f.name for f in dataclasses.fields(KVPlan)} == set(_BASE["kv"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcache_sim import (CompressionConfig, KVBuffer, combined_score,
+from flowcache_sim import (KVBuffer, KVPlan, combined_score,
                            granularity_aggregate, importance,
                            pooled_importance, redundancy_fast,
                            redundancy_naive, select_tokens)
@@ -18,7 +18,7 @@ from flowcache_sim.trace import RunTrace
 
 
 def cfg(**kw):
-    return CompressionConfig(**kw)
+    return KVPlan(**kw)
 
 
 def importance_oracle(queries, keys, window):
@@ -301,14 +301,14 @@ class TestBuffer:
     def setup_method(self):
         self.rng = np.random.default_rng(15)
         self.tokens = 12
-        self.buffer = KVBuffer(key_heads=2, head_dim=4, tokens_per_chunk=12,
-                               budget_tokens=24, frame_tokens=4)
+        self.buffer = KVBuffer(cfg(key_heads=2, head_dim=4, budget_chunks=2),
+                               tokens_per_chunk=12, frame_tokens=4)
         self.queries = self.rng.normal(size=(10, 4, 4))
 
     def feed(self, chunk_index):
         keys, _ = make_chunk_kv(self.rng, self.tokens, 2, 4)   # values still drawn
-        return self.buffer.add_clean_chunk(chunk_index, keys, self.queries,
-                                           cfg(), chunk_index)
+        return self.buffer.add_clean_chunk(chunk_index, keys, lambda: self.queries,
+                                           chunk_index)
 
     def test_fill_phase_appends(self):
         assert self.feed(1) is None
@@ -355,69 +355,73 @@ class TestBuffer:
             int(i) for i in self.buffer.retained_ids(0)]
         assert back["no_op"] is False
 
-    @pytest.mark.parametrize("field", ["key_heads", "head_dim",
-                                       "tokens_per_chunk", "frame_tokens"])
+    @pytest.mark.parametrize("field", ["tokens_per_chunk", "frame_tokens"])
     def test_nonpositive_dimension_rejected(self, field):
-        dims = dict(key_heads=2, head_dim=4, tokens_per_chunk=12,
-                    budget_tokens=24, frame_tokens=4)
+        dims = dict(tokens_per_chunk=12, frame_tokens=4)
         with pytest.raises(InvalidConfig, match="dimensions must be positive"):
-            KVBuffer(**{**dims, field: 0})
+            KVBuffer(cfg(), **{**dims, field: 0})
+
+    def test_budget_required(self):
+        with pytest.raises(InvalidConfig, match="needs budget_chunks"):
+            KVBuffer(cfg(budget_chunks=None), tokens_per_chunk=12, frame_tokens=4)
 
 
 class TestFrameQueries:
     """The buffer pools frame queries itself, and only when it compresses."""
 
     @staticmethod
-    def buffer():
-        return KVBuffer(key_heads=2, head_dim=4, tokens_per_chunk=12,
-                        budget_tokens=24, frame_tokens=4)
+    def buffer(**kw):
+        return KVBuffer(cfg(key_heads=2, head_dim=4, budget_chunks=2, **kw),
+                        tokens_per_chunk=12, frame_tokens=4)
 
     def test_pooled_in_buffer_equals_pooled_by_caller(self):
         rng = np.random.default_rng(21)
         queries = rng.normal(size=(12, 4, 4))
-        frame, token = self.buffer(), self.buffer()
+        frame, token = self.buffer(query_granularity="frame"), self.buffer()
         reports = 0
         for i in range(1, 5):
             keys, _ = make_chunk_kv(rng, 12, 2, 4)
-            got = frame.add_clean_chunk(i, keys, queries,
-                                        cfg(query_granularity="frame"), i)
-            want = token.add_clean_chunk(i, keys, pool_queries_by_frame(queries, 4),
-                                         cfg(), i)
+            got = frame.add_clean_chunk(i, keys, lambda: queries, i)
+            want = token.add_clean_chunk(
+                i, keys, lambda: pool_queries_by_frame(queries, 4), i)
             assert got == want   # dataclass equality: ids and float scores exact
             reports += got is not None
         assert reports == 2
 
     def test_fill_phase_does_not_pool(self):
         rng = np.random.default_rng(22)
-        queries = rng.normal(size=(7, 4, 4))   # 7 rows: not whole frames of 4
-        frame = cfg(query_granularity="frame")
-        buffer = self.buffer()
+        buffer = self.buffer(query_granularity="frame")
+
+        def unread():
+            raise AssertionError("a fill-phase arrival asked for its queries")
+
         for i in (1, 2):   # 24 tokens fit the budget: nothing scores the queries
             assert buffer.add_clean_chunk(
-                i, make_chunk_kv(rng, 12, 2, 4)[0], queries, frame, i) is None
+                i, make_chunk_kv(rng, 12, 2, 4)[0], unread, i) is None
+        queries = rng.normal(size=(7, 4, 4))   # 7 rows: not whole frames of 4
         with pytest.raises(InvalidConfig, match="not divisible by frame size"):
-            buffer.add_clean_chunk(3, make_chunk_kv(rng, 12, 2, 4)[0], queries, frame, 3)
+            buffer.add_clean_chunk(3, make_chunk_kv(rng, 12, 2, 4)[0], lambda: queries, 3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(heads=st.integers(1, 3), frames=st.integers(1, 3),
        frame_size=st.integers(1, 4),
        granularity=st.sampled_from(("token", "frame", "chunk")),
-       arrivals=st.integers(1, 6), seed=st.integers(0, 2**16), data=st.data())
+       arrivals=st.integers(1, 6), seed=st.integers(0, 2**16),
+       budget_chunks=st.integers(1, 3))
 def test_buffer_invariants(heads, frames, frame_size, granularity, arrivals,
-                           seed, data):
+                           seed, budget_chunks):
     tokens = frames * frame_size
-    group = {"token": 1, "frame": frame_size, "chunk": tokens}[granularity]
-    budget = data.draw(st.integers(group, 3 * tokens), label="budget")
+    budget = budget_chunks * tokens
     rng = np.random.default_rng(seed)
-    buffer = KVBuffer(key_heads=heads, head_dim=4, tokens_per_chunk=tokens,
-                      budget_tokens=budget, frame_tokens=frame_size)
+    plan = cfg(key_heads=heads, query_heads=heads, head_dim=4,
+               budget_chunks=budget_chunks, key_granularity=granularity)
+    buffer = KVBuffer(plan, tokens_per_chunk=tokens, frame_tokens=frame_size)
     queries = rng.normal(size=(6, heads, 4))
     compressing = False
     for chunk in range(1, arrivals + 1):
         keys, _ = make_chunk_kv(rng, tokens, heads, 4)
-        report = buffer.add_clean_chunk(chunk, keys, queries,
-                                        cfg(key_granularity=granularity), chunk)
+        report = buffer.add_clean_chunk(chunk, keys, lambda: queries, chunk)
         # once the budget overflows, every later arrival compresses
         assert (report is not None) == (compressing or chunk * tokens > budget)
         compressing = report is not None
