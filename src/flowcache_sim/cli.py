@@ -42,11 +42,11 @@ def _out_dir(raw: str) -> Path:
 def cmd_run(args) -> int:
     cfg = resolve_config(profile=args.profile, config_path=args.config,
                          seed=args.seed)
+    scene, schedule, policy, kv, cost, noise_scale = build_objects(cfg)
     if args.print_config:
         print(json.dumps(cfg, indent=2, sort_keys=True))
         return 0
 
-    scene, schedule, policy, kv, cost, noise_scale = build_objects(cfg)
     trace = run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
                         noise_scale=noise_scale)
     # the epsilon-0 (compute-everything) baseline's flops, from this run's records
@@ -74,6 +74,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise SimulatorError(f"--seed must be >= 0, got {args.seed}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = 0
     for name in names:

@@ -3,24 +3,21 @@
 A run config is a plain nested dict with sections scene / schedule / policy /
 kv / cost plus a top-level noise_scale. Profiles carry the experiment-facing
 constants; a JSON config file (or per-field overrides) is deep-merged over
-the chosen profile.
+the chosen profile, and ``build_objects`` checks the result.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
-import math
-import typing
 from typing import Any, Optional
 
 from .armodel import CostModel, SceneConfig, total_global_steps
-from .errors import InvalidConfig, SimulatorError
+from .errors import InvalidConfig
 from .kvcache import KVPlan
 from .reuse import ReusePolicy
 from .schedule import PowerLawSchedule
-from .trace import SCHEMA_VERSION, _config_snapshot
+from .trace import SCHEMA_VERSION, _config_snapshot, read_fields, read_value
 
 # Default power for run profiles. The reuse thresholds below only produce
 # reuse when early-trajectory metrics sit under them; on a uniform grid the
@@ -36,13 +33,10 @@ _BASE: dict[str, Any] = _config_snapshot(
 del _BASE["schema_version"]
 
 
-def _deep_merge(base: dict, overrides: dict, path: str = "") -> dict:
+def _deep_merge(base: dict, overrides: dict) -> dict:
     for key, value in overrides.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise InvalidConfig(f"unknown config field: {where}")
         if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_merge(base[key], value, where)
+            _deep_merge(base[key], value)
         else:
             base[key] = value
     return base
@@ -76,9 +70,8 @@ def resolve_config(profile: Optional[str] = None,
     """Produce the fully-resolved config dict for a run.
 
     Precedence: profile defaults, then config-file fields, then the seed
-    flag. With neither profile nor file, the magi-fast profile applies. A
-    config file may carry ``schema_version`` (as a trace's config does) only
-    if it is the current one.
+    flag. With neither profile nor file, the magi-fast profile applies.
+    Nothing is validated here; ``build_objects`` does that.
     """
     if profile is not None and profile not in PROFILES:
         raise InvalidConfig(
@@ -94,9 +87,6 @@ def resolve_config(profile: Optional[str] = None,
             raise InvalidConfig(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise InvalidConfig("config file must contain a JSON object")
-        version = overrides.pop("schema_version", SCHEMA_VERSION)
-        if not _is_int(version) or version != SCHEMA_VERSION:
-            raise InvalidConfig(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
         _deep_merge(cfg, overrides)
     if seed is not None:
         section(cfg, "scene")["seed"] = int(seed)
@@ -111,46 +101,17 @@ def section(cfg: dict, name: str) -> dict:
     return body
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# annotation -> (accepts value, what a rejected value should have been)
-_TYPE_CHECKS = {
-    int: (_is_int, "an int"),
-    Optional[int]: (lambda v: v is None or _is_int(v), "an int or null"),
-    float: (lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
-            "a finite number"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    tuple[int, int, int, int]: (
-        lambda v: isinstance(v, (list, tuple)) and len(v) == 4
-        and all(map(_is_int, v)), "a list of 4 ints"),
-}
-
-# field type hints per component, resolved once (annotations are strings)
-_HINTS = {cls: typing.get_type_hints(cls)
-          for cls in (SceneConfig, PowerLawSchedule, ReusePolicy, KVPlan, CostModel)}
-
-
-def _checked(where: str, hint, value):
-    accepts, expected = _TYPE_CHECKS[hint]
-    if not accepts(value):
-        raise InvalidConfig(f"{where} must be {expected}, got {value!r}")
-    return tuple(value) if isinstance(value, list) else value
+def _known(body: dict, known, prefix: str = "") -> None:
+    for key in body:
+        if key not in known:
+            raise InvalidConfig(f"{prefix}{key} is not a config field")
 
 
 def _build(cls, cfg: dict, name: str):
-    """Construct ``cls`` from section ``name``, checking each field's type."""
+    """Construct ``cls`` from section ``name``, which has only its fields."""
     body = section(cfg, name)
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in body:
-            raise InvalidConfig(f"{name}.{f.name} is missing")
-        kwargs[f.name] = _checked(f"{name}.{f.name}", _HINTS[cls][f.name], body[f.name])
-    try:
-        return cls(**kwargs)
-    except SimulatorError as exc:
-        raise type(exc)(f"{name}: {exc}") from None
+    _known(body, _BASE[name], f"{name}.")
+    return read_fields(cls, body, name, InvalidConfig)
 
 
 def build_objects(cfg: dict[str, Any]):
@@ -158,8 +119,9 @@ def build_objects(cfg: dict[str, Any]):
 
     Returns (scene, schedule, policy_or_None, kv_plan, cost_model,
     noise_scale); raises InvalidConfig naming the dotted field path when a
-    field is missing or mistyped, and the component's own error, prefixed
-    with its section, when a value is out of range.
+    field is unknown, missing or mistyped (see ``trace.FIELD_TYPES``), and
+    the component's own error, prefixed with its section, when a value is out
+    of range. A ``schema_version`` field must be the current one.
     """
     scene = _build(SceneConfig, cfg, "scene")
     schedule = _build(PowerLawSchedule, cfg, "schedule")
@@ -167,8 +129,12 @@ def build_objects(cfg: dict[str, Any]):
         ReusePolicy, cfg, "policy")
     kv = _build(KVPlan, cfg, "kv")
     cost = _build(CostModel, cfg, "cost")
-    noise_scale = float(_checked("noise_scale", float,
-                                 cfg.get("noise_scale", 0.0)))
+    _known(cfg, {*_BASE, "schema_version"})
+    version = cfg.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InvalidConfig(f"schema_version must be {SCHEMA_VERSION}")
+    noise_scale = float(read_value(cfg.get("noise_scale", 0.0), "float",
+                                   "noise_scale", InvalidConfig))
     total_global_steps(schedule, scene)   # checks steps % window
     if noise_scale < 0:
         raise InvalidConfig("noise_scale must be >= 0")

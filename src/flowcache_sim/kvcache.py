@@ -197,14 +197,14 @@ def select_tokens(score_row: np.ndarray, budget_tokens: int, key_granularity: st
                   frame_size: int, chunk_size: int) -> np.ndarray:
     """Positions retained by one head's scores under the token budget.
 
-    Token granularity picks the top-budget tokens directly. Frame and chunk
-    granularity mean-aggregate scores into groups, pick whole groups (budget
+    Token, frame and chunk granularity mean-aggregate scores into groups of
+    1, ``frame_size`` and ``chunk_size`` tokens, pick whole groups (budget
     interpreted as floor(budget / group size) groups), and retain every
     member token of the chosen groups. Returned positions are ascending.
     """
-    if key_granularity == "token":
-        return stable_topk(score_row, min(budget_tokens, score_row.size))
-    group = frame_size if key_granularity == "frame" else chunk_size
+    group = {"token": 1, "frame": frame_size, "chunk": chunk_size}.get(key_granularity)
+    if group is None:
+        raise InvalidConfig(f"unknown key granularity {key_granularity!r}")
     coarse = granularity_aggregate(score_row, group)
     n_groups = min(budget_tokens // group, coarse.size)
     if n_groups < 1:

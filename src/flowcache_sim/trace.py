@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -175,12 +176,48 @@ class RunTrace:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-# record field annotation -> whether a JSON value fits it as the hash packs it
-_FITS = {"int": lambda v: type(v) is int and -2**63 <= v < 2**63,
-         "float": lambda v: type(v) is float or _FITS["int"](v),
-         "Optional[float]": lambda v: v is None or _FITS["float"](v),
-         "str": lambda v: type(v) is str,
-         "list[int]": lambda v: type(v) is list and all(map(_FITS["int"], v))}
+def _is_int64(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63
+
+
+# field annotation -> (accepts a JSON value, what the value must be), for
+# config sections and trace records alike
+FIELD_TYPES = {
+    "int": (_is_int64, "an int64"),
+    "Optional[int]": (lambda v: v is None or _is_int64(v), "an int64 or null"),
+    "float": (lambda v: _is_int64(v) or isinstance(v, float) and math.isfinite(v),
+              "a finite number"),
+    "Optional[float]": (lambda v: v is None or FIELD_TYPES["float"][0](v),
+                        "a finite number or null"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int64, v)),
+                  "a list of int64s"),
+    "tuple[int, int, int, int]": (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 4
+        and all(map(_is_int64, v)), "a list of 4 int64s"),
+}
+
+
+def read_value(value, kind: str, where: str, error: type = InvalidInput):
+    """``value`` if it has the JSON type of annotation ``kind``, else ``error``."""
+    accepts, expected = FIELD_TYPES[kind]
+    if not accepts(value):
+        raise error(f"{where} must be {expected}")
+    return tuple(value) if kind.startswith("tuple") else value
+
+
+def read_fields(cls, body: dict, where: str, error: type = InvalidInput, **given):
+    """``cls`` built from the JSON object ``body`` at path ``where``: each field
+    not in ``given`` with ``read_value``, and ``cls``'s own error prefixed."""
+    for f in fields(cls):
+        if f.name not in given:
+            if f.name not in body:
+                raise error(f"{where}.{f.name} is missing")
+            given[f.name] = read_value(body[f.name], f.type, f"{where}.{f.name}", error)
+    try:
+        return cls(**given)
+    except SimulatorError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _int_key(key: str, where: str) -> int:
@@ -189,7 +226,7 @@ def _int_key(key: str, where: str) -> int:
         index = int(key)
     except ValueError:
         index = None
-    if not _FITS["int"](index):
+    if not _is_int64(index):
         raise InvalidInput(f"{where} key must be an int64")
     return index
 
@@ -208,23 +245,13 @@ def _latent(text, where: str, scene) -> np.ndarray:
     return np.frombuffer(raw, dtype=_LATENT_DTYPE).astype(FLOAT).reshape(scene.shape)
 
 
-def _record(cls, body: dict, where: str, **given):
-    """``cls`` read from the JSON object ``body``, ``given`` fields aside."""
-    for f in fields(cls):
-        if f.name not in given:
-            if not _FITS[f.type](body[f.name]):
-                raise InvalidInput(f"{where}.{f.name} must be {f.type.replace('int', 'int64')}")
-            given[f.name] = body[f.name]
-    return cls(**given)
-
-
 def import_trace(data: dict | str) -> RunTrace:
     """Rebuild a trace from its JSON form and verify the content hash.
 
-    Only schema v2 is read. Bad JSON, a missing or mistyped field (the
-    embedded config included; a record's ints and the head and chunk keys
-    must fit in 64 bits), or a final latent that is not strict base64 of the
-    config shape's float64 bytes raises InvalidInput naming the path.
+    Only schema v2 is read. Bad JSON, a missing or mistyped field (see
+    ``FIELD_TYPES``; head and chunk keys must be int64s), a config that
+    ``build_objects`` rejects, or a final latent that is not strict base64 of
+    the config shape's float64 bytes raises InvalidInput naming the path.
     """
     from .config import build_objects   # config imports armodel, which imports trace
 
@@ -241,22 +268,22 @@ def import_trace(data: dict | str) -> RunTrace:
             raise InvalidInput(f"trace.config.{exc}") from None
         for i, r in enumerate(data["records"]):
             where = f"trace.records[{i}]"
-            step = _record(StepRecord, r, where, chunks=[])
+            step = read_fields(StepRecord, r, where, chunks=[])
             for j, c in enumerate(r["chunks"]):
                 where = f"trace.records[{i}].chunks[{j}]"
-                step.chunks.append(_record(ChunkStepRecord, c, where))
+                step.chunks.append(read_fields(ChunkStepRecord, c, where))
             trace.add_step(step)
         for i, rep in enumerate(data["compressions"]):
             where = f"trace.compressions[{i}]"
             if rep["no_op"] is not False:
                 raise InvalidInput(f"{where}.no_op must be false")
-            report = _record(CompressionReport, rep, where, heads={})
+            report = read_fields(CompressionReport, rep, where, heads={})
             if not isinstance(rep["heads"], dict):
                 raise InvalidInput(f"{where}.heads must be an object")
             for head, body in rep["heads"].items():
                 where = f"trace.compressions[{i}].heads.{head}"
                 index = _int_key(head, where)
-                report.heads[index] = _record(HeadReport, body, where)
+                report.heads[index] = read_fields(HeadReport, body, where)
             trace.compressions.append(report)
         finals = {}
         if not isinstance(data.get("final_latents"), dict):

@@ -102,6 +102,15 @@ class TestRunCommand:
         assert path in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("path", list(BAD_CONFIGS))
+    def test_print_config_validates(self, tmp_path, capsys, path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(BAD_CONFIGS[path])
+        assert run_cli("run", "--config", str(cfg_file), "--print-config") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path} ")
+
     @pytest.mark.parametrize("body", ['{"scene": 5}', '{"scene": null}'])
     def test_seed_over_a_non_object_scene(self, tmp_path, capsys, monkeypatch,
                                           body):
@@ -179,6 +188,13 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "--suite", "nonsense")
         assert exc.value.code == 2
+
+    def test_negative_seed_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suite", no_simulation)
+        assert run_cli("verify", "--suite", "all", "--seed", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
 
     def test_failure_exit_code(self, monkeypatch, capsys):
         from flowcache_sim import cli

@@ -58,6 +58,17 @@ def test_one_bad_field_runs_or_raises_simulator_error(where, value):
     assert isinstance(trace, RunTrace)
 
 
+@pytest.mark.parametrize("path", ["nosie_scale", "kv.budget_chunk",
+                                  "scene.extra", "policy.warmpu"])
+def test_unknown_key_rejected(path):
+    cfg = copy.deepcopy(TINY)
+    *section, key = path.split(".")
+    (cfg[section[0]] if section else cfg)[key] = 1
+    with pytest.raises(InvalidConfig) as info:
+        build_objects(cfg)
+    assert str(info.value) == f"{path} is not a config field"
+
+
 # one out-of-range or unknown kv value each, with the error build_objects raises
 KV_INVALID = [
     ("key_heads", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),

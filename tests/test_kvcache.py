@@ -286,6 +286,10 @@ class TestSelection:
         expected = [g * group + k for g in best for k in range(group)]
         assert list(keep) == expected
 
+    def test_unknown_granularity_rejected(self):
+        with pytest.raises(InvalidConfig, match="unknown key granularity 'bogus'"):
+            select_tokens(np.zeros(6), 6, "bogus", 3, 6)
+
     def test_aggregate_divisibility(self):
         with pytest.raises(InvalidConfig):
             granularity_aggregate(np.zeros(10), 3)

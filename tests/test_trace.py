@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import os
 from pathlib import Path
 
@@ -135,9 +136,9 @@ class TestExport:
         (lambda p: p.update(final_latents=[]), r"trace\.final_latents is missing"),
         (lambda p: p.pop("final_latents"), r"trace\.final_latents is missing"),
         (lambda p: p["records"][0].update(global_step=2**70),
-         r"records\[0\]\.global_step must be int64"),
+         r"records\[0\]\.global_step must be an int64"),
         (lambda p: p["compressions"][0]["heads"]["1"].update(retained_ids=[2**70]),
-         r"compressions\[0\]\.heads\.1\.retained_ids must be list\[int64\]"),
+         r"compressions\[0\]\.heads\.1\.retained_ids must be a list of int64s"),
         (lambda p: p["compressions"][0]["heads"].update({HUGE: {}}),
          rf"trace\.compressions\[0\]\.heads\.{HUGE} key must be an int64"),
         (lambda p: p["compressions"][0]["heads"].update({"x": {}}),
@@ -150,10 +151,21 @@ class TestExport:
          r"trace\.final_latents\.2 is not valid base64"),
         (lambda p: p["final_latents"].update({"2": " " + p["final_latents"]["2"]}),
          r"trace\.final_latents\.2 is not valid base64"),
+        # unhashed fields: the hash alone would not catch these
+        (lambda p: p["compressions"][0]["heads"]["0"].update(score_min=math.nan),
+         r"^trace\.compressions\[0\]\.heads\.0\.score_min must be a finite number$"),
+        (lambda p: p["records"][1]["chunks"][0].update(estimate=math.inf),
+         r"^trace\.records\[1\]\.chunks\[0\]\.estimate must be a finite number or null$"),
+        (lambda p: p["config"]["scene"].update(extra=1),
+         r"^trace\.config\.scene\.extra is not a config field$"),
+        (lambda p: p["config"].update(schema_version=7),
+         r"^trace\.config\.schema_version must be 2$"),
     ], ids=["decision-int", "decision-none", "heads-list", "finals-list",
             "finals-missing", "global-step-huge", "retained-id-huge",
             "head-key-huge", "head-key-text", "finals-key-huge",
-            "finals-list-latent", "finals-not-base64", "finals-space-base64"])
+            "finals-list-latent", "finals-not-base64", "finals-space-base64",
+            "score-min-nan", "estimate-inf", "config-scene-extra",
+            "config-schema-7"])
     def test_mutated_field_names_its_path(self, mutate, path):
         payload = json.loads(tiny_run().to_json())
         mutate(payload)
