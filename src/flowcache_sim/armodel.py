@@ -333,10 +333,10 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
             clean_tokens = buffer.clean_tokens
 
         active_tokens = (len(records) - len(finished)) * tokens_per_chunk
-        trace.add_step(StepRecord(
+        trace.records.append(StepRecord(
             global_step=g, chunks=records, flops=step_flops,
             kv_clean_tokens=clean_tokens, kv_active_tokens=active_tokens,
-            resident_bytes=(clean_tokens + active_tokens) * cost.bytes_per_kv_token))
+            resident_bytes=float(clean_tokens + active_tokens) * cost.bytes_per_kv_token))
 
     trace.finish(final_latents)
     return trace

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import base64
 import binascii
-import csv
 import hashlib
-import io
 import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -24,9 +23,19 @@ import numpy as np
 from .errors import InvalidComparison, InvalidInput, SimulatorError
 from .kvcache import CompressionReport, HeadReport
 from .numerics import FLOAT
+from .reuse import COMPUTE, REUSE
 
-SCHEMA_VERSION = 2
-_LATENT_DTYPE = np.dtype("<f8")   # final latents in trace.json: little-endian float64
+SCHEMA_VERSION = 3
+# trace.json's base64 little-endian columns, one value per step or chunk-step;
+# chunk_count gives each step's run of chunk-step rows, and compute is 1 or 0
+COLUMNS = {
+    "steps": {"global_step": "<i8", "chunk_count": "<i8", "flops": "<f8",
+              "kv_clean_tokens": "<i8", "kv_active_tokens": "<i8",
+              "resident_bytes": "<f8"},
+    "chunk_steps": {"chunk": "<i8", "local_step": "<i8", "compute": "u1",
+                    "metric": "<f8", "accumulator": "<f8",
+                    "estimate": "<f8"},   # NaN for a null estimate
+}
 
 
 @dataclass(frozen=True)
@@ -60,11 +69,17 @@ class RunTotals:
     total_flops: float = 0.0
     peak_resident_tokens: int = 0
     peak_resident_bytes: float = 0.0
+    reuse_fraction: float = 0.0
 
-    @property
-    def reuse_fraction(self) -> float:
-        done = self.computed_steps + self.reused_steps
-        return self.reused_steps / done if done else 0.0
+    @classmethod
+    def of(cls, records: list[StepRecord]) -> RunTotals:
+        """The totals of ``records``, flops summed in step order."""
+        done = sum(len(r.chunks) for r in records)
+        computed = sum(cr.decision == COMPUTE for r in records for cr in r.chunks)
+        return cls(computed, done - computed, sum((r.flops for r in records), 0.0),
+                   max((r.resident_tokens for r in records), default=0),
+                   max((r.resident_bytes for r in records), default=0.0),
+                   (done - computed) / done if done else 0.0)
 
 
 def _config_snapshot(scene, schedule, policy, kv, cost, noise_scale) -> dict:
@@ -89,20 +104,8 @@ class RunTrace:
     final_latents: dict[int, np.ndarray] = field(default_factory=dict)
     content_hash: str = ""
 
-    def add_step(self, record: StepRecord) -> None:
-        self.records.append(record)
-        for cr in record.chunks:
-            if cr.decision == "compute":
-                self.totals.computed_steps += 1
-            else:
-                self.totals.reused_steps += 1
-        self.totals.total_flops += record.flops
-        self.totals.peak_resident_tokens = max(
-            self.totals.peak_resident_tokens, record.resident_tokens)
-        self.totals.peak_resident_bytes = max(
-            self.totals.peak_resident_bytes, record.resident_bytes)
-
     def finish(self, final_latents: dict[int, np.ndarray]) -> None:
+        self.totals = RunTotals.of(self.records)
         self.final_latents = final_latents
         self.content_hash = self._compute_hash()
 
@@ -116,64 +119,59 @@ class RunTrace:
         only there and must hash identically.
         """
         h = hashlib.sha256()
-
-        def f64(x: float) -> bytes:
-            return struct.pack("<d", float(x))
-
-        def i64(x: int) -> bytes:
-            return struct.pack("<q", int(x))
-
         for rec in self.records:
-            h.update(i64(rec.global_step))
+            fmt, values = ["<q"], [rec.global_step]
             for cr in rec.chunks:
-                h.update(i64(cr.chunk))
-                h.update(i64(cr.local_step))
-                h.update(cr.decision.encode())
-                h.update(f64(cr.metric))
-                h.update(f64(cr.accumulator))
-            h.update(f64(rec.flops))
-            h.update(i64(rec.kv_clean_tokens))
-            h.update(i64(rec.kv_active_tokens))
-            h.update(f64(rec.resident_bytes))
+                decision = cr.decision.encode()
+                fmt.append(f"qq{len(decision)}sdd")
+                values += (cr.chunk, cr.local_step, decision, cr.metric, cr.accumulator)
+            fmt.append("dqqd")
+            values += (rec.flops, rec.kv_clean_tokens, rec.kv_active_tokens,
+                       rec.resident_bytes)
+            h.update(struct.pack("".join(fmt), *values))
         for rep in self.compressions:
-            h.update(i64(rep.global_step))
-            h.update(i64(rep.arriving_chunk))
-            h.update(i64(rep.candidate_tokens))
-            h.update(b"0")   # the no_op flag, always false
-            for head in sorted(rep.heads):
-                h.update(i64(head))
-                h.update(np.asarray(rep.heads[head].retained_ids,
-                                    dtype=np.int64).tobytes())
-                h.update(i64(rep.heads[head].evicted_count))
-        for idx in sorted(self.final_latents):
-            h.update(i64(idx))
-            h.update(np.ascontiguousarray(self.final_latents[idx]).tobytes())
+            # the trailing b"0" is the former no_op flag, kept so hashes hold
+            h.update(struct.pack("<qqq1s", rep.global_step, rep.arriving_chunk,
+                                 rep.candidate_tokens, b"0"))
+            for head, body in sorted(rep.heads.items()):
+                ids = np.asarray(body.retained_ids, np.int64).tobytes()
+                h.update(struct.pack("<q", head) + ids + struct.pack("<q", body.evicted_count))
+        for idx in sorted(self.final_latents):   # tobytes is in C order
+            h.update(struct.pack("<q", idx) + self.final_latents[idx].tobytes())
         return h.hexdigest()
 
     # -- export ------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON form: every record and report field, and the totals."""
+        """JSON form: the records as ``COLUMNS``, every report field, the totals."""
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config,
-            "records": [{**vars(r), "chunks": [dict(vars(c)) for c in r.chunks]}
-                        for r in self.records],
-            "compressions": [{**vars(c), "no_op": False,   # always false: every pass evicts
-                              "heads": {str(h): dict(vars(r)) for h, r in c.heads.items()}}
+            "steps": _encode("steps", [
+                (r.global_step, len(r.chunks), r.flops, r.kv_clean_tokens,
+                 r.kv_active_tokens, r.resident_bytes) for r in self.records]),
+            "chunk_steps": _encode("chunk_steps", [
+                (c.chunk, c.local_step, c.decision == COMPUTE, c.metric, c.accumulator,
+                 math.nan if c.estimate is None else c.estimate)
+                for r in self.records for c in r.chunks]),
+            "compressions": [{**vars(c), "heads": {str(h): dict(vars(r))
+                                                   for h, r in c.heads.items()}}
                              for c in self.compressions],
-            "totals": {**asdict(self.totals),
-                       "reuse_fraction": self.totals.reuse_fraction},
-            "final_latents": {
-                str(k): base64.b64encode(
-                    np.ascontiguousarray(v, dtype=_LATENT_DTYPE).tobytes()).decode()
-                for k, v in self.final_latents.items()
-            },
+            "totals": asdict(self.totals),
+            "final_latents": {str(k): base64.b64encode(np.asarray(v, "<f8").tobytes()).decode()
+                              for k, v in self.final_latents.items()},
             "content_hash": self.content_hash,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _encode(table: str, rows: list[tuple]) -> dict[str, str]:
+    """``COLUMNS[table]`` in base64, from ``rows`` of values in column order."""
+    array = np.array(rows, dtype=list(COLUMNS[table].items()))
+    return {name: base64.b64encode(array[name].tobytes()).decode()
+            for name in COLUMNS[table]}
 
 
 def _is_int64(v) -> bool:
@@ -187,8 +185,6 @@ FIELD_TYPES = {
     "Optional[int]": (lambda v: v is None or _is_int64(v), "an int64 or null"),
     "float": (lambda v: _is_int64(v) or isinstance(v, float) and math.isfinite(v),
               "a finite number"),
-    "Optional[float]": (lambda v: v is None or FIELD_TYPES["float"][0](v),
-                        "a finite number or null"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int64, v)),
                   "a list of int64s"),
@@ -231,27 +227,29 @@ def _int_key(key: str, where: str) -> int:
     return index
 
 
-def _latent(text, where: str, scene) -> np.ndarray:
-    """A final latent from its base64 little-endian float64 bytes."""
+def _column(text, where: str, dtype: str, count: Optional[int]) -> np.ndarray:
+    """The values of a column or final latent: strict base64 of ``dtype`` bytes,
+    ``count`` values unless ``count`` is None."""
     if type(text) is not str:
         raise InvalidInput(f"{where} must be a base64 string")
     try:
         raw = base64.b64decode(text, validate=True)
     except binascii.Error:
         raise InvalidInput(f"{where} is not valid base64") from None
-    if len(raw) != scene.numel * _LATENT_DTYPE.itemsize:
-        raise InvalidInput(f"{where} has {len(raw)} bytes; config shape "
-                           f"{scene.shape} needs {scene.numel} float64 values")
-    return np.frombuffer(raw, dtype=_LATENT_DTYPE).astype(FLOAT).reshape(scene.shape)
+    size = np.dtype(dtype).itemsize
+    if len(raw) % size:
+        raise InvalidInput(f"{where} has {len(raw)} bytes, not a multiple of {size}")
+    values = np.frombuffer(raw, dtype)
+    if count is not None and len(values) != count:
+        raise InvalidInput(f"{where} has {len(values)} values; {count} expected")
+    return values
 
 
 def import_trace(data: dict | str) -> RunTrace:
     """Rebuild a trace from its JSON form and verify the content hash.
 
-    Only schema v2 is read. Bad JSON, a missing or mistyped field (see
-    ``FIELD_TYPES``; head and chunk keys must be int64s), a config that
-    ``build_objects`` rejects, or a final latent that is not strict base64 of
-    the config shape's float64 bytes raises InvalidInput naming the path.
+    Only schema v3 is read. Input that breaks a check listed in
+    docs/trace_schema.md raises InvalidInput naming its path.
     """
     from .config import build_objects   # config imports armodel, which imports trace
 
@@ -266,17 +264,32 @@ def import_trace(data: dict | str) -> RunTrace:
             scene = build_objects(data["config"])[0]
         except SimulatorError as exc:
             raise InvalidInput(f"trace.config.{exc}") from None
-        for i, r in enumerate(data["records"]):
-            where = f"trace.records[{i}]"
-            step = read_fields(StepRecord, r, where, chunks=[])
-            for j, c in enumerate(r["chunks"]):
-                where = f"trace.records[{i}].chunks[{j}]"
-                step.chunks.append(read_fields(ChunkStepRecord, c, where))
-            trace.add_step(step)
+        columns = []
+        for table, body in [(table, data[table]) for table in COLUMNS]:
+            where, count = f"trace.{table}", None
+            for name, dtype in COLUMNS[table].items():
+                values = _column(body[name], f"{where}.{name}", dtype, count)
+                count, nullable = len(values), name == "estimate"
+                if values.dtype.kind == "f" and not (
+                        np.isfinite(values) | nullable & np.isnan(values)).all():
+                    raise InvalidInput(f"{where}.{name} must hold finite values"
+                                       + " or NaN" * nullable)
+                columns.append(values.tolist())
+        where = "trace"
+        (global_step, counts, flops, clean, active, resident,
+         chunk, local_step, compute, metric, accumulator, estimate) = columns
+        if max(compute, default=0) > 1:
+            raise InvalidInput("trace.chunk_steps.compute must hold 0 or 1")
+        if min(counts, default=0) < 0 or sum(counts) != len(chunk):
+            raise InvalidInput("trace.steps.chunk_count must be counts that sum "
+                               f"to the {len(chunk)} chunk-step rows")
+        rows = map(ChunkStepRecord, chunk, local_step,
+                   [COMPUTE if c else REUSE for c in compute], metric, accumulator,
+                   [None if math.isnan(e) else e for e in estimate])
+        for step, n, *costs in zip(global_step, counts, flops, clean, active, resident):
+            trace.records.append(StepRecord(step, list(islice(rows, n)), *costs))
         for i, rep in enumerate(data["compressions"]):
             where = f"trace.compressions[{i}]"
-            if rep["no_op"] is not False:
-                raise InvalidInput(f"{where}.no_op must be false")
             report = read_fields(CompressionReport, rep, where, heads={})
             if not isinstance(rep["heads"], dict):
                 raise InvalidInput(f"{where}.heads must be an object")
@@ -290,10 +303,16 @@ def import_trace(data: dict | str) -> RunTrace:
             raise InvalidInput("trace.final_latents is missing or not an object")
         for k, v in data["final_latents"].items():
             where = f"trace.final_latents.{k}"
-            finals[_int_key(k, where)] = _latent(v, where, scene)
+            finals[_int_key(k, where)] = _column(v, where, "<f8", scene.numel).astype(
+                FLOAT).reshape(scene.shape)
         where = "trace"
         trace.finish(finals)
         content_hash = data["content_hash"]
+        where = "trace.totals"
+        for name, value in asdict(trace.totals).items():
+            if data["totals"][name] != value:
+                raise InvalidInput(f"trace.totals.{name} is {data['totals'][name]!r}; "
+                                   f"the records give {value!r}")
     except KeyError as exc:
         raise InvalidInput(f"{where}.{exc.args[0]} is missing") from None
     except (TypeError, ValueError, OverflowError, struct.error) as exc:
@@ -305,33 +324,29 @@ def import_trace(data: dict | str) -> RunTrace:
 
 # -- derived views ----------------------------------------------------------
 
+def _progress(trace: RunTrace) -> list[tuple[ChunkStepRecord, float]]:
+    """Each chunk-step with its denoising progress %, in trace order."""
+    steps = trace.config["schedule"]["steps"]
+    return [(cr, 100.0 * cr.local_step / steps)
+            for rec in trace.records for cr in rec.chunks]
+
+
 def l1rel_curves(trace: RunTrace) -> dict[int, list[tuple[float, float]]]:
     """Per-chunk (denoising progress %, metric) series in step order."""
-    steps = trace.config["schedule"]["steps"]
     curves: dict[int, list[tuple[float, float]]] = {}
-    for rec in trace.records:
-        for cr in rec.chunks:
-            curves.setdefault(cr.chunk, []).append(
-                (100.0 * cr.local_step / steps, cr.metric))
+    for cr, progress in _progress(trace):
+        curves.setdefault(cr.chunk, []).append((progress, cr.metric))
     return curves
 
 
 def curves_csv(trace: RunTrace) -> str:
-    """CSV rendering of the per-chunk metric curves."""
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["schema_version", SCHEMA_VERSION])
-    writer.writerow(["chunk", "local_step", "progress_pct", "metric",
-                     "decision", "estimate"])
-    steps = trace.config["schedule"]["steps"]
-    for rec in trace.records:
-        for cr in rec.chunks:
-            writer.writerow([
-                cr.chunk, cr.local_step,
-                f"{100.0 * cr.local_step / steps:.6f}",
-                repr(cr.metric), cr.decision,
-                "" if cr.estimate is None else repr(cr.estimate)])
-    return out.getvalue()
+    """CSV rendering of the per-chunk metric curves (no field needs quoting)."""
+    lines = [f"schema_version,{SCHEMA_VERSION}",
+             "chunk,local_step,progress_pct,metric,decision,estimate"]
+    lines += [f"{cr.chunk},{cr.local_step},{progress:.6f},{cr.metric!r},{cr.decision},"
+              + ("" if cr.estimate is None else repr(cr.estimate))
+              for cr, progress in _progress(trace)]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def speedup(trace: RunTrace, baseline: RunTrace) -> float:

@@ -7,7 +7,7 @@ read a stored velocity norm), so a refactor of the KV buffer or the trajectory l
 moves any retained id, decision or latent bit fails here. The pins change only with a deliberate,
 logged change to simulator behaviour. The SHA-256 of the ``sweep`` stdout on
 every axis and of ``run``'s report.txt pin the CLI's reference and baseline
-configs too.
+configs too, and the SHA-256 of ``run``'s curves.csv pins its rendering.
 """
 
 import hashlib
@@ -101,3 +101,6 @@ def test_run_report_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert (sha256((tmp_path / "report.txt").read_text())
             == "acb644bdd6d828ff7cc20d9d434168c3cc402a999a22310d0d4093d807e92dc9")
+    # bytes, not text: the CSV's rows end in \r\n
+    assert (hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest()
+            == "6636f6035e5fd97e25ac782114bfd49da70a3a0354486efbf4180092cc6c9529")

@@ -357,7 +357,7 @@ class TestBuffer:
         back = json.loads(payload)
         assert back["heads"]["0"]["retained_ids"] == [
             int(i) for i in self.buffer.retained_ids(0)]
-        assert back["no_op"] is False
+        assert "no_op" not in back
 
     @pytest.mark.parametrize("field", ["tokens_per_chunk", "frame_tokens"])
     def test_nonpositive_dimension_rejected(self, field):

@@ -4,6 +4,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from flowcache_sim import (PROFILES, CostModel, KVPlan, PowerLawSchedule,
                            ReusePolicy, SceneConfig, build_objects, import_trace,
                            l1rel_curves, resolve_config, run_denoise, speedup)
 from flowcache_sim.errors import InvalidComparison, InvalidInput
-from flowcache_sim.trace import curves_csv
+from flowcache_sim.trace import COLUMNS, curves_csv
 
 GOLDEN = Path(__file__).parent / "data" / "golden_magi_fast.json"
 
@@ -33,6 +34,30 @@ def tiny_run(policy=ReusePolicy(0.05, 2), seed=1, **kv_kw):
 HUGE = "99999999999999999999"   # an int key beyond int64
 
 
+def column(payload, table, name) -> np.ndarray:
+    """One trace.json column, decoded (a writable copy)."""
+    raw = base64.b64decode(payload[table][name], validate=True)
+    return np.frombuffer(raw, COLUMNS[table][name]).copy()
+
+
+def recode(table, name, change):
+    """A payload mutation: decode one column, ``change`` it, encode the result
+    (an array, or raw bytes)."""
+    def mutate(payload):
+        out = change(column(payload, table, name))
+        raw = out if isinstance(out, bytes) else out.tobytes()
+        payload[table][name] = base64.b64encode(raw).decode()
+    return mutate
+
+
+def put(index, value):
+    """A column change that sets one element."""
+    def change(values):
+        values[index] = value
+        return values
+    return change
+
+
 class TestExport:
     def test_round_trip_hash(self):
         trace = tiny_run()
@@ -43,23 +68,20 @@ class TestExport:
         trace = tiny_run()
         again = import_trace(trace.to_json())
         assert again.to_json() == trace.to_json()
-
-    def test_forged_no_op_rejected(self):
-        payload = json.loads(tiny_run().to_json())
-        assert payload["compressions"]
-        payload["compressions"][0]["no_op"] = True
-        with pytest.raises(InvalidInput):
-            import_trace(payload)
+        assert again.records == trace.records   # null estimates come back as None
 
     def test_missing_field_names_its_path(self):
         payload = json.loads(tiny_run().to_json())
-        del payload["records"][3]["flops"]
-        with pytest.raises(InvalidInput, match=r"records\[3\]\.flops"):
+        del payload["steps"]["flops"]
+        with pytest.raises(InvalidInput, match=r"^trace\.steps\.flops is missing$"):
             import_trace(payload)
         payload = json.loads(tiny_run().to_json())
-        del payload["records"][5]["chunks"][1]["metric"]
+        del payload["chunk_steps"]["metric"]
         with pytest.raises(InvalidInput,
-                           match=r"records\[5\]\.chunks\[1\]\.metric"):
+                           match=r"^trace\.chunk_steps\.metric is missing$"):
+            import_trace(payload)
+        del payload["chunk_steps"]
+        with pytest.raises(InvalidInput, match=r"^trace\.chunk_steps is missing$"):
             import_trace(payload)
 
     def test_embedded_config_is_validated(self):
@@ -93,13 +115,25 @@ class TestExport:
         with pytest.raises(InvalidInput, match="unsupported trace schema 1"):
             import_trace(json.dumps(payload, indent=1, sort_keys=True))
 
+    def test_schema_v2_text_rejected(self):
+        # v2: one JSON object per step and per chunk-step, no_op in compressions
+        trace = tiny_run()
+        payload = json.loads(trace.to_json())
+        payload["schema_version"] = payload["config"]["schema_version"] = 2
+        payload["records"] = [{**vars(r), "chunks": [vars(c) for c in r.chunks]}
+                              for r in trace.records]
+        del payload["steps"], payload["chunk_steps"]
+        for rep in payload["compressions"]:
+            rep["no_op"] = False
+        with pytest.raises(InvalidInput, match="^unsupported trace schema 2$"):
+            import_trace(json.dumps(payload))
+
     def test_truncated_final_latent_rejected(self):
         payload = json.loads(tiny_run().to_json())
         raw = base64.b64decode(payload["final_latents"]["2"])
         payload["final_latents"]["2"] = base64.b64encode(raw[:-8]).decode()
         with pytest.raises(InvalidInput,
-                           match=r"final_latents\.2 has 568 bytes; .* needs 72 "
-                                 r"float64 values"):
+                           match=r"^trace\.final_latents\.2 has 71 values; 72 expected$"):
             import_trace(payload)
 
     def test_final_latents_are_little_endian_float64_base64(self):
@@ -115,10 +149,13 @@ class TestExport:
         assert text == json.dumps(json.loads(text), sort_keys=True,
                                   separators=(",", ":"))
 
-    @pytest.mark.parametrize("profile", sorted(PROFILES))
-    def test_profile_round_trip(self, profile):
-        scene, sched, policy, kv, cost, noise = build_objects(
-            resolve_config(profile=profile))
+    @pytest.mark.parametrize("profile,noise_scale", [
+        *[(name, 0.0) for name in sorted(PROFILES)], ("magi-fast", 0.05)],
+        ids=[*sorted(PROFILES), "magi-fast-noise-0.05"])
+    def test_profile_round_trip(self, profile, noise_scale):
+        cfg = resolve_config(profile=profile)
+        cfg["noise_scale"] = noise_scale
+        scene, sched, policy, kv, cost, noise = build_objects(cfg)
         trace = run_denoise(scene, sched, policy=policy, kv=kv, cost=cost,
                             noise_scale=noise)
         text = trace.to_json()
@@ -127,16 +164,16 @@ class TestExport:
         assert back.to_json() == text
 
     @pytest.mark.parametrize("mutate,path", [
-        (lambda p: p["records"][0]["chunks"][0].update(decision=5),
-         r"records\[0\]\.chunks\[0\]\.decision"),
-        (lambda p: p["records"][0]["chunks"][0].update(decision=None),
-         r"records\[0\]\.chunks\[0\]\.decision"),
+        (lambda p: p["chunk_steps"].update(compute=5),
+         r"^trace\.chunk_steps\.compute must be a base64 string$"),
+        (lambda p: p["chunk_steps"].update(compute=None),
+         r"^trace\.chunk_steps\.compute must be a base64 string$"),
         (lambda p: p["compressions"][0].update(heads=[]),
          r"compressions\[0\]\.heads must be an object"),
         (lambda p: p.update(final_latents=[]), r"trace\.final_latents is missing"),
         (lambda p: p.pop("final_latents"), r"trace\.final_latents is missing"),
-        (lambda p: p["records"][0].update(global_step=2**70),
-         r"records\[0\]\.global_step must be an int64"),
+        (lambda p: p["compressions"][0].update(global_step=2**70),
+         r"compressions\[0\]\.global_step must be an int64"),
         (lambda p: p["compressions"][0]["heads"]["1"].update(retained_ids=[2**70]),
          r"compressions\[0\]\.heads\.1\.retained_ids must be a list of int64s"),
         (lambda p: p["compressions"][0]["heads"].update({HUGE: {}}),
@@ -154,17 +191,51 @@ class TestExport:
         # unhashed fields: the hash alone would not catch these
         (lambda p: p["compressions"][0]["heads"]["0"].update(score_min=math.nan),
          r"^trace\.compressions\[0\]\.heads\.0\.score_min must be a finite number$"),
-        (lambda p: p["records"][1]["chunks"][0].update(estimate=math.inf),
-         r"^trace\.records\[1\]\.chunks\[0\]\.estimate must be a finite number or null$"),
+        (recode("chunk_steps", "estimate", put(1, math.inf)),
+         r"^trace\.chunk_steps\.estimate must hold finite values or NaN$"),
+        (recode("chunk_steps", "estimate", put(1, -math.inf)),
+         r"^trace\.chunk_steps\.estimate must hold finite values or NaN$"),
+        (recode("chunk_steps", "metric", put(0, math.nan)),
+         r"^trace\.chunk_steps\.metric must hold finite values$"),
+        (recode("chunk_steps", "metric", lambda v: v[:-1]),
+         r"^trace\.chunk_steps\.metric has 23 values; 24 expected$"),
+        (recode("steps", "flops", lambda v: v.tobytes()[:-3]),
+         r"^trace\.steps\.flops has 125 bytes, not a multiple of 8$"),
+        (lambda p: p["steps"].update(flops=" " + p["steps"]["flops"]),
+         r"^trace\.steps\.flops is not valid base64$"),
+        (lambda p: p["steps"].update(flops=p["steps"]["flops"][:-1]),
+         r"^trace\.steps\.flops is not valid base64$"),
+        (recode("chunk_steps", "compute", put(0, 2)),
+         r"^trace\.chunk_steps\.compute must hold 0 or 1$"),
+        (recode("steps", "chunk_count", put(0, 2)),
+         r"^trace\.steps\.chunk_count must be counts that sum to the 24 "
+         r"chunk-step rows$"),
+        # the same sum, with step 0's count made -1
+        (recode("steps", "chunk_count",
+                lambda v: np.r_[-1, v[1] + v[0] + 1, v[2:]].astype(v.dtype)),
+         r"^trace\.steps\.chunk_count must be counts that sum to the 24 "
+         r"chunk-step rows$"),
+        (lambda p: p["steps"].update(chunk_count=[1] * 16),
+         r"^trace\.steps\.chunk_count must be a base64 string$"),
+        (lambda p: p.update(steps=[]),
+         r"^malformed trace\.steps: "),
+        (lambda p: p["totals"].update(computed_steps=999),
+         r"^trace\.totals\.computed_steps is 999; the records give 21$"),
+        (lambda p: p["totals"].pop("total_flops"),
+         r"^trace\.totals\.total_flops is missing$"),
         (lambda p: p["config"]["scene"].update(extra=1),
          r"^trace\.config\.scene\.extra is not a config field$"),
         (lambda p: p["config"].update(schema_version=7),
-         r"^trace\.config\.schema_version must be 2$"),
+         r"^trace\.config\.schema_version must be 3$"),
     ], ids=["decision-int", "decision-none", "heads-list", "finals-list",
             "finals-missing", "global-step-huge", "retained-id-huge",
             "head-key-huge", "head-key-text", "finals-key-huge",
             "finals-list-latent", "finals-not-base64", "finals-space-base64",
-            "score-min-nan", "estimate-inf", "config-scene-extra",
+            "score-min-nan", "estimate-inf", "estimate-minus-inf", "metric-nan",
+            "column-truncated", "column-odd-bytes", "column-space-base64",
+            "column-unpadded-base64", "compute-2", "chunk-count-sum",
+            "chunk-count-negative", "chunk-count-list", "steps-list",
+            "totals-forged", "totals-missing", "config-scene-extra",
             "config-schema-7"])
     def test_mutated_field_names_its_path(self, mutate, path):
         payload = json.loads(tiny_run().to_json())
@@ -177,16 +248,17 @@ class TestExport:
         scene = SceneConfig(num_chunks=3, window=2, shape=(4, 2, 3, 3), seed=1)
         trace = run_denoise(scene, PowerLawSchedule(power=0.25, steps=8),
                             cost=CostModel(bytes_per_kv_token=256))
-        payload = json.loads(trace.to_json())
-        assert type(payload["records"][0]["resident_bytes"]) is int
-        assert import_trace(payload).content_hash == trace.content_hash
+        text = trace.to_json()
+        assert column(json.loads(text), "steps", "resident_bytes")[0] == (
+            trace.records[0].resident_bytes)
+        back = import_trace(text)
+        assert back.content_hash == trace.content_hash
+        assert back.to_json() == text
 
     def test_zero_reuse_export(self):
         trace = tiny_run(policy=ReusePolicy(0.0, 0))
         payload = json.loads(trace.to_json())
-        decisions = {c["decision"] for r in payload["records"]
-                     for c in r["chunks"]}
-        assert decisions == {"compute"}
+        assert set(column(payload, "chunk_steps", "compute")) == {1}
         assert payload["totals"]["reused_steps"] == 0
 
     def test_totals_account_every_slot(self):
@@ -319,6 +391,32 @@ def test_mutated_trace_imports_or_raises_invalid_input(path, value):
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
+    try:
+        back = import_trace(payload)
+    except InvalidInput:
+        return
+    assert back.content_hash == json.loads(TINY_JSON)["content_hash"]
+
+
+ELEMENTS = st.one_of(   # eight little-endian bytes; a u1 column takes the first
+    st.binary(min_size=8, max_size=8),
+    st.floats().map(lambda x: np.float64(x).tobytes()),
+    st.integers(-2**63, 2**63 - 1).map(lambda i: i.to_bytes(8, "little", signed=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(where=st.sampled_from([(t, n) for t in COLUMNS for n in COLUMNS[t]]),
+       index=st.integers(0, 2**16), element=ELEMENTS)
+def test_mutated_column_imports_or_raises_invalid_input(where, index, element):
+    # one column element set to other bytes: the same hash or InvalidInput
+    def change(values):
+        size = values.itemsize
+        at = index % len(values) * size
+        values.view("u1")[at:at + size] = np.frombuffer(element[:size], "u1")
+        return values
+
+    payload = json.loads(TINY_JSON)
+    recode(*where, change)(payload)
     try:
         back = import_trace(payload)
     except InvalidInput:
