@@ -28,7 +28,7 @@ from .numerics import FLOAT, l1_norm
 from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
                     decide, estimate_metric)
 from .schedule import PowerLawSchedule
-from .trace import ChunkStepRecord, RunTrace, StepRecord, _config_snapshot
+from .trace import DTYPES, ChunkStepRecord, RunTrace, _config_snapshot
 
 # seed-stream tags, so every random draw has a stable address
 _TAG_NOISE = 1
@@ -308,9 +308,11 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     if kv.budget_chunks is not None:
         w_key, w_query = _projection_weights(scene, kv)
         buffer = KVBuffer(kv, tokens_per_chunk, scene.tokens_per_frame)
-    trace = RunTrace(config=_config_snapshot(scene, schedule, policy, kv, cost,
-                                             noise_scale))
-    clean_tokens = 0
+    # every chunk takes steps local steps, so both tables are sized exactly
+    trace = RunTrace(_config_snapshot(scene, schedule, policy, kv, cost, noise_scale),
+                     np.zeros(total_global_steps(schedule, scene), DTYPES["steps"]),
+                     np.zeros(scene.num_chunks * schedule.steps, DTYPES["chunk_steps"]))
+    clean_tokens = row = 0
     final_latents: dict[int, np.ndarray] = {}
 
     for g, records, finished, query_latent in trajectory(scene, schedule, policy,
@@ -333,10 +335,12 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
             clean_tokens = buffer.clean_tokens
 
         active_tokens = (len(records) - len(finished)) * tokens_per_chunk
-        trace.records.append(StepRecord(
-            global_step=g, chunks=records, flops=step_flops,
-            kv_clean_tokens=clean_tokens, kv_active_tokens=active_tokens,
-            resident_bytes=float(clean_tokens + active_tokens) * cost.bytes_per_kv_token))
+        trace.steps[g] = (g, len(records), step_flops, clean_tokens, active_tokens,
+                          float(clean_tokens + active_tokens) * cost.bytes_per_kv_token)
+        trace.chunk_steps[row:row + len(records)] = [
+            (r.chunk, r.local_step, r.decision == COMPUTE, r.metric, r.accumulator,
+             math.nan if r.estimate is None else r.estimate) for r in records]
+        row += len(records)
 
     trace.finish(final_latents)
     return trace
@@ -354,9 +358,10 @@ def recompute_flops(trace: RunTrace, scene: SceneConfig, cost: CostModel) -> flo
     """
     tokens_per_chunk = scene.tokens_per_chunk
     total, clean_tokens = 0.0, 0
-    for rec in trace.records:
-        active = len(rec.chunks)
+    steps = trace.steps
+    for active, clean in zip(steps["chunk_count"].tolist(),
+                             steps["kv_clean_tokens"].tolist()):
         total += cost.step_flops(active, tokens_per_chunk,
                                  clean_tokens + active * tokens_per_chunk)
-        clean_tokens = rec.kv_clean_tokens
+        clean_tokens = clean
     return total

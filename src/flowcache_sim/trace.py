@@ -9,13 +9,12 @@ outcomes, final latents) while excluding presentation-only fields.
 from __future__ import annotations
 
 import base64
-import binascii
 import hashlib
 import json
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
-from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -26,8 +25,9 @@ from .numerics import FLOAT
 from .reuse import COMPUTE, REUSE
 
 SCHEMA_VERSION = 3
-# trace.json's base64 little-endian columns, one value per step or chunk-step;
-# chunk_count gives each step's run of chunk-step rows, and compute is 1 or 0
+# trace.json's base64 little-endian columns and RunTrace's packed row types, one
+# value per step or chunk-step; chunk_count gives each step's run of chunk-step
+# rows, and compute is 1 or 0
 COLUMNS = {
     "steps": {"global_step": "<i8", "chunk_count": "<i8", "flops": "<f8",
               "kv_clean_tokens": "<i8", "kv_active_tokens": "<i8",
@@ -36,6 +36,8 @@ COLUMNS = {
                     "metric": "<f8", "accumulator": "<f8",
                     "estimate": "<f8"},   # NaN for a null estimate
 }
+DTYPES = {table: np.dtype(list(columns.items())) for table, columns in COLUMNS.items()}
+DECISIONS = (REUSE, COMPUTE)   # indexed by the compute flag
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,6 @@ class RunTotals:
     peak_resident_bytes: float = 0.0
     reuse_fraction: float = 0.0
 
-    @classmethod
-    def of(cls, records: list[StepRecord]) -> RunTotals:
-        """The totals of ``records``, flops summed in step order."""
-        done = sum(len(r.chunks) for r in records)
-        computed = sum(cr.decision == COMPUTE for r in records for cr in r.chunks)
-        return cls(computed, done - computed, sum((r.flops for r in records), 0.0),
-                   max((r.resident_tokens for r in records), default=0),
-                   max((r.resident_bytes for r in records), default=0.0),
-                   (done - computed) / done if done else 0.0)
-
 
 def _config_snapshot(scene, schedule, policy, kv, cost, noise_scale) -> dict:
     """The run's config dict (``build_objects`` inverts it)."""
@@ -95,17 +87,35 @@ def _config_snapshot(scene, schedule, policy, kv, cost, noise_scale) -> dict:
     }
 
 
-@dataclass
+@dataclass(eq=False)
 class RunTrace:
+    """A run's records as ``DTYPES`` rows, one per global step and one per
+    chunk-step; once finished, step i owns rows ``offsets[i]:offsets[i + 1]``."""
+
     config: dict
-    records: list[StepRecord] = field(default_factory=list)
+    steps: np.ndarray = field(default_factory=lambda: np.zeros(0, DTYPES["steps"]))
+    chunk_steps: np.ndarray = field(default_factory=lambda: np.zeros(0, DTYPES["chunk_steps"]))
     compressions: list[CompressionReport] = field(default_factory=list)
     totals: RunTotals = field(default_factory=RunTotals)
     final_latents: dict[int, np.ndarray] = field(default_factory=dict)
     content_hash: str = ""
+    offsets: np.ndarray = field(init=False, repr=False)
+
+    @property
+    def records(self) -> StepRecords:
+        """The steps as ``StepRecord``s, each built from the columns on access."""
+        return StepRecords(self)
 
     def finish(self, final_latents: dict[int, np.ndarray]) -> None:
-        self.totals = RunTotals.of(self.records)
+        """Derive the row offsets, the totals (flops summed in order) and the hash."""
+        steps, done = self.steps, len(self.chunk_steps)
+        self.offsets = np.concatenate(([0], np.cumsum(steps["chunk_count"])))
+        computed = int(self.chunk_steps["compute"].sum())
+        tokens = steps["kv_clean_tokens"] + steps["kv_active_tokens"]
+        self.totals = RunTotals(computed, done - computed, sum(steps["flops"].tolist(), 0.0),
+                                int(tokens.max(initial=0)),
+                                float(steps["resident_bytes"].max(initial=0.0)),
+                                (done - computed) / done if done else 0.0)
         self.final_latents = final_latents
         self.content_hash = self._compute_hash()
 
@@ -119,16 +129,17 @@ class RunTrace:
         only there and must hash identically.
         """
         h = hashlib.sha256()
-        for rec in self.records:
-            fmt, values = ["<q"], [rec.global_step]
-            for cr in rec.chunks:
-                decision = cr.decision.encode()
+        offsets = self.offsets.tolist()
+        for i in range(len(self.steps)):   # a step at a time, so no table is a list
+            g, _, *costs = self.steps[i].tolist()
+            fmt, values = ["<q"], [g]
+            for chunk, local_step, compute, metric, accumulator, _ in (
+                    self.chunk_steps[offsets[i]:offsets[i + 1]].tolist()):
+                decision = DECISIONS[compute].encode()
                 fmt.append(f"qq{len(decision)}sdd")
-                values += (cr.chunk, cr.local_step, decision, cr.metric, cr.accumulator)
+                values += (chunk, local_step, decision, metric, accumulator)
             fmt.append("dqqd")
-            values += (rec.flops, rec.kv_clean_tokens, rec.kv_active_tokens,
-                       rec.resident_bytes)
-            h.update(struct.pack("".join(fmt), *values))
+            h.update(struct.pack("".join(fmt), *values, *costs))
         for rep in self.compressions:
             # the trailing b"0" is the former no_op flag, kept so hashes hold
             h.update(struct.pack("<qqq1s", rep.global_step, rep.arriving_chunk,
@@ -147,13 +158,9 @@ class RunTrace:
         return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config,
-            "steps": _encode("steps", [
-                (r.global_step, len(r.chunks), r.flops, r.kv_clean_tokens,
-                 r.kv_active_tokens, r.resident_bytes) for r in self.records]),
-            "chunk_steps": _encode("chunk_steps", [
-                (c.chunk, c.local_step, c.decision == COMPUTE, c.metric, c.accumulator,
-                 math.nan if c.estimate is None else c.estimate)
-                for r in self.records for c in r.chunks]),
+            **{table: {name: base64.b64encode(array[name].tobytes()).decode()
+                       for name in COLUMNS[table]}
+               for table, array in [("steps", self.steps), ("chunk_steps", self.chunk_steps)]},
             "compressions": [{**vars(c), "heads": {str(h): dict(vars(r))
                                                    for h, r in c.heads.items()}}
                              for c in self.compressions],
@@ -167,11 +174,32 @@ class RunTrace:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _encode(table: str, rows: list[tuple]) -> dict[str, str]:
-    """``COLUMNS[table]`` in base64, from ``rows`` of values in column order."""
-    array = np.array(rows, dtype=list(COLUMNS[table].items()))
-    return {name: base64.b64encode(array[name].tobytes()).decode()
-            for name in COLUMNS[table]}
+class StepRecords(Sequence):
+    """A read-only view of a trace's columns as ``StepRecord``s, each built
+    (with its ``ChunkStepRecord``s) when it is read; a slice is a list."""
+
+    def __init__(self, trace: RunTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.steps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]   # an int, in range
+        trace = self._trace
+        chunks = [ChunkStepRecord(chunk, local_step, DECISIONS[compute], metric,
+                                  accumulator, None if math.isnan(estimate) else estimate)
+                  for chunk, local_step, compute, metric, accumulator, estimate
+                  in trace.chunk_steps[trace.offsets[i]:trace.offsets[i + 1]].tolist()]
+        g, _, *costs = trace.steps[i].tolist()
+        return StepRecord(g, chunks, *costs)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def _is_int64(v) -> bool:
@@ -234,8 +262,10 @@ def _column(text, where: str, dtype: str, count: Optional[int]) -> np.ndarray:
         raise InvalidInput(f"{where} must be a base64 string")
     try:
         raw = base64.b64decode(text, validate=True)
-    except binascii.Error:
+    except ValueError:   # binascii.Error, or a non-ASCII character
         raise InvalidInput(f"{where} is not valid base64") from None
+    if base64.b64encode(raw).decode() != text:   # unused trailing bits set
+        raise InvalidInput(f"{where} is not canonical base64")
     size = np.dtype(dtype).itemsize
     if len(raw) % size:
         raise InvalidInput(f"{where} has {len(raw)} bytes, not a multiple of {size}")
@@ -259,35 +289,33 @@ def import_trace(data: dict | str) -> RunTrace:
             data = json.loads(data)
         if data["schema_version"] != SCHEMA_VERSION:
             raise InvalidInput(f"unsupported trace schema {data['schema_version']}")
-        trace = RunTrace(config=data["config"])
         try:
             scene = build_objects(data["config"])[0]
         except SimulatorError as exc:
             raise InvalidInput(f"trace.config.{exc}") from None
-        columns = []
+        tables = []
         for table, body in [(table, data[table]) for table in COLUMNS]:
             where, count = f"trace.{table}", None
             for name, dtype in COLUMNS[table].items():
                 values = _column(body[name], f"{where}.{name}", dtype, count)
-                count, nullable = len(values), name == "estimate"
+                if count is None:
+                    count, array = len(values), np.zeros(len(values), DTYPES[table])
+                nullable = name == "estimate"
                 if values.dtype.kind == "f" and not (
                         np.isfinite(values) | nullable & np.isnan(values)).all():
                     raise InvalidInput(f"{where}.{name} must hold finite values"
                                        + " or NaN" * nullable)
-                columns.append(values.tolist())
+                array[name] = values
+            tables.append(array)
         where = "trace"
-        (global_step, counts, flops, clean, active, resident,
-         chunk, local_step, compute, metric, accumulator, estimate) = columns
-        if max(compute, default=0) > 1:
+        trace = RunTrace(data["config"], *tables)
+        counts, rows = trace.steps["chunk_count"], len(trace.chunk_steps)
+        if trace.chunk_steps["compute"].max(initial=0) > 1:
             raise InvalidInput("trace.chunk_steps.compute must hold 0 or 1")
-        if min(counts, default=0) < 0 or sum(counts) != len(chunk):
+        # each count in [0, rows], so neither the sum nor the offsets can wrap
+        if counts.min(initial=0) < 0 or counts.max(initial=0) > rows or counts.sum() != rows:
             raise InvalidInput("trace.steps.chunk_count must be counts that sum "
-                               f"to the {len(chunk)} chunk-step rows")
-        rows = map(ChunkStepRecord, chunk, local_step,
-                   [COMPUTE if c else REUSE for c in compute], metric, accumulator,
-                   [None if math.isnan(e) else e for e in estimate])
-        for step, n, *costs in zip(global_step, counts, flops, clean, active, resident):
-            trace.records.append(StepRecord(step, list(islice(rows, n)), *costs))
+                               f"to the {rows} chunk-step rows")
         for i, rep in enumerate(data["compressions"]):
             where = f"trace.compressions[{i}]"
             report = read_fields(CompressionReport, rep, where, heads={})
@@ -324,18 +352,19 @@ def import_trace(data: dict | str) -> RunTrace:
 
 # -- derived views ----------------------------------------------------------
 
-def _progress(trace: RunTrace) -> list[tuple[ChunkStepRecord, float]]:
-    """Each chunk-step with its denoising progress %, in trace order."""
+def _progress(trace: RunTrace) -> list[float]:
+    """Each chunk-step's denoising progress %, in trace order."""
     steps = trace.config["schedule"]["steps"]
-    return [(cr, 100.0 * cr.local_step / steps)
-            for rec in trace.records for cr in rec.chunks]
+    return (100.0 * trace.chunk_steps["local_step"] / steps).tolist()
 
 
 def l1rel_curves(trace: RunTrace) -> dict[int, list[tuple[float, float]]]:
     """Per-chunk (denoising progress %, metric) series in step order."""
     curves: dict[int, list[tuple[float, float]]] = {}
-    for cr, progress in _progress(trace):
-        curves.setdefault(cr.chunk, []).append((progress, cr.metric))
+    rows = trace.chunk_steps
+    for chunk, progress, metric in zip(rows["chunk"].tolist(), _progress(trace),
+                                       rows["metric"].tolist()):
+        curves.setdefault(chunk, []).append((progress, metric))
     return curves
 
 
@@ -343,9 +372,11 @@ def curves_csv(trace: RunTrace) -> str:
     """CSV rendering of the per-chunk metric curves (no field needs quoting)."""
     lines = [f"schema_version,{SCHEMA_VERSION}",
              "chunk,local_step,progress_pct,metric,decision,estimate"]
-    lines += [f"{cr.chunk},{cr.local_step},{progress:.6f},{cr.metric!r},{cr.decision},"
-              + ("" if cr.estimate is None else repr(cr.estimate))
-              for cr, progress in _progress(trace)]
+    lines += [f"{chunk},{local_step},{progress:.6f},{metric!r},{DECISIONS[compute]},"
+              + ("" if math.isnan(estimate) else repr(estimate))
+              for chunk, local_step, compute, metric, _, estimate, progress
+              in zip(*(trace.chunk_steps[name].tolist() for name in COLUMNS["chunk_steps"]),
+                     _progress(trace))]
     return "\r\n".join(lines) + "\r\n"
 
 

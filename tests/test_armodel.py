@@ -15,6 +15,7 @@ from flowcache_sim.armodel import recompute_flops
 from flowcache_sim.cli import _apply_axis
 from flowcache_sim.config import _deep_merge
 from flowcache_sim.errors import InvalidConfig, InvalidInput, Singularity
+from flowcache_sim.trace import ChunkStepRecord, StepRecord
 
 
 def small_scene(**kw):
@@ -340,6 +341,20 @@ class TestWorkingSet:
         del finished
         assert all(ref() is None for ref in refs)
         assert seen == scene.num_chunks
+
+    def test_no_record_objects_outlive_a_run(self):
+        # the trace keeps its records as columns; a record object is built on read
+        def live_records():
+            return sum(type(o) in (ChunkStepRecord, StepRecord) for o in gc.get_objects())
+
+        scene = SceneConfig(num_chunks=12, window=3, shape=(4, 2, 3, 3), seed=5)
+        sched = PowerLawSchedule(power=1.0, steps=6)
+        gc.collect()
+        before = live_records()
+        trace = run_denoise(scene, sched, ReusePolicy(0.015, 1))
+        gc.collect()
+        assert live_records() == before
+        assert trace.chunk_steps.nbytes == 41 * scene.num_chunks * sched.steps
 
     @staticmethod
     def transient_bytes(num_chunks):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from flowcache_sim import (PROFILES, CostModel, KVPlan, PowerLawSchedule,
                            ReusePolicy, SceneConfig, build_objects, import_trace,
-                           l1rel_curves, resolve_config, run_denoise, speedup)
+                           l1rel_curves, resolve_config, run_denoise, speedup,
+                           trajectory)
 from flowcache_sim.errors import InvalidComparison, InvalidInput
 from flowcache_sim.trace import COLUMNS, curves_csv
 
@@ -69,6 +70,16 @@ class TestExport:
         again = import_trace(trace.to_json())
         assert again.to_json() == trace.to_json()
         assert again.records == trace.records   # null estimates come back as None
+
+    def test_non_canonical_base64_rejected(self):
+        # "8=" and "9=" decode alike: they differ only in bits the padding leaves unused
+        payload = json.loads(tiny_run().to_json())
+        text = payload["steps"]["flops"]
+        assert text.endswith("8=")
+        payload["steps"]["flops"] = text[:-2] + "9="
+        with pytest.raises(InvalidInput,
+                           match=r"^trace\.steps\.flops is not canonical base64$"):
+            import_trace(payload)
 
     def test_missing_field_names_its_path(self):
         payload = json.loads(tiny_run().to_json())
@@ -276,6 +287,27 @@ class TestExport:
             GOLDEN.write_text(payload)
         assert GOLDEN.exists(), "golden fixture missing; regenerate"
         assert payload == GOLDEN.read_text()
+
+
+class TestRecordsView:
+    def test_view_of_imported_columns_matches_trajectory_events(self):
+        scene = SceneConfig(num_chunks=3, window=2, shape=(4, 2, 3, 3), seed=1)
+        sched = PowerLawSchedule(power=0.25, steps=8)
+        policy = ReusePolicy(0.05, 2)
+        events = [(g, chunks) for g, chunks, _, _ in trajectory(scene, sched, policy, 0.0)]
+        records = import_trace(run_denoise(scene, sched, policy=policy).to_json()).records
+        assert len(records) == len(events) == 16
+        assert [(r.global_step, r.chunks) for r in records] == events
+        for i in (0, 5, -1, -16):
+            assert (records[i].global_step, records[i].chunks) == events[i]
+        assert [(r.global_step, r.chunks) for r in records[3:9:2]] == events[3:9:2]
+        assert records[::-1] == list(records)[::-1]
+        for i in (16, -17):
+            with pytest.raises(IndexError):
+                records[i]
+        estimates = [c.estimate for r in records for c in r.chunks]
+        assert estimates[0] is None and None in estimates[1:]
+        assert all(e is None or type(e) is float for e in estimates)
 
 
 class TestSpeedup:
