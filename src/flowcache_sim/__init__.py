@@ -12,10 +12,10 @@ from .errors import (DegenerateInput, InternalError, InvalidComparison,
                      InvalidConfig, InvalidInput, SimulatorError, Singularity)
 from .kvcache import (CompressionReport, KVBuffer, KVPlan,
                       combined_score, granularity_aggregate, importance,
-                      pooled_importance, redundancy_fast, redundancy_naive,
-                      score_candidates, select_tokens)
+                      pooled_importance, redundancy_fast, score_candidates,
+                      select_tokens)
 from .numerics import l1_norm, maxpool1d, softmax, stable_topk
 from .reuse import (ChunkReuseState, Decision, ReusePolicy, decide,
-                    estimate_metric, relative_l1)
+                    estimate_metric)
 from .schedule import PowerLawSchedule, euler_step
 from .trace import (RunTrace, curves_csv, import_trace, l1rel_curves, speedup)

@@ -28,7 +28,7 @@ from .numerics import FLOAT, l1_norm
 from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
                     decide, estimate_metric)
 from .schedule import PowerLawSchedule
-from .trace import DTYPES, ChunkStepRecord, RunTrace, _config_snapshot
+from .trace import DTYPES, RunTrace, _config_snapshot
 
 # seed-stream tags, so every random draw has a stable address
 _TAG_NOISE = 1
@@ -239,9 +239,10 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
     derives the KV accounting from its events. Chunk i (0-based) is active
     exactly while ``i <= g // (steps // window) < i + window``.
 
-    Step g yields ``(g, records, finished, query_latent)``: the records of
-    the chunks active at g in index order, the chunks that became clean at g,
-    and the latent of the newest chunk still active after g (or None).
+    Step g yields ``(g, rows, finished, query_latent)``: the active chunks'
+    ``trace.COLUMNS["chunk_steps"]`` rows in index order (compute flag, NaN
+    for no estimate), the chunks that became clean at g, and the latent of
+    the newest chunk still active after g (or None).
     A chunk's state is made when its window opens and dropped once yielded
     as finished, so at most ``window`` chunk states are live.
     """
@@ -251,7 +252,7 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
     active: list[ChunkState] = []
 
     for g in range(global_steps):
-        records, finished, query_latent = [], [], None
+        rows, finished, query_latent = [], [], None
         if g % stride == 0 and g // stride < scene.num_chunks:
             index = g // stride + 1
             chunk = ChunkState(index=index, clean_latent=make_clean_latent(scene, index),
@@ -272,16 +273,14 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
                                            schedule, noise_scale, scene.seed))
             # one reduction per new latent: next step's norm and this step's check
             chunk.latent_norm = l1_norm(chunk.latent, "euler_step")
-            records.append(ChunkStepRecord(
-                chunk=chunk.index, local_step=chunk.local_step,
-                decision=decision.action, metric=metric,
-                accumulator=state.accumulator, estimate=estimate))
+            rows.append((chunk.index, chunk.local_step, decision.action == COMPUTE, metric,
+                         state.accumulator, math.nan if estimate is None else estimate))
             chunk.local_step += 1
             if chunk.local_step == schedule.steps:
                 finished.append(chunk)
             else:
                 query_latent = chunk.latent
-        yield g, records, finished, query_latent
+        yield g, rows, finished, query_latent
         del active[:len(finished)]   # the oldest chunks finish first
 
 
@@ -290,7 +289,8 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
                 kv: Optional[KVPlan] = None,
                 cost: Optional[CostModel] = None,
                 noise_scale: float = 0.0) -> RunTrace:
-    """Run the trajectory; its trace holds the config snapshot, KV use and cost.
+    """Run the trajectory; its trace holds the chunk-step rows as yielded, the
+    config snapshot, KV use and cost (computed chunks counted by their flags).
 
     ``policy=None`` disables the reuse machinery entirely (every step
     computes); an epsilon=0 policy takes the same decisions and produces a
@@ -315,11 +315,9 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     clean_tokens = row = 0
     final_latents: dict[int, np.ndarray] = {}
 
-    for g, records, finished, query_latent in trajectory(scene, schedule, policy,
-                                                         noise_scale):
-        step_flops = cost.step_flops(
-            sum(record.decision == COMPUTE for record in records),
-            tokens_per_chunk, clean_tokens + len(records) * tokens_per_chunk)
+    for g, rows, finished, query_latent in trajectory(scene, schedule, policy, noise_scale):
+        step_flops = cost.step_flops(sum(compute for _, _, compute, *_ in rows), tokens_per_chunk,
+                                     clean_tokens + len(rows) * tokens_per_chunk)
 
         for chunk in finished:
             final_latents[chunk.index] = chunk.latent
@@ -334,13 +332,11 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
                 trace.compressions.append(report)
             clean_tokens = buffer.clean_tokens
 
-        active_tokens = (len(records) - len(finished)) * tokens_per_chunk
-        trace.steps[g] = (g, len(records), step_flops, clean_tokens, active_tokens,
+        active_tokens = (len(rows) - len(finished)) * tokens_per_chunk
+        trace.steps[g] = (g, len(rows), step_flops, clean_tokens, active_tokens,
                           float(clean_tokens + active_tokens) * cost.bytes_per_kv_token)
-        trace.chunk_steps[row:row + len(records)] = [
-            (r.chunk, r.local_step, r.decision == COMPUTE, r.metric, r.accumulator,
-             math.nan if r.estimate is None else r.estimate) for r in records]
-        row += len(records)
+        trace.chunk_steps[row:row + len(rows)] = rows
+        row += len(rows)
 
     trace.finish(final_latents)
     return trace

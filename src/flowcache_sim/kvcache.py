@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateInput, InvalidConfig, InvalidInput
-from .numerics import FLOAT, maxpool1d, softmax, softmax_, stable_topk
+from .numerics import FLOAT, maxpool1d, softmax_, stable_topk
 
 # Blocked accumulation bound for the fast redundancy kernel; keeps peak
 # transient allocation at O(block * H * d + H * L) instead of O(H * L^2).
@@ -112,32 +112,6 @@ def pooled_importance(imp: np.ndarray, plan: KVPlan) -> np.ndarray:
     return maxpool1d(imp, plan.pool_kernel)
 
 
-def redundancy_naive(keys: np.ndarray) -> np.ndarray:
-    """Reference redundancy: materialize the full cosine matrix per head.
-
-    Rows are l2-normalized, the LxL similarity matrix is formed with a zeroed
-    diagonal, columns are averaged over the token axis, and the means are
-    softmaxed into a per-head distribution.
-    """
-    keys = np.asarray(keys, dtype=FLOAT)
-    if keys.ndim != 3:
-        raise InvalidInput("keys must be rank-3 (tokens, heads, dim)")
-    l_k = keys.shape[0]
-    if l_k < 2:
-        raise InvalidInput("redundancy needs at least two tokens")
-    out = np.empty((keys.shape[1], l_k), dtype=FLOAT)
-    for h in range(keys.shape[1]):
-        keys_h = keys[:, h, :]
-        norms = np.sqrt(np.einsum("ld,ld->l", keys_h, keys_h))
-        if np.any(norms == 0.0):
-            raise DegenerateInput("zero-norm key row")
-        unit = keys_h / norms[:, None]
-        sim = unit @ unit.T
-        np.fill_diagonal(sim, 0.0)
-        out[h] = softmax(sim.sum(axis=0) / l_k)
-    return out
-
-
 def redundancy_fast(keys: np.ndarray) -> np.ndarray:
     """Redundancy without the LxL matrix: mean-key dot products per token.
 
@@ -145,7 +119,7 @@ def redundancy_fast(keys: np.ndarray) -> np.ndarray:
     of each unit key with the mean of all unit keys, minus the token's own
     self-similarity contribution (exactly 1/L after row normalization). The
     mean unit keys of all heads accumulate blockwise, so peak transient memory
-    stays O(block * H * d + H * L); results match redundancy_naive within 1e-9.
+    stays O(block * H * d + H * L); results match verify.redundancy_naive within 1e-9.
     """
     keys = np.asarray(keys, dtype=FLOAT)
     if keys.ndim != 3:

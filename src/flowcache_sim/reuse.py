@@ -52,15 +52,8 @@ class Decision:
     accumulator: float               # post-decision value of f
 
 
-def relative_l1(velocity: np.ndarray, dt: float, latent: np.ndarray) -> float:
-    """||velocity * dt||_1 / ||latent||_1, the per-step relative change."""
-    if velocity.shape != latent.shape:
-        raise InvalidInput(f"shape mismatch {velocity.shape} vs {latent.shape}")
-    return _relative(l1_norm(velocity, "velocity"), dt, l1_norm(latent, "latent"))
-
-
 def _relative(velocity_norm: float, dt: float, latent_norm: float) -> float:
-    """``relative_l1`` from the two L1 norms."""
+    """||velocity * dt||_1 / ||latent||_1 from the two L1 norms."""
     if dt <= 0:
         raise InvalidInput(f"dt must be positive, got {dt}")
     if latent_norm == 0.0:

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -102,9 +102,18 @@ class RunTrace:
     offsets: np.ndarray = field(init=False, repr=False)
 
     @property
-    def records(self) -> StepRecords:
-        """The steps as ``StepRecord``s, each built from the columns on access."""
-        return StepRecords(self)
+    def records(self) -> Iterator[StepRecord]:
+        """The steps as ``StepRecord``s, each built from its rows when reached."""
+        for (g, _, *costs), rows in self._walk():
+            yield StepRecord(g, [ChunkStepRecord(chunk, step, DECISIONS[compute], metric, acc,
+                                                 None if math.isnan(estimate) else estimate)
+                                 for chunk, step, compute, metric, acc, estimate in rows], *costs)
+
+    def _walk(self) -> Iterator[tuple[list, list[tuple]]]:
+        """Each step's row and its chunk-step rows, so no table is ever a list."""
+        offsets = self.offsets.tolist()
+        for i in range(len(self.steps)):
+            yield self.steps[i].tolist(), self.chunk_steps[offsets[i]:offsets[i + 1]].tolist()
 
     def finish(self, final_latents: dict[int, np.ndarray]) -> None:
         """Derive the row offsets, the totals (flops summed in order) and the hash."""
@@ -129,12 +138,9 @@ class RunTrace:
         only there and must hash identically.
         """
         h = hashlib.sha256()
-        offsets = self.offsets.tolist()
-        for i in range(len(self.steps)):   # a step at a time, so no table is a list
-            g, _, *costs = self.steps[i].tolist()
+        for (g, _, *costs), rows in self._walk():
             fmt, values = ["<q"], [g]
-            for chunk, local_step, compute, metric, accumulator, _ in (
-                    self.chunk_steps[offsets[i]:offsets[i + 1]].tolist()):
+            for chunk, local_step, compute, metric, accumulator, _ in rows:
                 decision = DECISIONS[compute].encode()
                 fmt.append(f"qq{len(decision)}sdd")
                 values += (chunk, local_step, decision, metric, accumulator)
@@ -172,34 +178,6 @@ class RunTrace:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-class StepRecords(Sequence):
-    """A read-only view of a trace's columns as ``StepRecord``s, each built
-    (with its ``ChunkStepRecord``s) when it is read; a slice is a list."""
-
-    def __init__(self, trace: RunTrace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.steps)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]   # an int, in range
-        trace = self._trace
-        chunks = [ChunkStepRecord(chunk, local_step, DECISIONS[compute], metric,
-                                  accumulator, None if math.isnan(estimate) else estimate)
-                  for chunk, local_step, compute, metric, accumulator, estimate
-                  in trace.chunk_steps[trace.offsets[i]:trace.offsets[i + 1]].tolist()]
-        g, _, *costs = trace.steps[i].tolist()
-        return StepRecord(g, chunks, *costs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def _is_int64(v) -> bool:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .armodel import ChunkState, ideal_velocity, smooth_profile
-from .errors import InvalidInput
-from .kvcache import KVPlan, importance, redundancy_fast, redundancy_naive
+from .errors import DegenerateInput, InvalidInput
+from .kvcache import KVPlan, importance, redundancy_fast
 from .numerics import FLOAT, l1_norm, maxpool1d, softmax, stable_topk
-from .reuse import COMPUTE, REUSE, ChunkReuseState, ReusePolicy, decide, relative_l1
+from .reuse import COMPUTE, REUSE, ChunkReuseState, ReusePolicy, decide
 from .schedule import PowerLawSchedule
 
 
@@ -167,6 +167,18 @@ def _smooth_unit(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray
     return out / peak if peak > 0 else out + 1.0
 
 
+def relative_l1(velocity: np.ndarray, dt: float, latent: np.ndarray) -> float:
+    """||velocity * dt||_1 / ||latent||_1, in arithmetic not shared with ``reuse``."""
+    if velocity.shape != latent.shape:
+        raise InvalidInput(f"shape mismatch {velocity.shape} vs {latent.shape}")
+    if dt <= 0:
+        raise InvalidInput(f"dt must be positive, got {dt}")
+    latent_norm = float(np.abs(latent).sum())
+    if latent_norm == 0.0:
+        raise DegenerateInput("relative_l1 against a zero-norm latent")
+    return float(np.abs(velocity).sum()) * dt / latent_norm
+
+
 def theorem_metric_series(power: float, steps: int, chunk_seed: int,
                           shape=(8, 4, 6, 6)) -> np.ndarray:
     """Metric at every grid point of the closed-form denoising trajectory.
@@ -305,6 +317,32 @@ def suite_policy(seed: int = 0, streams: int = 1000) -> list[CheckResult]:
 
 # ---------------------------------------------------------------------------
 # kvequiv: fast redundancy kernel vs the materialized reference
+
+def redundancy_naive(keys: np.ndarray) -> np.ndarray:
+    """Reference redundancy: materialize the full cosine matrix per head.
+
+    Rows are l2-normalized, the LxL similarity matrix is formed with a zeroed
+    diagonal, columns are averaged over the token axis, and the means are
+    softmaxed into a per-head distribution.
+    """
+    keys = np.asarray(keys, dtype=FLOAT)
+    if keys.ndim != 3:
+        raise InvalidInput("keys must be rank-3 (tokens, heads, dim)")
+    l_k = keys.shape[0]
+    if l_k < 2:
+        raise InvalidInput("redundancy needs at least two tokens")
+    out = np.empty((keys.shape[1], l_k), dtype=FLOAT)
+    for h in range(keys.shape[1]):
+        keys_h = keys[:, h, :]
+        norms = np.sqrt(np.einsum("ld,ld->l", keys_h, keys_h))
+        if np.any(norms == 0.0):
+            raise DegenerateInput("zero-norm key row")
+        unit = keys_h / norms[:, None]
+        sim = unit @ unit.T
+        np.fill_diagonal(sim, 0.0)
+        out[h] = softmax(sim.sum(axis=0) / l_k)
+    return out
+
 
 def suite_kvequiv(seed: int = 0, instances: int = 100) -> list[CheckResult]:
     rng = np.random.default_rng(seed)

@@ -181,9 +181,10 @@ def test_criterion_9_curve_phenomenology():
         for series in curves.values())
 
     # cross-chunk divergence at fixed global steps, mid-run
-    total = len(trace.records)
+    records = list(trace.records)
+    total = len(records)
     ratios = []
-    for rec in trace.records[total // 3:2 * total // 3]:
+    for rec in records[total // 3:2 * total // 3]:
         if len(rec.chunks) >= 2:
             metrics = [cr.metric for cr in rec.chunks]
             ratios.append(max(metrics) / min(metrics))
@@ -193,7 +194,7 @@ def test_criterion_9_curve_phenomenology():
     # the last steps' gap is dominated by the intrinsic per-step growth of
     # the metric, which no one-step-stale estimate can track
     gaps = []
-    for rec in trace.records:
+    for rec in records:
         for cr in rec.chunks:
             if (cr.decision == "compute" and cr.estimate is not None
                     and cr.local_step <= 0.9 * MAGI_SCHED.steps):

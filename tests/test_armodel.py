@@ -15,7 +15,7 @@ from flowcache_sim.armodel import recompute_flops
 from flowcache_sim.cli import _apply_axis
 from flowcache_sim.config import _deep_merge
 from flowcache_sim.errors import InvalidConfig, InvalidInput, Singularity
-from flowcache_sim.trace import ChunkStepRecord, StepRecord
+from flowcache_sim.trace import DTYPES, ChunkStepRecord, StepRecord
 
 
 def small_scene(**kw):
@@ -164,8 +164,8 @@ class TestRunLifecycle:
         sched = PowerLawSchedule(power=0.25, steps=steps)
         spans = {c: active_window(c, sched, scene) for c in range(1, chunks + 1)}
         seen = 0
-        for g, records, finished, _ in trajectory(scene, sched, None, 0.0):
-            assert [r.chunk for r in records] == [
+        for g, rows, finished, _ in trajectory(scene, sched, None, 0.0):
+            assert [row[0] for row in rows] == [
                 c for c, (start, end) in spans.items() if start <= g < end]
             assert [c.index for c in finished] == [
                 c for c, (_, end) in spans.items() if end - 1 == g]
@@ -311,9 +311,11 @@ class TestTrajectoryIgnoresKV:
         events = list(trajectory(scene, sched, policy, noise))
         trace = run_denoise(scene, sched, policy=policy, kv=kv, cost=cost,
                             noise_scale=noise)
-        assert [g for g, *_ in events] == [r.global_step for r in trace.records]
-        assert [records for _, records, _, _ in events] == [
-            r.chunks for r in trace.records]
+        assert [g for g, *_ in events] == trace.steps["global_step"].tolist()
+        stacked = np.array([row for _, rows, _, _ in events for row in rows],
+                           DTYPES["chunk_steps"])
+        assert np.isnan(stacked["estimate"]).any()
+        assert stacked.tobytes() == trace.chunk_steps.tobytes()   # NaN estimates too
         finished = [c for _, _, done, _ in events for c in done]
         assert [c.index for c in finished] == list(range(1, scene.num_chunks + 1))
         for chunk in finished:

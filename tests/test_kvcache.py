@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from flowcache_sim import (KVBuffer, KVPlan, combined_score,
                            granularity_aggregate, importance,
-                           pooled_importance, redundancy_fast,
-                           redundancy_naive, select_tokens)
+                           pooled_importance, redundancy_fast, select_tokens)
 from flowcache_sim.errors import DegenerateInput, InvalidConfig, InvalidInput
 from flowcache_sim.kvcache import pool_queries_by_frame
 from flowcache_sim.numerics import maxpool1d, softmax_
 from flowcache_sim.trace import RunTrace
+from flowcache_sim.verify import redundancy_naive
 
 
 def cfg(**kw):

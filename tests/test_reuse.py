@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcache_sim import (ChunkReuseState, ReusePolicy, decide,
-                           estimate_metric, relative_l1)
+from flowcache_sim import ChunkReuseState, ReusePolicy, decide, estimate_metric
 from flowcache_sim.errors import DegenerateInput, InternalError, InvalidInput
 from flowcache_sim.reuse import COMPUTE, REUSE, Decision, apply
-from flowcache_sim.verify import _interpret_reuse_rule, engine_decisions
+from flowcache_sim.verify import _interpret_reuse_rule, engine_decisions, relative_l1
 
 
 class TestRelativeL1:
@@ -32,6 +31,11 @@ class TestRelativeL1:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInput):
             relative_l1(np.ones(3), 0.1, np.ones(4))
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_non_positive_dt(self, dt):
+        with pytest.raises(InvalidInput, match="dt must be positive"):
+            relative_l1(np.ones(3), dt, np.ones(3))
 
 
 class TestDecide:
