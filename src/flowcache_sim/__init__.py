@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .armodel import (ChunkState, CostModel, SceneConfig, active_window,
                       ideal_velocity, make_clean_latent, make_initial_noise,
                       perturbed_velocity, run_denoise, total_global_steps,
-                      trajectory)
+                      trajectory, velocity_noise_seeds)
 from .config import PROFILES, build_objects, resolve_config
 from .errors import (DegenerateInput, InternalError, InvalidComparison,
                      InvalidConfig, InvalidInput, SimulatorError, Singularity)

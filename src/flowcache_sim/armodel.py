@@ -16,7 +16,9 @@ free.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -30,7 +32,8 @@ from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
 from .schedule import PowerLawSchedule
 from .trace import DTYPES, RunTrace, _config_snapshot
 
-# seed-stream tags, so every random draw has a stable address
+# seed-stream tags, so every random draw has a stable address; velocity noise's
+# SeedSequence words come from velocity_noise_seeds, once per chunk
 _TAG_NOISE = 1
 _TAG_CLEAN = 2
 _TAG_VEL_NOISE = 3
@@ -112,7 +115,8 @@ class CostModel:
 
 @dataclass
 class ChunkState:
-    """One chunk's latent, ground truth, denoising progress and reuse state."""
+    """One chunk's latent, ground truth, denoising progress, reuse state and,
+    in a run with velocity noise, its ``velocity_noise_seeds`` table."""
 
     index: int                       # 1-based
     clean_latent: np.ndarray         # ground-truth endpoint of denoising
@@ -120,6 +124,7 @@ class ChunkState:
     latent_norm: float = 0.0         # L1 norm of latent, taken with it
     local_step: int = 0              # the chunk is clean once this is steps
     reuse: ChunkReuseState = field(default_factory=ChunkReuseState)
+    noise_seeds: Optional[np.ndarray] = None   # (steps, 4) uint64, or None
 
 
 def smooth_profile(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -184,20 +189,76 @@ def ideal_velocity(chunk: ChunkState, t: float,
     return -rate * (chunk.latent - chunk.clean_latent)
 
 
+def velocity_noise_seeds(seed: int, index: int, steps: int) -> np.ndarray:
+    """(steps, 4) uint64 rows, row s equal to ``SeedSequence([seed, index, s,
+    _TAG_VEL_NOISE]).generate_state(4, np.uint64)``: numpy's fixed mixing
+    (``numpy/random/bit_generator.pyx``, pool size 4) as uint32 array ops
+    over every step at once."""
+    seed, index = operator.index(seed), operator.index(index)   # numpy ints too, no floats
+    if min(seed, index) < 0:
+        raise InvalidInput("seed and chunk index must be >= 0")
+    words = [n >> k & 0xFFFFFFFF for n in (seed, index)   # little-endian 32-bit words
+             for k in range(0, max(n.bit_length(), 1), 32)]
+    entropy = np.empty((len(words) + 2, steps), np.uint32)   # a row per word, a column per step
+    entropy[:-2], entropy[-2], entropy[-1] = np.c_[words], np.arange(steps), _TAG_VEL_NOISE
+    extra = len(entropy) - 4   # words past the pool go through the extra-entropy loop
+    # INIT_A * MULT_A**k for hashmix call k, wrapping as uint32
+    hash_a = np.cumprod([0x43B0D7E5] + [0x931E8875] * (16 + 4 * extra), dtype=np.uint32)[:, None]
+
+    def hashmix(value, k, n):   # calls k..k+n-1, one per row
+        value = (value ^ hash_a[k:k + n]) * hash_a[k + 1:k + n + 1]
+        return value ^ value >> 16
+
+    def mix(x, y):   # MIX_MULT_L, MIX_MULT_R
+        out = x * 0xCA01F9DD - y * 0x4973F715
+        return out ^ out >> 16
+
+    pool = hashmix(entropy[:4], 0, 4)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for i in range(extra):
+        pool = mix(pool, hashmix(entropy[4 + i], 16 + 4 * i, 4))
+    hash_b = np.cumprod([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)[:, None]   # INIT_B, MULT_B
+    state = (np.tile(pool, (2, 1)) ^ hash_b[:-1]) * hash_b[1:]
+    state ^= state >> 16
+    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_words() -> type:
+    """An ISeedSequence handing PCG64 one precomputed row, so numpy still does
+    PCG64's seeding; made on first use, as ``numpy.random`` is slow to import."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    @dataclass(frozen=True)
+    class SeedWords(ISeedSequence):
+        words: np.ndarray
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+    return SeedWords
+
+
 def perturbed_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
-                       noise_scale: float, seed: int) -> np.ndarray:
+                       noise_scale: float, seed: int,
+                       words: Optional[np.ndarray] = None) -> np.ndarray:
     """Ideal velocity plus a seeded perturbation of relative L1 size noise_scale.
 
-    Deterministic for fixed (seed, chunk index, local step), independent of
-    any reuse decisions taken so far. With noise, the norm of the ideal
-    velocity is its finiteness check; without, the caller's norm is.
+    Draws the normals of ``default_rng([seed, chunk.index, chunk.local_step,
+    _TAG_VEL_NOISE])`` bit for bit, from ``words``, the chunk's
+    ``velocity_noise_seeds`` table (derived here if None), so independent of
+    any reuse decisions. With noise, the norm of the ideal velocity is its
+    finiteness check; without, the caller's norm is.
     """
     if noise_scale < 0:
         raise InvalidInput("noise_scale must be >= 0")
     base = ideal_velocity(chunk, t, schedule)
     if noise_scale == 0.0:
         return base
-    rng = np.random.default_rng([seed, chunk.index, chunk.local_step, _TAG_VEL_NOISE])
+    if words is None:
+        words = velocity_noise_seeds(seed, chunk.index, chunk.local_step + 1)
+    rng = np.random.Generator(np.random.PCG64(_seed_words()(words[chunk.local_step])))
     g = rng.standard_normal(base.shape)
     g_norm = np.abs(g).sum()
     if g_norm == 0.0:
@@ -258,6 +319,8 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
             chunk = ChunkState(index=index, clean_latent=make_clean_latent(scene, index),
                                latent=make_initial_noise(scene, index))
             chunk.latent_norm = l1_norm(chunk.latent, "initial_noise")
+            if noise_scale > 0:
+                chunk.noise_seeds = velocity_noise_seeds(scene.seed, index, schedule.steps)
             active.append(chunk)
         for chunk in active:
             state = chunk.reuse
@@ -269,8 +332,8 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
                 decision = decide(policy, state, chunk.local_step, estimate)
             chunk.latent, metric = apply(
                 decision, state, chunk.latent, chunk.latent_norm, dt,
-                lambda: perturbed_velocity(chunk, schedule.time_at(chunk.local_step),
-                                           schedule, noise_scale, scene.seed))
+                lambda: perturbed_velocity(chunk, schedule.time_at(chunk.local_step), schedule,
+                                           noise_scale, scene.seed, chunk.noise_seeds))
             # one reduction per new latent: next step's norm and this step's check
             chunk.latent_norm = l1_norm(chunk.latent, "euler_step")
             rows.append((chunk.index, chunk.local_step, decision.action == COMPUTE, metric,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .armodel import ChunkState, ideal_velocity, smooth_profile
+from .armodel import (ChunkState, ideal_velocity, perturbed_velocity, smooth_profile,
+                      velocity_noise_seeds)
 from .errors import DegenerateInput, InvalidInput
 from .kvcache import KVPlan, importance, redundancy_fast
 from .numerics import FLOAT, l1_norm, maxpool1d, softmax, stable_topk
@@ -152,6 +153,27 @@ def suite_kernels(seed: int = 0) -> list[CheckResult]:
     results.append(CheckResult(
         "stable_topk vs full-sort oracle incl. ties (51 instances)",
         mismatches == 0, float(mismatches), 0.0))
+
+    worst, mismatches = 0.0, 0
+    schedule = PowerLawSchedule(power=float(rng.uniform(0.25, 3.0)), steps=16)
+    for a_seed in (seed, 2**32 - 1, 2**32 + seed, int(rng.integers(2**63))):
+        index = int(rng.integers(1, 100))
+        words = velocity_noise_seeds(a_seed, index, schedule.steps)   # as trajectory takes
+        chunk = ChunkState(index, *rng.normal(size=(2, 8, 4, 6, 6)))
+        for step in range(schedule.steps):
+            chunk.local_step, t = step, schedule.time_at(step)
+            base = -(schedule.power / t) * (chunk.latent - chunk.clean_latent)
+            worst = max(worst, float(np.abs(ideal_velocity(chunk, t, schedule) - base).max()))
+            g = np.random.default_rng([a_seed, index, step, 3]).standard_normal(base.shape)
+            expected = base + (0.1 * float(np.abs(base).sum()) / np.abs(g).sum()) * g
+            got = perturbed_velocity(chunk, t, schedule, 0.1, a_seed, words)
+            mismatches += not np.array_equal(got, expected)
+    results.append(CheckResult(
+        "ideal_velocity vs closed form -(p/t)(x - clean) (64 states, 4 seeds)",
+        worst == 0.0, worst, 0.0, detail="max elementwise difference"))
+    results.append(CheckResult(
+        "velocity noise vs numpy default_rng([seed, chunk, step, 3]) draws "
+        "(64 addresses, seeds up to 2**63)", mismatches == 0, float(mismatches), 0.0))
     return results
 
 
@@ -274,13 +296,13 @@ def suite_corollary(seed: int = 0, chunks: int = 8,
 # policy: decision engine vs a direct interpreter of the reuse rule
 
 def _interpret_reuse_rule(metrics, epsilon, warmup):
-    # ten-line reference: f == 0 means compute
+    # ten-line reference: f == 0 means compute; x is None when no estimate exists
     decisions = []
     f = 0.0
     for i, x in enumerate(metrics):
         if i < warmup:
             f = 0.0
-        elif f + x > epsilon:
+        elif x is None or x <= 0.0 or f + x > epsilon:
             f = 0.0
         else:
             f = f + x
@@ -293,7 +315,7 @@ def engine_decisions(metrics, epsilon, warmup):
     state = ChunkReuseState()
     out = []
     for i, x in enumerate(metrics):
-        decision = decide(policy, state, i, float(x))
+        decision = decide(policy, state, i, None if x is None else float(x))
         state.accumulator = decision.accumulator
         out.append(decision.action)
     return out
@@ -310,9 +332,15 @@ def suite_policy(seed: int = 0, streams: int = 1000) -> list[CheckResult]:
         if (engine_decisions(metrics, epsilon, warmup)
                 != _interpret_reuse_rule(metrics, epsilon, warmup)):
             mismatches += 1
+    # 0.25 + 0.25 lands exactly on epsilon 0.5 (reuse); then a zero, a missing estimate
+    boundary = [[0.3, 0.25, 0.25, 0.1], [0.3, 0.1, 0.0, 0.1], [0.3, 0.1, None, 0.1]]
+    misses = sum(engine_decisions(m, 0.5, 1) != _interpret_reuse_rule(m, 0.5, 1)
+                 for m in boundary)
     return [CheckResult(
         f"decision engine vs direct rule interpreter ({streams} streams)",
-        mismatches == 0, float(mismatches), 0.0)]
+        mismatches == 0, float(mismatches), 0.0),
+        CheckResult("decision engine vs interpreter at exact boundaries (sum on "
+                    "epsilon, zero estimate, missing estimate)", misses == 0, float(misses), 0.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from flowcache_sim import (PROFILES, ChunkState, KVPlan, PowerLawSchedule,
                            ReusePolicy, SceneConfig, active_window, build_objects,
                            ideal_velocity, make_clean_latent, make_initial_noise,
                            perturbed_velocity, resolve_config, run_denoise,
-                           total_global_steps, trajectory)
+                           total_global_steps, trajectory, velocity_noise_seeds)
 from flowcache_sim import armodel
 from flowcache_sim.armodel import recompute_flops
 from flowcache_sim.cli import _apply_axis
@@ -141,6 +141,51 @@ class TestVelocities:
             noisy = perturbed_velocity(self.chunk, 0.75, self.sched, 0.3, seed=4)
             sizes.append(np.abs(noisy - base).sum() / np.abs(base).sum())
         assert np.mean(sizes) == pytest.approx(0.3, rel=0.05)
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**63 - 1)
+
+
+class TestVelocityNoiseSeeds:
+    # numpy's own SeedSequence is the oracle for the replica's words and draws
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("index", (1, 40))
+    def test_words_match_seed_sequence(self, seed, index):
+        expected = np.stack([np.random.SeedSequence([seed, index, s, 3])
+                             .generate_state(4, np.uint64) for s in range(64)])
+        words = velocity_noise_seeds(seed, index, 64)
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("index", (1, 40))
+    def test_draws_match_default_rng(self, seed, index):
+        sched = PowerLawSchedule(power=1.0, steps=64)
+        scene = small_scene()
+        chunk = ChunkState(index=index, clean_latent=make_clean_latent(scene, 1),
+                           latent=make_initial_noise(scene, 1))
+        words = velocity_noise_seeds(seed, index, sched.steps)
+        for step in range(sched.steps):
+            chunk.local_step, t = step, sched.time_at(step)
+            base = ideal_velocity(chunk, t, sched)
+            g = np.random.default_rng([seed, index, step, 3]).standard_normal(scene.shape)
+            expected = base + (0.05 * np.abs(base).sum() / np.abs(g).sum()) * g
+            for table in (words, None):   # trajectory's table, or derived per call
+                got = perturbed_velocity(chunk, t, sched, 0.05, seed, table)
+                assert got.tobytes() == expected.tobytes(), (step, table is None)
+
+    def test_one_step_and_empty_tables(self):
+        np.testing.assert_array_equal(velocity_noise_seeds(7, 2, 1),
+                                      velocity_noise_seeds(7, 2, 5)[:1])
+        assert velocity_noise_seeds(7, 2, 0).shape == (0, 4)
+
+    def test_integer_seeds_only(self):
+        np.testing.assert_array_equal(velocity_noise_seeds(np.int64(7), np.uint8(2), 3),
+                                      velocity_noise_seeds(7, 2, 3))
+        with pytest.raises(InvalidInput):
+            velocity_noise_seeds(-1, 1, 4)
+        with pytest.raises(TypeError):
+            velocity_noise_seeds(7.0, 1, 4)
 
 
 class TestRunLifecycle:

@@ -11,8 +11,8 @@ import gc
 import importlib.util
 from pathlib import Path
 
-from flowcache_sim import (PowerLawSchedule, ReusePolicy, SceneConfig, build_objects,
-                           resolve_config, run_denoise)
+from flowcache_sim import (PowerLawSchedule, ReusePolicy, SceneConfig, armodel,
+                           build_objects, resolve_config, run_denoise)
 from flowcache_sim.trace import ChunkStepRecord
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,3 +60,23 @@ def test_records_build_one_step_at_a_time():
     first = next(records)
     live = sum(type(o) is ChunkStepRecord for o in gc.get_objects()) - before
     assert live == len(first.chunks) <= scene.window
+
+
+def test_noisy_run_calls_perturbed_velocity_once_per_computed_step(monkeypatch):
+    # the per-layer armodel.perturbed_velocity.calls metric counts this global
+    calls = []
+    perturbed_velocity = armodel.perturbed_velocity
+
+    def counted(chunk, *args):
+        calls.append((chunk.index, chunk.local_step))
+        return perturbed_velocity(chunk, *args)
+
+    monkeypatch.setattr(armodel, "perturbed_velocity", counted)
+    cfg = resolve_config(profile="magi-fast")
+    cfg["noise_scale"] = 0.05
+    scene, sched, policy, kv, cost, noise = build_objects(cfg)
+    trace = run_denoise(scene, sched, policy=policy, kv=kv, cost=cost, noise_scale=noise)
+    rows = trace.chunk_steps
+    computed = rows[rows["compute"] == 1]
+    assert 0 < len(computed) < len(rows)
+    assert calls == list(zip(computed["chunk"].tolist(), computed["local_step"].tolist()))

@@ -2,9 +2,10 @@
 
 Covers every profile plus the magi-fast sweep variants (lambda, key
 granularity, budget including none), frame/frame granularity on
-skyreels-fast and a magi-fast run with velocity noise (whose reuse steps
-read a stored velocity norm), so a refactor of the KV buffer or the trajectory loop that
-moves any retained id, decision or latent bit fails here. The pins change only with a deliberate,
+skyreels-fast and magi-fast runs with velocity noise (whose reuse steps
+read a stored velocity norm; two at seeds of more than one 32-bit word), so
+a refactor of the KV buffer or the trajectory loop that moves any retained
+id, decision or latent bit fails here. The pins change only with a deliberate,
 logged change to simulator behaviour. The SHA-256 of the ``sweep`` stdout on
 every axis and of ``run``'s report.txt pin the CLI's reference and baseline
 configs too, and the SHA-256 of ``run``'s curves.csv pins its rendering.
@@ -31,6 +32,10 @@ CASES = [
     ("skyreels-fast-frame-frame", "skyreels-fast",
      {"kv": {"query_granularity": "frame", "key_granularity": "frame"}}),
     ("magi-fast-noise-0.05", "magi-fast", {"noise_scale": 0.05}),
+    # seeds of two and more 32-bit words take the extra-entropy path of the noise seeding
+    *[(f"magi-fast-noise-0.05-seed-{seed}", "magi-fast",
+       {"scene": {"num_chunks": 5, "seed": seed}, "noise_scale": 0.05})
+      for seed in (2**32, 2**63 - 1)],
 ]
 
 PINS = {
@@ -50,6 +55,10 @@ PINS = {
     "magi-fast-budget-3": "d03b60abc4e12fdf893d0b5a013e71a6b508ad85a4ab27f24dde4fca65f17689",
     "skyreels-fast-frame-frame": "f3a6a8847f7d760af8be32f6fc075f75010bb20177b9ab4c29fe6ead6daffd78",
     "magi-fast-noise-0.05": "06b68946b3941acfc19b4badf9c809a8ef51681e8bdc3699dd8f1e454a871eb2",
+    "magi-fast-noise-0.05-seed-4294967296":
+        "3a9f41ca8ee77ce3e5b713debab724412028102bcf00abc8c35bb5161e9d9cca",
+    "magi-fast-noise-0.05-seed-9223372036854775807":
+        "ac214c9edf5bc44ca308639d5626bce3b0c47bb920ec13023849ddef50f43ab8",
 }
 
 
