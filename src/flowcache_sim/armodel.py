@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidInput, Singularity
 from .kvcache import KVBuffer, KVPlan
-from .numerics import FLOAT, l1_norm
+from .numerics import FLOAT, l1_norm, l1_norms
 from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
                     decide, estimate_metric)
 from .schedule import PowerLawSchedule
@@ -38,6 +38,8 @@ _TAG_NOISE = 1
 _TAG_CLEAN = 2
 _TAG_VEL_NOISE = 3
 _TAG_PROJ = 4
+# linspace(0, 1, n), made once per axis length and only read
+_unit_grid = functools.cache(functools.partial(np.linspace, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ class ChunkState:
 
     index: int                       # 1-based
     clean_latent: np.ndarray         # ground-truth endpoint of denoising
-    latent: np.ndarray               # current state, noise when the window opens
+    latent: np.ndarray               # current state (a row of trajectory's latent table)
     latent_norm: float = 0.0         # L1 norm of latent, taken with it
     local_step: int = 0              # the chunk is clean once this is steps
     reuse: ChunkReuseState = field(default_factory=ChunkReuseState)
@@ -129,10 +131,10 @@ class ChunkState:
 
 def smooth_profile(n: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded band-limited 1-D profile (a few low-frequency sinusoids)."""
-    x = np.linspace(0.0, 1.0, n)
+    x = _unit_grid(n)
     out = np.zeros(n, dtype=FLOAT)
-    for f in (1, 2, 3):
-        out += rng.normal() * np.sin(2.0 * np.pi * f * x + rng.uniform(0, 2 * np.pi))
+    for f in (1, 2, 3):   # 2 pi * random() is uniform(0, 2 pi) bit for bit, and faster
+        out += rng.normal() * np.sin(2.0 * np.pi * f * x + 2.0 * np.pi * rng.random())
     return out
 
 
@@ -140,9 +142,9 @@ def make_clean_latent(scene: SceneConfig, chunk_index: int) -> np.ndarray:
     """Smooth low-rank clean latent scaled to the scene's per-chunk norm."""
     rng = np.random.default_rng([scene.seed, chunk_index, _TAG_CLEAN])
     out = np.zeros(scene.shape, dtype=FLOAT)
-    for _ in range(2):
-        profiles = [smooth_profile(n, rng) for n in scene.shape]
-        out += np.einsum("a,b,c,d->abcd", *profiles)
+    for _ in range(2):   # outer product, multiplied in einsum's order
+        a, b, c, d = [smooth_profile(n, rng) for n in scene.shape]
+        out += a[:, None, None, None] * b[:, None, None] * c[:, None] * d
     total = np.abs(out).sum()
     if total == 0.0:  # measure-zero; regenerate deterministically
         out += 1.0
@@ -177,16 +179,16 @@ def total_global_steps(schedule: PowerLawSchedule, scene: SceneConfig) -> int:
     return active_window(scene.num_chunks, schedule, scene)[1]
 
 
-def ideal_velocity(chunk: ChunkState, t: float,
-                   schedule: PowerLawSchedule) -> np.ndarray:
+def ideal_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Optimal velocity field: -(sigma'/sigma)(latent - clean) = -(p/t)(...).
 
-    Not scanned here: the caller's checked ``l1_norm`` of the result is the check.
+    Into ``out`` if given. Not scanned here: the caller's checked norm is the check.
     """
     if t <= 0:
         raise Singularity(f"velocity undefined at t={t}")
-    rate = schedule.log_derivative_ratio(t)
-    return -rate * (chunk.latent - chunk.clean_latent)
+    return np.multiply(np.subtract(chunk.latent, chunk.clean_latent, out=out),
+                       -schedule.log_derivative_ratio(t), out=out)
 
 
 def velocity_noise_seeds(seed: int, index: int, steps: int) -> np.ndarray:
@@ -241,19 +243,20 @@ def _seed_words() -> type:
 
 
 def perturbed_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
-                       noise_scale: float, seed: int,
-                       words: Optional[np.ndarray] = None) -> np.ndarray:
-    """Ideal velocity plus a seeded perturbation of relative L1 size noise_scale.
+                       noise_scale: float, seed: int, words: Optional[np.ndarray] = None,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Ideal velocity plus a seeded perturbation of relative L1 size noise_scale,
+    into ``out`` if given.
 
     Draws the normals of ``default_rng([seed, chunk.index, chunk.local_step,
     _TAG_VEL_NOISE])`` bit for bit, from ``words``, the chunk's
     ``velocity_noise_seeds`` table (derived here if None), so independent of
-    any reuse decisions. With noise, the norm of the ideal velocity is its
-    finiteness check; without, the caller's norm is.
+    any reuse decisions. Not scanned here: a non-finite ideal velocity leaves
+    the result non-finite, and the caller's checked norm of it is the check.
     """
     if noise_scale < 0:
         raise InvalidInput("noise_scale must be >= 0")
-    base = ideal_velocity(chunk, t, schedule)
+    base = ideal_velocity(chunk, t, schedule, out)
     if noise_scale == 0.0:
         return base
     if words is None:
@@ -263,7 +266,7 @@ def perturbed_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
     g_norm = np.abs(g).sum()
     if g_norm == 0.0:
         return base
-    return base + (noise_scale * l1_norm(base, "ideal_velocity") / g_norm) * g
+    return np.add(base, (noise_scale * np.abs(base).sum() / g_norm) * g, out=base)
 
 
 def _projection_weights(scene: SceneConfig, plan: KVPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -302,49 +305,54 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
 
     Step g yields ``(g, rows, finished, query_latent)``: the active chunks'
     ``trace.COLUMNS["chunk_steps"]`` rows in index order (compute flag, NaN
-    for no estimate), the chunks that became clean at g, and the latent of
-    the newest chunk still active after g (or None).
+    for no estimate), the chunks that became clean at g and, if any, a copy of
+    the latent of the newest chunk still active after g (else None).
     A chunk's state is made when its window opens and dropped once yielded
-    as finished, so at most ``window`` chunk states are live.
+    as finished, so at most ``window`` chunk states are live; its latent is its
+    row of a table whose rows end as the final latents. Decisions and noise
+    draws are per chunk; norms and Euler steps take all active rows at once.
     """
     global_steps = total_global_steps(schedule, scene)   # checks steps % window
-    stride = schedule.steps // scene.window
-    dt = schedule.dt
+    stride, dt = schedule.steps // scene.window, schedule.dt
+    times = [schedule.time_at(step) for step in range(schedule.steps)]
+    table = np.empty((scene.num_chunks, *scene.shape), FLOAT)
+    velocities = np.empty((0, *scene.shape))   # a row per active chunk, in index order
     active: list[ChunkState] = []
 
+    def velocity(row: int) -> None:   # the model's velocity, into the chunk's own row
+        chunk = active[row]
+        perturbed_velocity(chunk, times[chunk.local_step], schedule, noise_scale,
+                           scene.seed, chunk.noise_seeds, velocities[row])
+
     for g in range(global_steps):
-        rows, finished, query_latent = [], [], None
         if g % stride == 0 and g // stride < scene.num_chunks:
             index = g // stride + 1
-            chunk = ChunkState(index=index, clean_latent=make_clean_latent(scene, index),
-                               latent=make_initial_noise(scene, index))
-            chunk.latent_norm = l1_norm(chunk.latent, "initial_noise")
-            if noise_scale > 0:
-                chunk.noise_seeds = velocity_noise_seeds(scene.seed, index, schedule.steps)
-            active.append(chunk)
-        for chunk in active:
-            state = chunk.reuse
-            if policy is None:
-                estimate = None
-                decision = Decision(COMPUTE, None, 0.0)
-            else:
-                estimate = estimate_metric(state, dt, chunk.latent_norm)
-                decision = decide(policy, state, chunk.local_step, estimate)
-            chunk.latent, metric = apply(
-                decision, state, chunk.latent, chunk.latent_norm, dt,
-                lambda: perturbed_velocity(chunk, schedule.time_at(chunk.local_step), schedule,
-                                           noise_scale, scene.seed, chunk.noise_seeds))
-            # one reduction per new latent: next step's norm and this step's check
-            chunk.latent_norm = l1_norm(chunk.latent, "euler_step")
+            latent = table[index - 1]
+            latent[...] = make_initial_noise(scene, index)
+            active.append(ChunkState(
+                index, make_clean_latent(scene, index), latent, l1_norm(latent, "initial_noise"),
+                noise_seeds=velocity_noise_seeds(scene.seed, index, schedule.steps)
+                if noise_scale > 0 else None))
+            velocities = np.concatenate((velocities, np.zeros((1, *scene.shape))))
+        decisions = [Decision(COMPUTE, None, 0.0) if policy is None else
+                     decide(policy, chunk.reuse, chunk.local_step,
+                            estimate_metric(chunk.reuse, dt, chunk.latent_norm))
+                     for chunk in active]
+        latents = table[active[0].index - 1:active[-1].index]
+        metrics = apply(decisions, [chunk.reuse for chunk in active], latents,
+                        [chunk.latent_norm for chunk in active], velocities, dt, velocity)
+        rows, finished = [], []   # one reduction gives the new latents' check and norms
+        for chunk, decision, metric, norm in zip(active, decisions, metrics,
+                                                 l1_norms(latents, "euler_step")):
             rows.append((chunk.index, chunk.local_step, decision.action == COMPUTE, metric,
-                         state.accumulator, math.nan if estimate is None else estimate))
-            chunk.local_step += 1
+                         decision.accumulator,
+                         math.nan if decision.estimate is None else decision.estimate))
+            chunk.latent_norm, chunk.local_step = norm, chunk.local_step + 1
             if chunk.local_step == schedule.steps:
                 finished.append(chunk)
-            else:
-                query_latent = chunk.latent
-        yield g, rows, finished, query_latent
         del active[:len(finished)]   # the oldest chunks finish first
+        velocities = velocities[len(finished):].copy() if finished else velocities
+        yield g, rows, finished, active[-1].latent.copy() if active and finished else None
 
 
 def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
@@ -362,7 +370,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     Otherwise each finished chunk's keys enter the buffer with a callable
     projecting the queries of the newest still-active chunk (or its own),
     which the buffer calls only when it compresses. At most ``window``
-    chunk states are live; a finished chunk keeps only its latent.
+    chunk states are live; the final latents are the rows of one table.
     """
     kv = kv or KVPlan()
     cost = cost or CostModel()
@@ -400,6 +408,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
                           float(clean_tokens + active_tokens) * cost.bytes_per_kv_token)
         trace.chunk_steps[row:row + len(rows)] = rows
         row += len(rows)
+        del query_latent   # freed now, not after the next step
 
     trace.finish(final_latents)
     return trace

@@ -16,19 +16,21 @@ from .errors import InvalidInput
 FLOAT = np.float64
 
 
-def l1_norm(x: np.ndarray, what: str = "l1_norm") -> float:
-    """Sum of absolute values over all elements; also ``x``'s finiteness check.
-
-    The sum is finite only when every element is; a non-finite sum raises
-    ``InvalidInput`` naming ``what``, the stage that produced ``x``.
-    """
-    x = np.asarray(x, dtype=FLOAT)
-    if x.size == 0:
+def l1_norms(rows: np.ndarray, what: str = "l1_norm") -> list[float]:
+    """Sum of absolute values of each ``rows[i]``, summed on its own (the bits
+    of ``l1_norm(rows[i])``); also the finiteness check of ``rows``, as a sum is
+    finite only when every element is. Raises ``InvalidInput`` naming ``what``."""
+    if rows.size == 0:
         raise InvalidInput("l1_norm of an empty tensor")
-    total = float(np.abs(x).sum())
-    if not math.isfinite(total):
+    totals = np.abs(rows.reshape(len(rows), -1)).sum(axis=1).tolist()
+    if not all(map(math.isfinite, totals)):
         raise InvalidInput(f"{what} produced a non-finite value")
-    return total
+    return totals
+
+
+def l1_norm(x: np.ndarray, what: str = "l1_norm") -> float:
+    """Sum of absolute values over all elements, checked as ``l1_norms`` checks."""
+    return l1_norms(np.asarray(x, dtype=FLOAT)[None], what)[0]
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -10,12 +10,12 @@ is reused and the accumulator grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInput, InternalError, InvalidInput
-from .numerics import l1_norm
+from .numerics import l1_norms
 from .schedule import euler_step
 
 COMPUTE = "compute"
@@ -41,8 +41,7 @@ class ChunkReuseState:
     """Mutable per-chunk cache state owned by a single run."""
 
     accumulator: float = 0.0
-    cached_velocity: Optional[np.ndarray] = None
-    velocity_norm: float = 0.0       # L1 norm of cached_velocity, set with it
+    velocity_norm: Optional[float] = None   # of the cached velocity; None before one
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def estimate_metric(state: ChunkReuseState, dt: float, latent_norm: float) -> Op
     Returns None when no velocity has been computed yet (only possible while
     a chunk's warmup forces computation anyway).
     """
-    if state.cached_velocity is None:
+    if state.velocity_norm is None:
         return None
     return _relative(state.velocity_norm, dt, latent_norm)
 
@@ -95,26 +94,29 @@ def decide(policy: ReusePolicy, state: ChunkReuseState, local_step: int,
     return Decision(REUSE, estimate, grown)
 
 
-def apply(decision: Decision, state: ChunkReuseState, latent: np.ndarray, latent_norm: float,
-          dt: float, compute_velocity: Callable[[], np.ndarray]) -> tuple[np.ndarray, float]:
-    """Advance the latent one step under ``decision``.
+def apply(decisions: Sequence[Decision], states: Sequence[ChunkReuseState],
+          latents: np.ndarray, latent_norms: Sequence[float], velocities: np.ndarray,
+          dt: float, compute_velocity: Callable[[int], object]) -> list[float]:
+    """Advance a window of latents one step in place, row i under ``decisions[i]``.
 
-    Compute: invoke the model, cache the velocity and its checked L1 norm,
-    step with it. Reuse: step with the cached velocity and the current dt.
-    Returns the new latent, which the caller's norm checks, and the metric
-    to record (true metric on compute, estimate on reuse).
+    Compute: ``compute_velocity(i)`` writes the model's velocity into row i of
+    ``velocities``; its checked L1 norm is cached. Reuse: the row keeps its velocity.
+    Returns each row's metric (true on compute, the estimate on reuse).
     """
-    if decision.action == COMPUTE:
-        velocity = compute_velocity()
-        norm = l1_norm(velocity, "ideal_velocity")
-        metric = _relative(norm, dt, latent_norm)
-        state.cached_velocity, state.velocity_norm = velocity, norm
-    else:
-        if state.cached_velocity is None:
-            raise InternalError("reuse decision with no cached velocity")
-        velocity = state.cached_velocity
-        if decision.estimate is None:
-            raise InternalError("reuse decision with no estimate")
-        metric = decision.estimate
-    state.accumulator = decision.accumulator
-    return euler_step(latent, velocity, dt), metric
+    computing = [i for i, decision in enumerate(decisions) if decision.action == COMPUTE]
+    for i in computing:
+        compute_velocity(i)
+    if computing:
+        norms = l1_norms(velocities, "ideal_velocity")   # reused rows' are already cached
+    metrics = []
+    for i, (decision, state) in enumerate(zip(decisions, states)):
+        if decision.action == COMPUTE:
+            state.velocity_norm = norms[i]
+            metrics.append(_relative(norms[i], dt, latent_norms[i]))
+        elif state.velocity_norm is None or decision.estimate is None:
+            raise InternalError("reuse decision with no cached velocity or no estimate")
+        else:
+            metrics.append(decision.estimate)
+        state.accumulator = decision.accumulator
+    euler_step(latents, velocities, dt, out=latents)
+    return metrics

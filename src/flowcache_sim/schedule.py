@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -55,8 +56,9 @@ class PowerLawSchedule:
         return self.total_time * (self.steps - local_step) / self.steps
 
 
-def euler_step(x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-    """x + v * dt elementwise; dt is the positive step magnitude.
+def euler_step(x: np.ndarray, v: np.ndarray, dt: float,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+    """x + v * dt elementwise, into ``out`` if given; dt is the positive step magnitude.
 
     Not scanned here: the caller's checked ``l1_norm`` of the result is the check.
     """
@@ -66,4 +68,4 @@ def euler_step(x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
         raise InvalidInput(f"shape mismatch {x.shape} vs {v.shape}")
     if dt <= 0:
         raise InvalidInput(f"dt must be positive, got {dt}")
-    return x + v * dt
+    return np.add(x, v * dt, out=out)

@@ -166,7 +166,7 @@ def suite_kernels(seed: int = 0) -> list[CheckResult]:
             worst = max(worst, float(np.abs(ideal_velocity(chunk, t, schedule) - base).max()))
             g = np.random.default_rng([a_seed, index, step, 3]).standard_normal(base.shape)
             expected = base + (0.1 * float(np.abs(base).sum()) / np.abs(g).sum()) * g
-            got = perturbed_velocity(chunk, t, schedule, 0.1, a_seed, words)
+            got = perturbed_velocity(chunk, t, schedule, 0.1, a_seed, words, np.empty(base.shape))
             mismatches += not np.array_equal(got, expected)
     results.append(CheckResult(
         "ideal_velocity vs closed form -(p/t)(x - clean) (64 states, 4 seeds)",

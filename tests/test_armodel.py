@@ -124,6 +124,15 @@ class TestVelocities:
         same = perturbed_velocity(self.chunk, 0.75, self.sched, 0.0, seed=9)
         np.testing.assert_array_equal(base, same)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_velocity_into_out(self, noise):
+        # trajectory writes each velocity into the chunk's own row: same bits
+        out = np.full((2, *self.scene.shape), np.nan)
+        got = perturbed_velocity(self.chunk, 0.75, self.sched, noise, 9, None, out[1])
+        assert np.shares_memory(got, out[1])
+        fresh = perturbed_velocity(self.chunk, 0.75, self.sched, noise, 9)
+        assert out[1].tobytes() == fresh.tobytes() and np.isnan(out[0]).all()
+
     def test_perturbation_deterministic(self):
         a = perturbed_velocity(self.chunk, 0.75, self.sched, 0.2, seed=9)
         b = perturbed_velocity(self.chunk, 0.75, self.sched, 0.2, seed=9)
@@ -366,6 +375,23 @@ class TestTrajectoryIgnoresKV:
         for chunk in finished:
             assert np.array_equal(chunk.latent, trace.final_latents[chunk.index])
 
+    def test_yielded_latents_are_not_changed_later(self):
+        # finished latents are rows of the run's latent table and the query latent
+        # is the newest active row, which later steps overwrite in place
+        scene, sched, policy, kv, cost, noise = self.magi_fast_objects()
+        held, queries = [], 0
+        for _, _, finished, query_latent in trajectory(scene, sched, policy, noise):
+            held += [(chunk.index, chunk.latent, chunk.latent.copy()) for chunk in finished]
+            if query_latent is not None:
+                held.append((None, query_latent, query_latent.copy()))
+                queries += 1
+        assert queries and len(held) == queries + scene.num_chunks
+        trace = run_denoise(scene, sched, policy=policy, kv=kv, cost=cost, noise_scale=noise)
+        for index, latent, at_yield in held:
+            assert latent.tobytes() == at_yield.tobytes()
+            if index is not None:
+                assert latent.tobytes() == trace.final_latents[index].tobytes()
+
 
 class TestWorkingSet:
     """Chunk state lives only while its window is open."""
@@ -404,24 +430,27 @@ class TestWorkingSet:
         assert trace.chunk_steps.nbytes == 41 * scene.num_chunks * sched.steps
 
     @staticmethod
-    def transient_bytes(num_chunks):
+    def transient_bytes(num_chunks, noise, budget):
         scene = SceneConfig(num_chunks=num_chunks, window=4, shape=(8, 4, 6, 6))
         sched = PowerLawSchedule(power=1.0, steps=8)
         tracemalloc.start()
         try:
             trace = run_denoise(scene, sched, ReusePolicy(0.015, 2),
-                                KVPlan(budget_chunks=None))
+                                KVPlan(budget_chunks=budget), noise_scale=noise)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(trace.final_latents) == num_chunks
+        assert bool(trace.compressions) == (budget is not None)
         return peak - retained
 
     def test_peak_above_the_trace_does_not_grow_with_chunks(self):
-        self.transient_bytes(20)   # warm caches outside the measured runs
+        # window-sized arrays, the latent table and the noise seeds included
         latent_bytes = 8 * SceneConfig(shape=(8, 4, 6, 6)).numel
-        assert (self.transient_bytes(80)
-                <= self.transient_bytes(20) + latent_bytes)
+        for noise, budget in [(0.0, None), (0.05, None), (0.05, 5)]:
+            self.transient_bytes(20, noise, budget)   # warm caches outside the measured runs
+            assert (self.transient_bytes(80, noise, budget)
+                    <= self.transient_bytes(20, noise, budget) + latent_bytes), (noise, budget)
 
 
 class TestNonFiniteSteps:

@@ -42,6 +42,26 @@ def test_every_traced_binding_exists():
             assert attr in vars(owner), f"{name}: {owner.__name__}.{attr} is gone"
 
 
+def test_every_traced_armodel_binding_is_called(monkeypatch):
+    # a wrapped binding that the run no longer calls would read 0 in its span
+    calls = {}
+    for name, bindings, _note in load("tracing").targets():
+        for owner, attr in bindings:
+            if owner is armodel:
+                def counted(*args, _fn=getattr(armodel, attr), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(armodel, attr, counted)
+                calls[name] = 0
+    assert set(calls) == {"armodel.run_denoise", "armodel.perturbed_velocity",
+                          "reuse.estimate_metric", "reuse.decide", "reuse.apply"}
+    cfg = resolve_config(profile="magi-fast")
+    cfg["noise_scale"] = 0.05
+    scene, sched, policy, kv, cost, noise = build_objects(cfg)
+    armodel.run_denoise(scene, sched, policy=policy, kv=kv, cost=cost, noise_scale=noise)
+    assert all(calls.values()), calls
+
+
 def test_benchmark_invariant_check_reads_records():
     check_invariants = load("workloads").check_invariants
     compressed, uncompressed = magi_fast_run(), magi_fast_run(budget_chunks=None)

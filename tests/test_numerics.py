@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from flowcache_sim import l1_norm, maxpool1d, softmax, stable_topk
 from flowcache_sim.errors import InvalidInput
-from flowcache_sim.numerics import softmax_
+from flowcache_sim.numerics import l1_norms, softmax_
 
 # independently computed: scalar loop over default_rng(42).random(1000)
 L1_1000_UNIFORMS_SEED42 = 497.17783852843127
@@ -41,6 +41,26 @@ class TestL1Norm:
                            match="euler_step produced a non-finite value"), \
                 np.errstate(over="ignore"):
             l1_norm(np.array(x), "euler_step")
+
+    @pytest.mark.parametrize("shape", [(8, 4, 6, 6), (2, 2, 2, 2), (16, 4, 16, 16), (3, 5, 7, 9)])
+    def test_row_norms_equal_per_chunk_norms(self, shape):
+        # a window's norms in one row-wise reduction have each chunk's own bits
+        rng = np.random.default_rng(list(shape))
+        for window in range(1, 8):
+            chunks = [rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6)
+                      for _ in range(window)]
+            rows = np.stack(chunks)
+            per_chunk = [np.abs(x).sum() for x in chunks]
+            assert np.abs(rows.reshape(window, -1)).sum(axis=1).tolist() == per_chunk
+            assert l1_norms(rows) == per_chunk == [l1_norm(x) for x in chunks]
+
+    def test_row_norms_name_the_stage_of_any_bad_row(self):
+        rows = np.ones((3, 2, 2))
+        rows[1, 0, 1] = np.inf
+        with pytest.raises(InvalidInput, match="ideal_velocity produced a non-finite value"):
+            l1_norms(rows, "ideal_velocity")
+        with pytest.raises(InvalidInput, match="empty"):
+            l1_norms(np.ones((0, 4)))
 
     @given(x=finite_vectors, c=st.floats(-100, 100, allow_nan=False))
     def test_absolute_homogeneity(self, x, c):

@@ -50,7 +50,7 @@ class TestDecide:
         # epsilon=0.05, warmup=2, post-warmup stream [0.02, 0.02, 0.02]
         # -> reuse(f=0.02), reuse(f=0.04), compute(f=0)
         policy = ReusePolicy(epsilon=0.05, warmup=2)
-        state = ChunkReuseState(cached_velocity=np.ones(1))
+        state = ChunkReuseState(velocity_norm=1.0)
         got = []
         for step, metric in zip((2, 3, 4), (0.02, 0.02, 0.02)):
             d = decide(policy, state, step, metric)
@@ -120,11 +120,16 @@ class TestDecide:
 class TestEstimateAndApply:
     def test_estimate_fresh_after_compute(self):
         state = ChunkReuseState()
-        latent = np.array([4.0, -4.0])
-        decision = Decision(COMPUTE, None, 0.0)
-        new_latent, metric = apply(decision, state, latent, 8.0, 0.5,
-                                   lambda: np.array([1.0, 1.0]))
+        latents = np.array([[4.0, -4.0]])
+        velocities = np.zeros((1, 2))
+
+        def compute(row):
+            velocities[row] = 1.0
+
+        [metric] = apply([Decision(COMPUTE, None, 0.0)], [state], latents, [8.0],
+                         velocities, 0.5, compute)
         assert state.velocity_norm == 2.0
+        assert latents.tolist() == [[4.5, -3.5]]
         # unchanged dt and latent: the estimate equals the recorded metric
         assert estimate_metric(state, 0.5, 8.0) == metric == 0.125
 
@@ -132,17 +137,36 @@ class TestEstimateAndApply:
         assert estimate_metric(ChunkReuseState(), 0.1, 2.0) is None
 
     def test_reuse_applies_cached_velocity(self):
-        state = ChunkReuseState(cached_velocity=np.array([2.0]))
-        decision = Decision(REUSE, 0.1, 0.1)
-        new_latent, metric = apply(decision, state, np.array([1.0]), 1.0, 0.5,
-                                   lambda: pytest.fail("must not compute"))
-        assert new_latent[0] == 2.0
+        state = ChunkReuseState(velocity_norm=2.0)
+        latents = np.array([[1.0]])
+        [metric] = apply([Decision(REUSE, 0.1, 0.1)], [state], latents, [1.0],
+                         np.array([[2.0]]), 0.5, lambda row: pytest.fail("must not compute"))
+        assert latents[0, 0] == 2.0
         assert metric == 0.1
+        assert state.accumulator == 0.1
+
+    def test_rows_follow_their_own_decisions(self):
+        # a computing row gets a fresh velocity; the reusing row keeps its cached one
+        states = [ChunkReuseState(), ChunkReuseState(velocity_norm=3.0)]
+        latents = np.array([[2.0, 2.0], [1.0, -1.0]])
+        velocities = np.array([[0.0, 0.0], [2.0, -1.0]])
+        computed = []
+
+        def compute(row):
+            computed.append(row)
+            velocities[row] = [-4.0, 4.0]
+
+        metrics = apply([Decision(COMPUTE, None, 0.0), Decision(REUSE, 0.25, 0.25)],
+                        states, latents, [4.0, 2.0], velocities, 0.5, compute)
+        assert computed == [0]
+        assert metrics == [1.0, 0.25]
+        assert [s.velocity_norm for s in states] == [8.0, 3.0]
+        assert latents.tolist() == [[0.0, 4.0], [2.0, -1.5]]
 
     def test_reuse_without_cache_is_internal_error(self):
         with pytest.raises(InternalError):
-            apply(Decision(REUSE, 0.1, 0.1), ChunkReuseState(), np.ones(1),
-                  1.0, 0.5, lambda: np.ones(1))
+            apply([Decision(REUSE, 0.1, 0.1)], [ChunkReuseState()], np.ones((1, 1)),
+                  [1.0], np.ones((1, 1)), 0.5, lambda row: None)
 
     def test_alternating_reuse_error_bounded(self):
         # scalar closed-form system: forcing compute/reuse alternation stays
