@@ -20,7 +20,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +32,8 @@ from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
 from .schedule import PowerLawSchedule
 from .trace import DTYPES, RunTrace, _config_snapshot
 
-# seed-stream tags, so every random draw has a stable address; velocity noise's
-# SeedSequence words come from velocity_noise_seeds, once per chunk
+# seed-stream tags, so every random draw has a stable address; trajectory derives
+# a window of arriving chunks' SeedSequence words at once (seed_states)
 _TAG_NOISE = 1
 _TAG_CLEAN = 2
 _TAG_VEL_NOISE = 3
@@ -117,11 +117,11 @@ class CostModel:
 
 @dataclass
 class ChunkState:
-    """One chunk's latent, ground truth, denoising progress, reuse state and,
-    in a run with velocity noise, its ``velocity_noise_seeds`` table."""
+    """One chunk's latent, ground truth, denoising progress, reuse state and, in a
+    run with velocity noise, its ``velocity_noise_seeds`` table (read per local step)."""
 
     index: int                       # 1-based
-    clean_latent: np.ndarray         # ground-truth endpoint of denoising
+    clean_latent: Optional[np.ndarray]   # denoising's endpoint; trajectory drops it at the end
     latent: np.ndarray               # current state (a row of trajectory's latent table)
     latent_norm: float = 0.0         # L1 norm of latent, taken with it
     local_step: int = 0              # the chunk is clean once this is steps
@@ -129,33 +129,42 @@ class ChunkState:
     noise_seeds: Optional[np.ndarray] = None   # (steps, 4) uint64, or None
 
 
-def smooth_profile(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded band-limited 1-D profile (a few low-frequency sinusoids)."""
-    x = _unit_grid(n)
-    out = np.zeros(n, dtype=FLOAT)
-    for f in (1, 2, 3):   # 2 pi * random() is uniform(0, 2 pi) bit for bit, and faster
-        out += rng.normal() * np.sin(2.0 * np.pi * f * x + 2.0 * np.pi * rng.random())
-    return out
+def smooth_profiles(sizes: tuple[int, ...], rng: np.random.Generator) -> list[np.ndarray]:
+    """Seeded band-limited 1-D profiles of the given sizes (a few low-frequency
+    sinusoids each), drawn in turn and evaluated in one pass over their grids."""
+    # per profile and frequency: (normal, 2 pi * random), uniform(0, 2 pi) bit for bit
+    draws = np.repeat([[(rng.normal(), 2.0 * np.pi * rng.random()) for _ in range(3)]
+                       for _ in sizes], sizes, axis=0)
+    x = np.concatenate([_unit_grid(n) for n in sizes])
+    out = np.zeros(len(x), dtype=FLOAT)
+    for f in (1, 2, 3):
+        out += draws[:, f - 1, 0] * np.sin(2.0 * np.pi * f * x + draws[:, f - 1, 1])
+    return np.split(out, np.cumsum(sizes)[:-1])
 
 
-def make_clean_latent(scene: SceneConfig, chunk_index: int) -> np.ndarray:
-    """Smooth low-rank clean latent scaled to the scene's per-chunk norm."""
-    rng = np.random.default_rng([scene.seed, chunk_index, _TAG_CLEAN])
+def make_clean_latent(scene: SceneConfig, chunk_index: int,
+                      words: Optional[np.ndarray] = None) -> np.ndarray:
+    """Smooth low-rank clean latent scaled to the scene's per-chunk norm, drawn
+    from ``default_rng([seed, chunk_index, 2])`` (``words``: its ``seed_states``)."""
+    words = seed_states(scene.seed, chunk_index, _TAG_CLEAN) if words is None else words
+    profiles = smooth_profiles(scene.shape * 2, _generator(words))
     out = np.zeros(scene.shape, dtype=FLOAT)
-    for _ in range(2):   # outer product, multiplied in einsum's order
-        a, b, c, d = [smooth_profile(n, rng) for n in scene.shape]
+    for a, b, c, d in (profiles[:4], profiles[4:]):   # outer products, in einsum's order
         out += a[:, None, None, None] * b[:, None, None] * c[:, None] * d
     total = np.abs(out).sum()
     if total == 0.0:  # measure-zero; regenerate deterministically
         out += 1.0
         total = out.size
-    return out * (scene.clean_norm(chunk_index) / total)
+    out *= scene.clean_norm(chunk_index) / total
+    return out
 
 
-def make_initial_noise(scene: SceneConfig, chunk_index: int) -> np.ndarray:
-    """Standard normal starting state, seeded per (scene seed, chunk)."""
-    rng = np.random.default_rng([scene.seed, chunk_index, _TAG_NOISE])
-    return rng.standard_normal(scene.shape)
+def make_initial_noise(scene: SceneConfig, chunk_index: int,
+                       words: Optional[np.ndarray] = None) -> np.ndarray:
+    """Standard normal starting state, drawn from ``default_rng([seed,
+    chunk_index, 1])`` (``words``: its ``seed_states``)."""
+    words = seed_states(scene.seed, chunk_index, _TAG_NOISE) if words is None else words
+    return _generator(words).standard_normal(scene.shape)
 
 
 def active_window(chunk_index: int, schedule: PowerLawSchedule,
@@ -179,30 +188,31 @@ def total_global_steps(schedule: PowerLawSchedule, scene: SceneConfig) -> int:
     return active_window(scene.num_chunks, schedule, scene)[1]
 
 
-def ideal_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
-                   out: Optional[np.ndarray] = None) -> np.ndarray:
+def ideal_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule) -> np.ndarray:
     """Optimal velocity field: -(sigma'/sigma)(latent - clean) = -(p/t)(...).
 
-    Into ``out`` if given. Not scanned here: the caller's checked norm is the check.
+    Not scanned here: the caller's checked norm is the check.
     """
     if t <= 0:
         raise Singularity(f"velocity undefined at t={t}")
-    return np.multiply(np.subtract(chunk.latent, chunk.clean_latent, out=out),
-                       -schedule.log_derivative_ratio(t), out=out)
+    return (chunk.latent - chunk.clean_latent) * -schedule.log_derivative_ratio(t)
 
 
-def velocity_noise_seeds(seed: int, index: int, steps: int) -> np.ndarray:
-    """(steps, 4) uint64 rows, row s equal to ``SeedSequence([seed, index, s,
-    _TAG_VEL_NOISE]).generate_state(4, np.uint64)``: numpy's fixed mixing
-    (``numpy/random/bit_generator.pyx``, pool size 4) as uint32 array ops
-    over every step at once."""
-    seed, index = operator.index(seed), operator.index(index)   # numpy ints too, no floats
-    if min(seed, index) < 0:
-        raise InvalidInput("seed and chunk index must be >= 0")
-    words = [n >> k & 0xFFFFFFFF for n in (seed, index)   # little-endian 32-bit words
-             for k in range(0, max(n.bit_length(), 1), 32)]
-    entropy = np.empty((len(words) + 2, steps), np.uint32)   # a row per word, a column per step
-    entropy[:-2], entropy[-2], entropy[-1] = np.c_[words], np.arange(steps), _TAG_VEL_NOISE
+def seed_states(seed: int, *tail) -> np.ndarray:
+    """``SeedSequence([seed, *tail]).generate_state(4, np.uint64)`` for each entry
+    of the broadcast ``tail`` arrays of words in [0, 2**32), shaped (*that shape, 4):
+    numpy's fixed mixing (``numpy/random/bit_generator.pyx``, pool size 4) as
+    uint32 array ops over every entry at once."""
+    seed, tail = operator.index(seed), np.array(np.broadcast_arrays(*tail))   # numpy ints too
+    if (seed < 0 or tail.dtype.kind not in "iu"
+            or tail.size and not 0 <= tail.min() <= tail.max() < 2**32):
+        raise InvalidInput("seed and seed words must be integers >= 0, words < 2**32")
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    # a row per word (the seed's little-endian 32-bit words, then the tail), a column per
+    # entry; entropy shorter than the pool hashes zero words
+    entropy = np.zeros((max(len(words) + len(tail), 4), tail[0].size), np.uint32)
+    entropy[:len(words)] = np.reshape(words, (-1, 1))
+    entropy[len(words):len(words) + len(tail)] = tail.reshape(len(tail), -1)
     extra = len(entropy) - 4   # words past the pool go through the extra-entropy loop
     # INIT_A * MULT_A**k for hashmix call k, wrapping as uint32
     hash_a = np.cumprod([0x43B0D7E5] + [0x931E8875] * (16 + 4 * extra), dtype=np.uint32)[:, None]
@@ -222,9 +232,18 @@ def velocity_noise_seeds(seed: int, index: int, steps: int) -> np.ndarray:
     for i in range(extra):
         pool = mix(pool, hashmix(entropy[4 + i], 16 + 4 * i, 4))
     hash_b = np.cumprod([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)[:, None]   # INIT_B, MULT_B
-    state = (np.tile(pool, (2, 1)) ^ hash_b[:-1]) * hash_b[1:]
+    state = (np.concatenate((pool, pool)) ^ hash_b[:-1]) * hash_b[1:]
     state ^= state >> 16
-    return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    state = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    return state.reshape(*tail.shape[1:], 4)
+
+
+def velocity_noise_seeds(seed: int, index: int | np.ndarray, steps: int) -> np.ndarray:
+    """``seed_states(seed, index, s, 3)`` for s in range(steps): a (steps, 4)
+    table, or one per chunk for an array of indices."""
+    if operator.index(steps) < 0:
+        raise InvalidInput(f"steps must be >= 0, got {steps}")
+    return seed_states(seed, np.asarray(index)[..., None], np.arange(steps), _TAG_VEL_NOISE)
 
 
 @functools.cache
@@ -242,31 +261,49 @@ def _seed_words() -> type:
     return SeedWords
 
 
-def perturbed_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
-                       noise_scale: float, seed: int, words: Optional[np.ndarray] = None,
-                       out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Ideal velocity plus a seeded perturbation of relative L1 size noise_scale,
-    into ``out`` if given.
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The ``Generator(PCG64(...))`` of one ``seed_states`` row."""
+    return np.random.Generator(np.random.PCG64(_seed_words()(words)))
 
-    Draws the normals of ``default_rng([seed, chunk.index, chunk.local_step,
-    _TAG_VEL_NOISE])`` bit for bit, from ``words``, the chunk's
-    ``velocity_noise_seeds`` table (derived here if None), so independent of
-    any reuse decisions. Not scanned here: a non-finite ideal velocity leaves
-    the result non-finite, and the caller's checked norm of it is the check.
-    """
-    if noise_scale < 0:
-        raise InvalidInput("noise_scale must be >= 0")
-    base = ideal_velocity(chunk, t, schedule, out)
+
+def _check_noise_scale(noise_scale: float) -> None:
+    if not 0.0 <= noise_scale < math.inf:   # nan fails too
+        raise InvalidInput(f"noise_scale must be finite and >= 0, got {noise_scale}")
+
+
+def perturbed_velocity(window: Sequence[ChunkState], rows: Sequence[int],
+                       schedule: PowerLawSchedule, noise_scale: float,
+                       out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The model's velocity of each chunk ``window[r]``, r in ``rows``, at its local step,
+    into row r of ``out`` (zeros shaped like the window if None; other rows must be finite).
+
+    The ideal velocity -(p/t)(latent - clean), plus for noise_scale > 0 the normals of
+    ``default_rng([seed, index, local_step, 3])``, drawn in index order from the chunk's
+    ``noise_seeds`` and scaled to relative L1 size noise_scale. The ideal rows' norms come
+    from one ``l1_norms`` over ``out``, which fails a non-finite one; no other scan."""
+    _check_noise_scale(noise_scale)
+    if out is None:
+        out = np.zeros((len(window), *window[0].latent.shape))
+    rates = schedule.velocity_rates
+    for r in rows:
+        chunk, row = window[r], out[r]
+        np.multiply(np.subtract(chunk.latent, chunk.clean_latent, out=row),
+                    rates[chunk.local_step], out=row)
     if noise_scale == 0.0:
-        return base
-    if words is None:
-        words = velocity_noise_seeds(seed, chunk.index, chunk.local_step + 1)
-    rng = np.random.Generator(np.random.PCG64(_seed_words()(words[chunk.local_step])))
-    g = rng.standard_normal(base.shape)
-    g_norm = np.abs(g).sum()
-    if g_norm == 0.0:
-        return base
-    return np.add(base, (noise_scale * np.abs(base).sum() / g_norm) * g, out=base)
+        return out
+    norms = l1_norms(out, "ideal_velocity")
+    g = np.empty(out.shape[1:])   # one row's draw at a time
+    for r in rows:
+        chunk = window[r]
+        if chunk.noise_seeds is None or len(chunk.noise_seeds) <= chunk.local_step:
+            raise InvalidInput(f"chunk {chunk.index} has no velocity-noise seeds "
+                               f"for local step {chunk.local_step}")
+        _generator(chunk.noise_seeds[chunk.local_step]).standard_normal(out=g)
+        g_norm = np.abs(g).sum()
+        if g_norm != 0.0:   # an all-zero draw leaves the ideal velocity
+            g *= noise_scale * norms[r] / g_norm
+            out[r] += g
+    return out
 
 
 def _projection_weights(scene: SceneConfig, plan: KVPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -308,31 +345,35 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
     for no estimate), the chunks that became clean at g and, if any, a copy of
     the latent of the newest chunk still active after g (else None).
     A chunk's state is made when its window opens and dropped once yielded
-    as finished, so at most ``window`` chunk states are live; its latent is its
-    row of a table whose rows end as the final latents. Decisions and noise
-    draws are per chunk; norms and Euler steps take all active rows at once.
+    as finished (without its clean latent and seed table), so at most ``window``
+    chunk states are live; its latent is its row of a table whose rows end as
+    the final latents. Seed words are derived for a window of arrivals at once.
+    Decisions are per chunk; one ``perturbed_velocity`` call per step covers the
+    computing rows (noise drawn per chunk), and norms and Euler steps take all
+    active rows at once.
     """
     global_steps = total_global_steps(schedule, scene)   # checks steps % window
-    stride, dt = schedule.steps // scene.window, schedule.dt
-    times = [schedule.time_at(step) for step in range(schedule.steps)]
+    steps, window = schedule.steps, scene.window
+    stride, dt = steps // window, schedule.dt
     table = np.empty((scene.num_chunks, *scene.shape), FLOAT)
     velocities = np.empty((0, *scene.shape))   # a row per active chunk, in index order
     active: list[ChunkState] = []
 
-    def velocity(row: int) -> None:   # the model's velocity, into the chunk's own row
-        chunk = active[row]
-        perturbed_velocity(chunk, times[chunk.local_step], schedule, noise_scale,
-                           scene.seed, chunk.noise_seeds, velocities[row])
+    def velocity(rows: list[int]) -> None:   # the model's velocity, into the computing rows
+        perturbed_velocity(active, rows, schedule, noise_scale, velocities)
 
     for g in range(global_steps):
         if g % stride == 0 and g // stride < scene.num_chunks:
-            index = g // stride + 1
+            index, j = g // stride + 1, g // stride % window
+            if j == 0:   # the seed words of this window of arrivals, in two calls
+                block = np.arange(index, min(index + window, scene.num_chunks + 1))
+                starts = seed_states(scene.seed, block[:, None], [_TAG_NOISE, _TAG_CLEAN])
+                tables = velocity_noise_seeds(scene.seed, block, steps) if noise_scale > 0 else None
             latent = table[index - 1]
-            latent[...] = make_initial_noise(scene, index)
-            active.append(ChunkState(
-                index, make_clean_latent(scene, index), latent, l1_norm(latent, "initial_noise"),
-                noise_seeds=velocity_noise_seeds(scene.seed, index, schedule.steps)
-                if noise_scale > 0 else None))
+            latent[...] = make_initial_noise(scene, index, starts[j, 0])
+            active.append(ChunkState(index, make_clean_latent(scene, index, starts[j, 1]), latent,
+                                     l1_norm(latent, "initial_noise"),
+                                     noise_seeds=None if tables is None else tables[j]))
             velocities = np.concatenate((velocities, np.zeros((1, *scene.shape))))
         decisions = [Decision(COMPUTE, None, 0.0) if policy is None else
                      decide(policy, chunk.reuse, chunk.local_step,
@@ -348,8 +389,9 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
                          decision.accumulator,
                          math.nan if decision.estimate is None else decision.estimate))
             chunk.latent_norm, chunk.local_step = norm, chunk.local_step + 1
-            if chunk.local_step == schedule.steps:
+            if chunk.local_step == steps:   # spent: the clean latent and seeds go now
                 finished.append(chunk)
+                chunk.clean_latent = chunk.noise_seeds = None
         del active[:len(finished)]   # the oldest chunks finish first
         velocities = velocities[len(finished):].copy() if finished else velocities
         yield g, rows, finished, active[-1].latent.copy() if active and finished else None
@@ -372,6 +414,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     which the buffer calls only when it compresses. At most ``window``
     chunk states are live; the final latents are the rows of one table.
     """
+    _check_noise_scale(noise_scale)   # before any draw, the projection weights' too
     kv = kv or KVPlan()
     cost = cost or CostModel()
     tokens_per_chunk = scene.tokens_per_chunk

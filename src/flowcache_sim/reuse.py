@@ -96,17 +96,17 @@ def decide(policy: ReusePolicy, state: ChunkReuseState, local_step: int,
 
 def apply(decisions: Sequence[Decision], states: Sequence[ChunkReuseState],
           latents: np.ndarray, latent_norms: Sequence[float], velocities: np.ndarray,
-          dt: float, compute_velocity: Callable[[int], object]) -> list[float]:
+          dt: float, compute_velocity: Callable[[list[int]], object]) -> list[float]:
     """Advance a window of latents one step in place, row i under ``decisions[i]``.
 
-    Compute: ``compute_velocity(i)`` writes the model's velocity into row i of
-    ``velocities``; its checked L1 norm is cached. Reuse: the row keeps its velocity.
-    Returns each row's metric (true on compute, the estimate on reuse).
+    Compute: one ``compute_velocity(rows)`` call per step with any computing row
+    writes the model's velocity into each of those rows of ``velocities`` (the
+    others keep theirs); each row's checked L1 norm is cached. Reuse: the row
+    keeps its velocity. Returns each row's metric (true on compute, the estimate on reuse).
     """
     computing = [i for i, decision in enumerate(decisions) if decision.action == COMPUTE]
-    for i in computing:
-        compute_velocity(i)
     if computing:
+        compute_velocity(computing)
         norms = l1_norms(velocities, "ideal_velocity")   # reused rows' are already cached
     metrics = []
     for i, (decision, state) in enumerate(zip(decisions, states)):

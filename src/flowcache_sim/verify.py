@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .armodel import (ChunkState, ideal_velocity, perturbed_velocity, smooth_profile,
+from .armodel import (ChunkState, ideal_velocity, perturbed_velocity, smooth_profiles,
                       velocity_noise_seeds)
 from .errors import DegenerateInput, InvalidInput
 from .kvcache import KVPlan, importance, redundancy_fast
@@ -157,23 +157,32 @@ def suite_kernels(seed: int = 0) -> list[CheckResult]:
     worst, mismatches = 0.0, 0
     schedule = PowerLawSchedule(power=float(rng.uniform(0.25, 3.0)), steps=16)
     for a_seed in (seed, 2**32 - 1, 2**32 + seed, int(rng.integers(2**63))):
-        index = int(rng.integers(1, 100))
-        words = velocity_noise_seeds(a_seed, index, schedule.steps)   # as trajectory takes
-        chunk = ChunkState(index, *rng.normal(size=(2, 8, 4, 6, 6)))
+        indices = int(rng.integers(1, 100)) + np.arange(3)   # tables as trajectory takes them
+        tables = velocity_noise_seeds(a_seed, indices, schedule.steps)
+        window = [ChunkState(int(i), *rng.normal(scale=i - indices[0] + 1.0, size=(2, 8, 4, 6, 6)),
+                             noise_seeds=table) for i, table in zip(indices, tables)]
         for step in range(schedule.steps):
-            chunk.local_step, t = step, schedule.time_at(step)
-            base = -(schedule.power / t) * (chunk.latent - chunk.clean_latent)
-            worst = max(worst, float(np.abs(ideal_velocity(chunk, t, schedule) - base).max()))
-            g = np.random.default_rng([a_seed, index, step, 3]).standard_normal(base.shape)
-            expected = base + (0.1 * float(np.abs(base).sum()) / np.abs(g).sum()) * g
-            got = perturbed_velocity(chunk, t, schedule, 0.1, a_seed, words, np.empty(base.shape))
-            mismatches += not np.array_equal(got, expected)
+            for k, chunk in enumerate(window):   # each row at its own local step
+                chunk.local_step = (step + 5 * k) % schedule.steps
+            rows = [k for k in range(3) if k != step % 4]   # reused rows stay as they were
+            before = rng.normal(size=(3, 8, 4, 6, 6))
+            got = perturbed_velocity(window, rows, schedule, 0.1, before.copy())
+            for k, chunk in enumerate(window):
+                t = schedule.time_at(chunk.local_step)
+                base = -(schedule.power / t) * (chunk.latent - chunk.clean_latent)
+                worst = max(worst, float(np.abs(ideal_velocity(chunk, t, schedule) - base).max()))
+                g = np.random.default_rng([a_seed, chunk.index, chunk.local_step, 3])
+                g = g.standard_normal(base.shape)
+                expected = (base + (0.1 * float(np.abs(base).sum()) / np.abs(g).sum()) * g
+                            if k in rows else before[k])
+                mismatches += not np.array_equal(got[k], expected)
     results.append(CheckResult(
-        "ideal_velocity vs closed form -(p/t)(x - clean) (64 states, 4 seeds)",
+        "ideal_velocity vs closed form -(p/t)(x - clean) (192 states, 4 seeds)",
         worst == 0.0, worst, 0.0, detail="max elementwise difference"))
     results.append(CheckResult(
-        "velocity noise vs numpy default_rng([seed, chunk, step, 3]) draws "
-        "(64 addresses, seeds up to 2**63)", mismatches == 0, float(mismatches), 0.0))
+        "velocity noise vs numpy default_rng([seed, chunk, step, 3]) draws (64 windows "
+        "of 3 chunks at their own steps, some rows reused, seeds up to 2**63)",
+        mismatches == 0, float(mismatches), 0.0))
     return results
 
 
@@ -183,8 +192,7 @@ def suite_kernels(seed: int = 0) -> list[CheckResult]:
 def _smooth_unit(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     out = np.zeros(shape, dtype=FLOAT)
     for _ in range(2):
-        out += np.einsum("a,b,c,d->abcd",
-                         *[smooth_profile(n, rng) for n in shape])
+        out += np.einsum("a,b,c,d->abcd", *smooth_profiles(shape, rng))
     peak = np.abs(out).max()
     return out / peak if peak > 0 else out + 1.0
 

@@ -11,7 +11,7 @@ from flowcache_sim import (PROFILES, ChunkState, KVPlan, PowerLawSchedule,
                            perturbed_velocity, resolve_config, run_denoise,
                            total_global_steps, trajectory, velocity_noise_seeds)
 from flowcache_sim import armodel
-from flowcache_sim.armodel import recompute_flops
+from flowcache_sim.armodel import recompute_flops, seed_states
 from flowcache_sim.cli import _apply_axis
 from flowcache_sim.config import _deep_merge
 from flowcache_sim.errors import InvalidConfig, InvalidInput, Singularity
@@ -80,9 +80,13 @@ class TestVelocities:
     def setup_method(self):
         self.sched = PowerLawSchedule(power=1.0, steps=8)
         self.scene = small_scene()
-        self.chunk = ChunkState(index=1,
+        self.chunk = ChunkState(index=1,   # local step 2 is at t = 0.75
                                 clean_latent=make_clean_latent(self.scene, 1),
-                                latent=make_initial_noise(self.scene, 1))
+                                latent=make_initial_noise(self.scene, 1), local_step=2,
+                                noise_seeds=velocity_noise_seeds(9, 1, 8))
+
+    def velocity(self, noise, chunk=None):
+        return perturbed_velocity([chunk or self.chunk], [0], self.sched, noise)[0]
 
     def test_fixed_point(self):
         self.chunk.latent = self.chunk.clean_latent.copy()
@@ -121,33 +125,34 @@ class TestVelocities:
 
     def test_perturbation_degenerate_scale(self):
         base = ideal_velocity(self.chunk, 0.75, self.sched)
-        same = perturbed_velocity(self.chunk, 0.75, self.sched, 0.0, seed=9)
-        np.testing.assert_array_equal(base, same)
+        np.testing.assert_array_equal(base, self.velocity(0.0))
 
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_velocity_into_out(self, noise):
-        # trajectory writes each velocity into the chunk's own row: same bits
-        out = np.full((2, *self.scene.shape), np.nan)
-        got = perturbed_velocity(self.chunk, 0.75, self.sched, noise, 9, None, out[1])
-        assert np.shares_memory(got, out[1])
-        fresh = perturbed_velocity(self.chunk, 0.75, self.sched, noise, 9)
-        assert out[1].tobytes() == fresh.tobytes() and np.isnan(out[0]).all()
+        # trajectory writes each velocity into the chunk's own row: same bits,
+        # and the window's other rows keep theirs
+        other = ChunkState(index=2, clean_latent=None, latent=None)
+        out = np.full((2, *self.scene.shape), 7.0)
+        got = perturbed_velocity([other, self.chunk], [1], self.sched, noise, out)
+        assert got is out
+        assert out[1].tobytes() == self.velocity(noise).tobytes() and (out[0] == 7.0).all()
 
     def test_perturbation_deterministic(self):
-        a = perturbed_velocity(self.chunk, 0.75, self.sched, 0.2, seed=9)
-        b = perturbed_velocity(self.chunk, 0.75, self.sched, 0.2, seed=9)
+        a, b = self.velocity(0.2), self.velocity(0.2)
         np.testing.assert_array_equal(a, b)
-        c = perturbed_velocity(self.chunk, 0.75, self.sched, 0.2, seed=10)
-        assert not np.array_equal(a, c)
+        self.chunk.noise_seeds = velocity_noise_seeds(10, 1, 8)
+        assert not np.array_equal(a, self.velocity(0.2))
 
     def test_perturbation_magnitude(self):
         # the perturbation is normalized, so its relative L1 size is exact;
         # spec tolerance for a sampled estimate is 5%
+        self.sched = PowerLawSchedule(power=1.0, steps=64)
+        self.chunk.noise_seeds = velocity_noise_seeds(4, 1, 64)
         sizes = []
         for step in range(50):
             self.chunk.local_step = step
-            base = ideal_velocity(self.chunk, 0.75, self.sched)
-            noisy = perturbed_velocity(self.chunk, 0.75, self.sched, 0.3, seed=4)
+            base = ideal_velocity(self.chunk, self.sched.time_at(step), self.sched)
+            noisy = self.velocity(0.3)
             sizes.append(np.abs(noisy - base).sum() / np.abs(base).sum())
         assert np.mean(sizes) == pytest.approx(0.3, rel=0.05)
 
@@ -172,16 +177,15 @@ class TestVelocityNoiseSeeds:
         sched = PowerLawSchedule(power=1.0, steps=64)
         scene = small_scene()
         chunk = ChunkState(index=index, clean_latent=make_clean_latent(scene, 1),
-                           latent=make_initial_noise(scene, 1))
-        words = velocity_noise_seeds(seed, index, sched.steps)
+                           latent=make_initial_noise(scene, 1),
+                           noise_seeds=velocity_noise_seeds(seed, index, sched.steps))
         for step in range(sched.steps):
             chunk.local_step, t = step, sched.time_at(step)
             base = ideal_velocity(chunk, t, sched)
             g = np.random.default_rng([seed, index, step, 3]).standard_normal(scene.shape)
             expected = base + (0.05 * np.abs(base).sum() / np.abs(g).sum()) * g
-            for table in (words, None):   # trajectory's table, or derived per call
-                got = perturbed_velocity(chunk, t, sched, 0.05, seed, table)
-                assert got.tobytes() == expected.tobytes(), (step, table is None)
+            got = perturbed_velocity([chunk], [0], sched, 0.05)[0]
+            assert got.tobytes() == expected.tobytes(), step
 
     def test_one_step_and_empty_tables(self):
         np.testing.assert_array_equal(velocity_noise_seeds(7, 2, 1),
@@ -195,6 +199,109 @@ class TestVelocityNoiseSeeds:
             velocity_noise_seeds(-1, 1, 4)
         with pytest.raises(TypeError):
             velocity_noise_seeds(7.0, 1, 4)
+
+
+class TestWindowVelocities:
+    """One ``perturbed_velocity`` call per step covers the window's computing rows."""
+
+    @staticmethod
+    def window(shape, seed, size, steps=8):
+        # chunks at different local steps and latent scales, tables as trajectory takes them
+        rng = np.random.default_rng([size, *shape])
+        indices = 3 + np.arange(size)
+        return [ChunkState(int(index), *rng.normal(scale=k + 1.0, size=(2, *shape)),
+                           local_step=(3 * k + 1) % steps, noise_seeds=table)
+                for k, (index, table) in enumerate(
+                    zip(indices, velocity_noise_seeds(seed, indices, steps)))]
+
+    @staticmethod
+    def closed_form(chunk, sched, seed, noise):
+        base = -(sched.power / sched.time_at(chunk.local_step)) * (chunk.latent - chunk.clean_latent)
+        if noise == 0.0:
+            return base
+        g = np.random.default_rng([seed, chunk.index, chunk.local_step, 3]).standard_normal(
+            base.shape)
+        return base + (noise * np.abs(base).sum() / np.abs(g).sum()) * g
+
+    @pytest.mark.parametrize("shape", [(8, 4, 6, 6), (2, 2, 2, 2), (3, 5, 7, 9)])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
+    def test_rows_match_closed_form_and_draws(self, shape, noise, seed):
+        sched = PowerLawSchedule(power=0.75, steps=8)
+        for size in range(1, 6):
+            window = self.window(shape, seed, size)
+            for rows in ([r for r in range(size) if r != 1], list(range(size)), [size - 1]):
+                before = np.random.default_rng(size).normal(size=(size, *shape))
+                got = perturbed_velocity(window, rows, sched, noise, before.copy())
+                for r, chunk in enumerate(window):   # reused rows stay as they were
+                    expected = self.closed_form(chunk, sched, seed, noise) if r in rows else before[r]
+                    assert got[r].tobytes() == expected.tobytes(), (size, rows, r)
+
+    def test_all_zero_draw_leaves_the_ideal_velocity(self, monkeypatch):
+        sched = PowerLawSchedule(power=0.75, steps=8)
+        window = self.window((2, 2, 2, 2), 5, 3)
+        zero = window[1].noise_seeds[window[1].local_step]
+        generator = armodel._generator
+
+        class ZeroDraws:
+            def standard_normal(self, out):
+                out[...] = 0.0
+
+        monkeypatch.setattr(armodel, "_generator",
+                            lambda words: ZeroDraws() if np.array_equal(words, zero) else generator(words))
+        got = perturbed_velocity(window, [0, 1, 2], sched, 0.05)
+        assert got[1].tobytes() == self.closed_form(window[1], sched, 5, 0.0).tobytes()
+        for r in (0, 2):
+            assert got[r].tobytes() == self.closed_form(window[r], sched, 5, 0.05).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("tag", [1, 2])
+    def test_arrival_words_match_seed_sequence(self, seed, tag):
+        # trajectory derives a window of arrivals' words in one call, as a column
+        indices = np.arange(1, 5)
+        expected = np.stack([np.random.SeedSequence([seed, i, tag]).generate_state(4, np.uint64)
+                             for i in range(1, 5)])
+        np.testing.assert_array_equal(seed_states(seed, indices[:, None], [tag])[:, 0], expected)
+        np.testing.assert_array_equal(seed_states(seed, 3, tag), expected[2])
+        scene = small_scene(seed=seed)
+        draw = make_initial_noise if tag == 1 else make_clean_latent
+        assert (draw(scene, 3).tobytes()
+                == draw(scene, 3, seed_states(seed, 3, tag)).tobytes())
+
+    def test_initial_noise_is_default_rng(self):
+        scene = small_scene(seed=2**40 + 7)
+        expected = np.random.default_rng([2**40 + 7, 2, 1]).standard_normal(scene.shape)
+        assert make_initial_noise(scene, 2).tobytes() == expected.tobytes()
+
+
+class TestInputChecks:
+    """Bad arguments fail as ``InvalidInput`` naming what is wrong, before any draw."""
+
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), -0.1])
+    def test_bad_noise_scale(self, monkeypatch, noise):
+        def no_draw(*args):
+            pytest.fail("drew before checking noise_scale")
+
+        monkeypatch.setattr(armodel, "_generator", no_draw)
+        monkeypatch.setattr(armodel, "_projection_weights", no_draw)
+        scene = small_scene()
+        with pytest.raises(InvalidInput, match="noise_scale"):
+            run_denoise(scene, PowerLawSchedule(power=1.0, steps=8), kv=KVPlan(budget_chunks=1),
+                        noise_scale=noise)
+        chunk = ChunkState(1, np.zeros(scene.shape), np.ones(scene.shape),
+                           noise_seeds=velocity_noise_seeds(0, 1, 8))
+        with pytest.raises(InvalidInput, match="noise_scale"):
+            perturbed_velocity([chunk], [0], PowerLawSchedule(power=1.0, steps=8), noise)
+
+    def test_negative_steps(self):
+        with pytest.raises(InvalidInput, match="steps"):
+            velocity_noise_seeds(7, 2, -1)
+
+    @pytest.mark.parametrize("table", [None, velocity_noise_seeds(7, 1, 3)])
+    def test_seed_table_missing_or_short(self, table):
+        chunk = ChunkState(1, np.zeros(4), np.ones(4), local_step=3, noise_seeds=table)
+        with pytest.raises(InvalidInput, match="no velocity-noise seeds for local step 3"):
+            perturbed_velocity([chunk], [0], PowerLawSchedule(power=1.0, steps=8), 0.05)
 
 
 class TestRunLifecycle:
@@ -459,7 +566,7 @@ class TestNonFiniteSteps:
     @staticmethod
     def run_from(monkeypatch, sched, policy, noise):
         # a finite start whose L1 norm is finite too: one huge element
-        def huge_noise(scene, chunk_index):
+        def huge_noise(scene, chunk_index, words=None):
             x = np.zeros(scene.shape)
             x.flat[0] = 1e308
             return x

@@ -123,8 +123,8 @@ class TestEstimateAndApply:
         latents = np.array([[4.0, -4.0]])
         velocities = np.zeros((1, 2))
 
-        def compute(row):
-            velocities[row] = 1.0
+        def compute(rows):
+            velocities[rows] = 1.0
 
         [metric] = apply([Decision(COMPUTE, None, 0.0)], [state], latents, [8.0],
                          velocities, 0.5, compute)
@@ -152,13 +152,13 @@ class TestEstimateAndApply:
         velocities = np.array([[0.0, 0.0], [2.0, -1.0]])
         computed = []
 
-        def compute(row):
-            computed.append(row)
-            velocities[row] = [-4.0, 4.0]
+        def compute(rows):
+            computed.append(rows)
+            velocities[rows] = [-4.0, 4.0]
 
         metrics = apply([Decision(COMPUTE, None, 0.0), Decision(REUSE, 0.25, 0.25)],
                         states, latents, [4.0, 2.0], velocities, 0.5, compute)
-        assert computed == [0]
+        assert computed == [[0]]   # one call with the computing rows
         assert metrics == [1.0, 0.25]
         assert [s.velocity_norm for s in states] == [8.0, 3.0]
         assert latents.tolist() == [[0.0, 4.0], [2.0, -1.5]]

@@ -9,6 +9,7 @@ a new helper with the code under test is a reviewed change.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowcache_sim import verify
@@ -17,6 +18,7 @@ from flowcache_sim.reuse import COMPUTE, REUSE, Decision
 decide = verify.decide
 ideal_velocity = verify.ideal_velocity
 importance = verify.importance
+perturbed_velocity = verify.perturbed_velocity
 redundancy_fast = verify.redundancy_fast
 stable_topk = verify.stable_topk
 velocity_noise_seeds = verify.velocity_noise_seeds
@@ -30,6 +32,16 @@ def decide_at_tie(policy, state, local_step, estimate):
     if grown >= policy.epsilon:
         return Decision(COMPUTE, estimate, 0.0)
     return Decision(REUSE, estimate, grown)
+
+
+def noise_sized_by_first_row(window, rows, schedule, noise_scale, out=None):
+    # a cross-row defect: every row's perturbation scaled by the first computing row's norm
+    ideal = perturbed_velocity(window, rows, schedule, 0.0, None if out is None else out.copy())
+    got = perturbed_velocity(window, rows, schedule, noise_scale, out)
+    norms = np.abs(ideal.reshape(len(ideal), -1)).sum(axis=1)
+    for r in rows:
+        got[r] = ideal[r] + (got[r] - ideal[r]) * (norms[rows[0]] / norms[r])
+    return got
 
 
 DEFECTS = [   # (defect, patched name, defect, suite, failing check's name prefix)
@@ -49,6 +61,8 @@ DEFECTS = [   # (defect, patched name, defect, suite, failing check's name prefi
     ("velocity noise seeded one seed off", "velocity_noise_seeds",
      lambda seed, index, steps: velocity_noise_seeds(seed + 1, index, steps),
      "kernels", "velocity noise vs numpy"),
+    ("velocity noise sized by the first computing row's norm", "perturbed_velocity",
+     noise_sized_by_first_row, "kernels", "velocity noise vs numpy"),
 ]
 
 
@@ -67,7 +81,7 @@ def test_defect_fails_its_check(monkeypatch, name, attr, defect, suite, check):
 
 
 IMPORT_ALLOWLIST = {
-    "armodel": {"ChunkState", "ideal_velocity", "perturbed_velocity", "smooth_profile",
+    "armodel": {"ChunkState", "ideal_velocity", "perturbed_velocity", "smooth_profiles",
                 "velocity_noise_seeds"},
     "kvcache": {"KVPlan", "importance", "redundancy_fast"},
     "reuse": {"COMPUTE", "REUSE", "ChunkReuseState", "ReusePolicy", "decide"},
