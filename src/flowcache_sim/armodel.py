@@ -32,8 +32,8 @@ from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
 from .schedule import PowerLawSchedule
 from .trace import DTYPES, RunTrace, _config_snapshot
 
-# seed-stream tags, so every random draw has a stable address; trajectory derives
-# a window of arriving chunks' SeedSequence words at once (seed_states)
+# seed-stream tags, so every random draw has a stable address; velocity noise's
+# SeedSequence words come from velocity_noise_seeds, once per chunk
 _TAG_NOISE = 1
 _TAG_CLEAN = 2
 _TAG_VEL_NOISE = 3
@@ -117,11 +117,11 @@ class CostModel:
 
 @dataclass
 class ChunkState:
-    """One chunk's latent, ground truth, denoising progress, reuse state and, in a
-    run with velocity noise, its ``velocity_noise_seeds`` table (read per local step)."""
+    """One chunk's latent, ground truth, denoising progress, reuse state and,
+    in a run with velocity noise, its ``velocity_noise_seeds`` table."""
 
     index: int                       # 1-based
-    clean_latent: Optional[np.ndarray]   # denoising's endpoint; trajectory drops it at the end
+    clean_latent: np.ndarray         # ground-truth endpoint of denoising
     latent: np.ndarray               # current state (a row of trajectory's latent table)
     latent_norm: float = 0.0         # L1 norm of latent, taken with it
     local_step: int = 0              # the chunk is clean once this is steps
@@ -132,22 +132,18 @@ class ChunkState:
 def smooth_profiles(sizes: tuple[int, ...], rng: np.random.Generator) -> list[np.ndarray]:
     """Seeded band-limited 1-D profiles of the given sizes (a few low-frequency
     sinusoids each), drawn in turn and evaluated in one pass over their grids."""
-    # per profile and frequency: (normal, 2 pi * random), uniform(0, 2 pi) bit for bit
-    draws = np.repeat([[(rng.normal(), 2.0 * np.pi * rng.random()) for _ in range(3)]
-                       for _ in sizes], sizes, axis=0)
+    draws = np.fromiter((v for _ in range(3 * len(sizes))   # 2 pi * random: uniform(0, 2 pi)
+                         for v in (rng.normal(), 2.0 * np.pi * rng.random())), FLOAT)
+    amp, phase = np.repeat(draws.reshape(-1, 3, 2), sizes, axis=0).T   # by frequency
     x = np.concatenate([_unit_grid(n) for n in sizes])
-    out = np.zeros(len(x), dtype=FLOAT)
-    for f in (1, 2, 3):
-        out += draws[:, f - 1, 0] * np.sin(2.0 * np.pi * f * x + draws[:, f - 1, 1])
+    out = sum(amp[f - 1] * np.sin(2.0 * np.pi * f * x + phase[f - 1]) for f in (1, 2, 3))
     return np.split(out, np.cumsum(sizes)[:-1])
 
 
-def make_clean_latent(scene: SceneConfig, chunk_index: int,
-                      words: Optional[np.ndarray] = None) -> np.ndarray:
-    """Smooth low-rank clean latent scaled to the scene's per-chunk norm, drawn
-    from ``default_rng([seed, chunk_index, 2])`` (``words``: its ``seed_states``)."""
-    words = seed_states(scene.seed, chunk_index, _TAG_CLEAN) if words is None else words
-    profiles = smooth_profiles(scene.shape * 2, _generator(words))
+def make_clean_latent(scene: SceneConfig, chunk_index: int) -> np.ndarray:
+    """Smooth low-rank clean latent scaled to the scene's per-chunk norm."""
+    rng = np.random.default_rng([scene.seed, chunk_index, _TAG_CLEAN])
+    profiles = smooth_profiles(scene.shape * 2, rng)
     out = np.zeros(scene.shape, dtype=FLOAT)
     for a, b, c, d in (profiles[:4], profiles[4:]):   # outer products, in einsum's order
         out += a[:, None, None, None] * b[:, None, None] * c[:, None] * d
@@ -155,16 +151,13 @@ def make_clean_latent(scene: SceneConfig, chunk_index: int,
     if total == 0.0:  # measure-zero; regenerate deterministically
         out += 1.0
         total = out.size
-    out *= scene.clean_norm(chunk_index) / total
-    return out
+    return out * (scene.clean_norm(chunk_index) / total)
 
 
-def make_initial_noise(scene: SceneConfig, chunk_index: int,
-                       words: Optional[np.ndarray] = None) -> np.ndarray:
-    """Standard normal starting state, drawn from ``default_rng([seed,
-    chunk_index, 1])`` (``words``: its ``seed_states``)."""
-    words = seed_states(scene.seed, chunk_index, _TAG_NOISE) if words is None else words
-    return _generator(words).standard_normal(scene.shape)
+def make_initial_noise(scene: SceneConfig, chunk_index: int) -> np.ndarray:
+    """Standard normal starting state, seeded per (scene seed, chunk)."""
+    rng = np.random.default_rng([scene.seed, chunk_index, _TAG_NOISE])
+    return rng.standard_normal(scene.shape)
 
 
 def active_window(chunk_index: int, schedule: PowerLawSchedule,
@@ -188,31 +181,32 @@ def total_global_steps(schedule: PowerLawSchedule, scene: SceneConfig) -> int:
     return active_window(scene.num_chunks, schedule, scene)[1]
 
 
-def ideal_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule) -> np.ndarray:
+def ideal_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """Optimal velocity field: -(sigma'/sigma)(latent - clean) = -(p/t)(...).
 
-    Not scanned here: the caller's checked norm is the check.
+    Into ``out`` if given. Not scanned here: the caller's checked norm is the check.
     """
     if t <= 0:
         raise Singularity(f"velocity undefined at t={t}")
-    return (chunk.latent - chunk.clean_latent) * -schedule.log_derivative_ratio(t)
+    return np.multiply(np.subtract(chunk.latent, chunk.clean_latent, out=out),
+                       -schedule.log_derivative_ratio(t), out=out)
 
 
-def seed_states(seed: int, *tail) -> np.ndarray:
-    """``SeedSequence([seed, *tail]).generate_state(4, np.uint64)`` for each entry
-    of the broadcast ``tail`` arrays of words in [0, 2**32), shaped (*that shape, 4):
-    numpy's fixed mixing (``numpy/random/bit_generator.pyx``, pool size 4) as
-    uint32 array ops over every entry at once."""
-    seed, tail = operator.index(seed), np.array(np.broadcast_arrays(*tail))   # numpy ints too
-    if (seed < 0 or tail.dtype.kind not in "iu"
-            or tail.size and not 0 <= tail.min() <= tail.max() < 2**32):
-        raise InvalidInput("seed and seed words must be integers >= 0, words < 2**32")
-    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
-    # a row per word (the seed's little-endian 32-bit words, then the tail), a column per
-    # entry; entropy shorter than the pool hashes zero words
-    entropy = np.zeros((max(len(words) + len(tail), 4), tail[0].size), np.uint32)
-    entropy[:len(words)] = np.reshape(words, (-1, 1))
-    entropy[len(words):len(words) + len(tail)] = tail.reshape(len(tail), -1)
+def velocity_noise_seeds(seed: int, index: int | Sequence[int], steps: int) -> np.ndarray:
+    """(steps, 4) uint64 rows, row s equal to ``SeedSequence([seed, index, s,
+    _TAG_VEL_NOISE]).generate_state(4, np.uint64)``: numpy's fixed mixing
+    (``numpy/random/bit_generator.pyx``, pool size 4) as uint32 array ops
+    over every step at once; for a sequence of indices of one word count, a table each."""
+    seed, indices = operator.index(seed), [operator.index(i) for i in np.ravel(index)]
+    words = [[n >> k & 0xFFFFFFFF for n in (seed, i)   # little-endian 32-bit words
+              for k in range(0, max(n.bit_length(), 1), 32)] for i in indices]
+    if min(seed, operator.index(steps), *indices) < 0 or len({*map(len, words)}) != 1:
+        raise InvalidInput(f"seed, index and steps must be >= 0, and indices one word count; "
+                           f"got {seed}, {index}, {steps}")   # numpy ints pass, floats do not
+    entropy = np.full((len(words[0]) + 2, len(indices), steps), _TAG_VEL_NOISE, np.uint32)
+    entropy[:-2], entropy[-2] = np.array(words).T[..., None], np.arange(steps)
+    entropy = entropy.reshape(len(entropy), -1)   # a row per word, a column per (index, step)
     extra = len(entropy) - 4   # words past the pool go through the extra-entropy loop
     # INIT_A * MULT_A**k for hashmix call k, wrapping as uint32
     hash_a = np.cumprod([0x43B0D7E5] + [0x931E8875] * (16 + 4 * extra), dtype=np.uint32)[:, None]
@@ -232,18 +226,10 @@ def seed_states(seed: int, *tail) -> np.ndarray:
     for i in range(extra):
         pool = mix(pool, hashmix(entropy[4 + i], 16 + 4 * i, 4))
     hash_b = np.cumprod([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)[:, None]   # INIT_B, MULT_B
-    state = (np.concatenate((pool, pool)) ^ hash_b[:-1]) * hash_b[1:]
+    state = (np.tile(pool, (2, 1)) ^ hash_b[:-1]) * hash_b[1:]
     state ^= state >> 16
     state = state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
-    return state.reshape(*tail.shape[1:], 4)
-
-
-def velocity_noise_seeds(seed: int, index: int | np.ndarray, steps: int) -> np.ndarray:
-    """``seed_states(seed, index, s, 3)`` for s in range(steps): a (steps, 4)
-    table, or one per chunk for an array of indices."""
-    if operator.index(steps) < 0:
-        raise InvalidInput(f"steps must be >= 0, got {steps}")
-    return seed_states(seed, np.asarray(index)[..., None], np.arange(steps), _TAG_VEL_NOISE)
+    return state.reshape(*np.shape(index), steps, 4)
 
 
 @functools.cache
@@ -261,47 +247,38 @@ def _seed_words() -> type:
     return SeedWords
 
 
-def _generator(words: np.ndarray) -> np.random.Generator:
-    """The ``Generator(PCG64(...))`` of one ``seed_states`` row."""
-    return np.random.Generator(np.random.PCG64(_seed_words()(words)))
-
-
 def _check_noise_scale(noise_scale: float) -> None:
     if not 0.0 <= noise_scale < math.inf:   # nan fails too
         raise InvalidInput(f"noise_scale must be finite and >= 0, got {noise_scale}")
 
 
-def perturbed_velocity(window: Sequence[ChunkState], rows: Sequence[int],
+def perturbed_velocity(window: Sequence[ChunkState], rows: list[int],
                        schedule: PowerLawSchedule, noise_scale: float,
                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """The model's velocity of each chunk ``window[r]``, r in ``rows``, at its local step,
-    into row r of ``out`` (zeros shaped like the window if None; other rows must be finite).
+    into row r of ``out`` (zeros shaped like the window if None); other rows are not read.
 
-    The ideal velocity -(p/t)(latent - clean), plus for noise_scale > 0 the normals of
-    ``default_rng([seed, index, local_step, 3])``, drawn in index order from the chunk's
-    ``noise_seeds`` and scaled to relative L1 size noise_scale. The ideal rows' norms come
-    from one ``l1_norms`` over ``out``, which fails a non-finite one; no other scan."""
+    Per row, ``ideal_velocity`` plus, for noise_scale > 0, the normals of ``default_rng([seed,
+    index, local_step, 3])`` from the chunk's ``noise_seeds``, in index order, scaled to relative
+    L1 size noise_scale. The ideal rows' norms come from one ``l1_norms`` (of ``out`` itself when
+    every row computes), which fails a non-finite one; no other scan."""
     _check_noise_scale(noise_scale)
-    if out is None:
-        out = np.zeros((len(window), *window[0].latent.shape))
-    rates = schedule.velocity_rates
+    out = np.zeros((len(window), *window[0].latent.shape)) if out is None else out
     for r in rows:
-        chunk, row = window[r], out[r]
-        np.multiply(np.subtract(chunk.latent, chunk.clean_latent, out=row),
-                    rates[chunk.local_step], out=row)
-    if noise_scale == 0.0:
+        ideal_velocity(window[r], schedule.time_at(window[r].local_step), schedule, out[r])
+    if noise_scale == 0.0 or not rows:
         return out
-    norms = l1_norms(out, "ideal_velocity")
+    norms = l1_norms(out if rows == list(range(len(out))) else out[rows], "ideal_velocity")
     g = np.empty(out.shape[1:])   # one row's draw at a time
-    for r in rows:
+    for r, norm in zip(rows, norms):
         chunk = window[r]
         if chunk.noise_seeds is None or len(chunk.noise_seeds) <= chunk.local_step:
-            raise InvalidInput(f"chunk {chunk.index} has no velocity-noise seeds "
-                               f"for local step {chunk.local_step}")
-        _generator(chunk.noise_seeds[chunk.local_step]).standard_normal(out=g)
+            raise InvalidInput(f"chunk {chunk.index}: no noise seeds for step {chunk.local_step}")
+        words = _seed_words()(chunk.noise_seeds[chunk.local_step])
+        np.random.Generator(np.random.PCG64(words)).standard_normal(out=g)
         g_norm = np.abs(g).sum()
         if g_norm != 0.0:   # an all-zero draw leaves the ideal velocity
-            g *= noise_scale * norms[r] / g_norm
+            g *= noise_scale * norm / g_norm
             out[r] += g
     return out
 
@@ -345,16 +322,12 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
     for no estimate), the chunks that became clean at g and, if any, a copy of
     the latent of the newest chunk still active after g (else None).
     A chunk's state is made when its window opens and dropped once yielded
-    as finished (without its clean latent and seed table), so at most ``window``
-    chunk states are live; its latent is its row of a table whose rows end as
-    the final latents. Seed words are derived for a window of arrivals at once.
-    Decisions are per chunk; one ``perturbed_velocity`` call per step covers the
-    computing rows (noise drawn per chunk), and norms and Euler steps take all
-    active rows at once.
+    as finished, so at most ``window`` chunk states are live; its latent is its row of a
+    table whose rows end as the final latents. Decisions are per chunk; one ``perturbed_velocity``
+    call per step covers the computing rows, and norms and Euler steps take all active rows.
     """
     global_steps = total_global_steps(schedule, scene)   # checks steps % window
-    steps, window = schedule.steps, scene.window
-    stride, dt = steps // window, schedule.dt
+    stride, dt = schedule.steps // scene.window, schedule.dt
     table = np.empty((scene.num_chunks, *scene.shape), FLOAT)
     velocities = np.empty((0, *scene.shape))   # a row per active chunk, in index order
     active: list[ChunkState] = []
@@ -363,17 +336,17 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
         perturbed_velocity(active, rows, schedule, noise_scale, velocities)
 
     for g in range(global_steps):
+        rows, finished = [], []   # the last step's finished chunks are freed before this step
         if g % stride == 0 and g // stride < scene.num_chunks:
-            index, j = g // stride + 1, g // stride % window
-            if j == 0:   # the seed words of this window of arrivals, in two calls
-                block = np.arange(index, min(index + window, scene.num_chunks + 1))
-                starts = seed_states(scene.seed, block[:, None], [_TAG_NOISE, _TAG_CLEAN])
-                tables = velocity_noise_seeds(scene.seed, block, steps) if noise_scale > 0 else None
+            index = g // stride + 1
+            if noise_scale > 0 and (index - 1) % scene.window == 0:   # a window's tables at once
+                tables = iter(velocity_noise_seeds(scene.seed, range(
+                    index, min(index + scene.window, scene.num_chunks + 1)), schedule.steps))
             latent = table[index - 1]
-            latent[...] = make_initial_noise(scene, index, starts[j, 0])
-            active.append(ChunkState(index, make_clean_latent(scene, index, starts[j, 1]), latent,
-                                     l1_norm(latent, "initial_noise"),
-                                     noise_seeds=None if tables is None else tables[j]))
+            latent[...] = make_initial_noise(scene, index)
+            active.append(ChunkState(
+                index, make_clean_latent(scene, index), latent, l1_norm(latent, "initial_noise"),
+                noise_seeds=next(tables) if noise_scale > 0 else None))
             velocities = np.concatenate((velocities, np.zeros((1, *scene.shape))))
         decisions = [Decision(COMPUTE, None, 0.0) if policy is None else
                      decide(policy, chunk.reuse, chunk.local_step,
@@ -382,16 +355,15 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
         latents = table[active[0].index - 1:active[-1].index]
         metrics = apply(decisions, [chunk.reuse for chunk in active], latents,
                         [chunk.latent_norm for chunk in active], velocities, dt, velocity)
-        rows, finished = [], []   # one reduction gives the new latents' check and norms
+        # one reduction gives the new latents' check and norms
         for chunk, decision, metric, norm in zip(active, decisions, metrics,
                                                  l1_norms(latents, "euler_step")):
             rows.append((chunk.index, chunk.local_step, decision.action == COMPUTE, metric,
                          decision.accumulator,
                          math.nan if decision.estimate is None else decision.estimate))
             chunk.latent_norm, chunk.local_step = norm, chunk.local_step + 1
-            if chunk.local_step == steps:   # spent: the clean latent and seeds go now
+            if chunk.local_step == schedule.steps:
                 finished.append(chunk)
-                chunk.clean_latent = chunk.noise_seeds = None
         del active[:len(finished)]   # the oldest chunks finish first
         velocities = velocities[len(finished):].copy() if finished else velocities
         yield g, rows, finished, active[-1].latent.copy() if active and finished else None
@@ -451,7 +423,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
                           float(clean_tokens + active_tokens) * cost.bytes_per_kv_token)
         trace.chunk_steps[row:row + len(rows)] = rows
         row += len(rows)
-        del query_latent   # freed now, not after the next step
+        query_latent = finished = chunk = None   # freed now, not after the next step
 
     trace.finish(final_latents)
     return trace

@@ -99,10 +99,9 @@ def apply(decisions: Sequence[Decision], states: Sequence[ChunkReuseState],
           dt: float, compute_velocity: Callable[[list[int]], object]) -> list[float]:
     """Advance a window of latents one step in place, row i under ``decisions[i]``.
 
-    Compute: one ``compute_velocity(rows)`` call per step with any computing row
-    writes the model's velocity into each of those rows of ``velocities`` (the
-    others keep theirs); each row's checked L1 norm is cached. Reuse: the row
-    keeps its velocity. Returns each row's metric (true on compute, the estimate on reuse).
+    Compute: one ``compute_velocity(rows)`` call writes the computing rows' model velocities
+    into ``velocities`` and their checked L1 norms are cached. Reuse: the row keeps its
+    velocity. Returns each row's metric (true on compute, the estimate on reuse).
     """
     computing = [i for i, decision in enumerate(decisions) if decision.action == COMPUTE]
     if computing:

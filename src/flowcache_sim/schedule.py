@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,11 +48,6 @@ class PowerLawSchedule:
         if t <= 0:
             raise Singularity(f"log-derivative ratio diverges at t={t}")
         return self.power / t
-
-    @functools.cached_property
-    def velocity_rates(self) -> list[float]:
-        """-sigma'/sigma at each local step's time: the ideal velocity's factor."""
-        return [-self.log_derivative_ratio(self.time_at(s)) for s in range(self.steps)]
 
     def time_at(self, local_step: int) -> float:
         """Timestep value before executing local step ``local_step`` (0-based)."""

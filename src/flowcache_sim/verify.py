@@ -157,17 +157,16 @@ def suite_kernels(seed: int = 0) -> list[CheckResult]:
     worst, mismatches = 0.0, 0
     schedule = PowerLawSchedule(power=float(rng.uniform(0.25, 3.0)), steps=16)
     for a_seed in (seed, 2**32 - 1, 2**32 + seed, int(rng.integers(2**63))):
-        indices = int(rng.integers(1, 100)) + np.arange(3)   # tables as trajectory takes them
-        tables = velocity_noise_seeds(a_seed, indices, schedule.steps)
-        window = [ChunkState(int(i), *rng.normal(scale=i - indices[0] + 1.0, size=(2, 8, 4, 6, 6)),
-                             noise_seeds=table) for i, table in zip(indices, tables)]
+        first = int(rng.integers(1, 100))   # a window's tables, as trajectory takes them
+        tables = velocity_noise_seeds(a_seed, range(first, first + 3), schedule.steps)
+        window = [ChunkState(first + k, *rng.normal(scale=k + 1.0, size=(2, 8, 4, 6, 6)),
+                             noise_seeds=tables[k]) for k in range(3)]
         for step in range(schedule.steps):
             for k, chunk in enumerate(window):   # each row at its own local step
                 chunk.local_step = (step + 5 * k) % schedule.steps
-            rows = [k for k in range(3) if k != step % 4]   # reused rows stay as they were
-            before = rng.normal(size=(3, 8, 4, 6, 6))
+            rows, before = [k for k in range(3) if k != step % 4], rng.normal(size=(3, 8, 4, 6, 6))
             got = perturbed_velocity(window, rows, schedule, 0.1, before.copy())
-            for k, chunk in enumerate(window):
+            for k, chunk in enumerate(window):   # reused rows stay as they were
                 t = schedule.time_at(chunk.local_step)
                 base = -(schedule.power / t) * (chunk.latent - chunk.clean_latent)
                 worst = max(worst, float(np.abs(ideal_velocity(chunk, t, schedule) - base).max()))
@@ -180,9 +179,8 @@ def suite_kernels(seed: int = 0) -> list[CheckResult]:
         "ideal_velocity vs closed form -(p/t)(x - clean) (192 states, 4 seeds)",
         worst == 0.0, worst, 0.0, detail="max elementwise difference"))
     results.append(CheckResult(
-        "velocity noise vs numpy default_rng([seed, chunk, step, 3]) draws (64 windows "
-        "of 3 chunks at their own steps, some rows reused, seeds up to 2**63)",
-        mismatches == 0, float(mismatches), 0.0))
+        "velocity noise vs numpy default_rng([seed, chunk, step, 3]) draws (64 windows of 3 "
+        "chunks, some rows reused, seeds up to 2**63)", mismatches == 0, float(mismatches), 0.0))
     return results
 
 

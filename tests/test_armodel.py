@@ -11,7 +11,7 @@ from flowcache_sim import (PROFILES, ChunkState, KVPlan, PowerLawSchedule,
                            perturbed_velocity, resolve_config, run_denoise,
                            total_global_steps, trajectory, velocity_noise_seeds)
 from flowcache_sim import armodel
-from flowcache_sim.armodel import recompute_flops, seed_states
+from flowcache_sim.armodel import recompute_flops
 from flowcache_sim.cli import _apply_axis
 from flowcache_sim.config import _deep_merge
 from flowcache_sim.errors import InvalidConfig, InvalidInput, Singularity
@@ -67,6 +67,21 @@ class TestSceneSynthesis:
         scene = small_scene(norm_spread=0.5)
         norms = [scene.clean_norm(i) for i in range(1, 5)]
         assert all(a < b for a, b in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("shape", [(8, 4, 6, 6), (1, 1, 1, 1), (3, 5, 7, 9)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+    def test_profiles_in_one_pass_match_one_at_a_time(self, shape, seed):
+        # each profile drawn and evaluated on its own, three sinusoids in turn
+        def one_at_a_time(rng):
+            for n in shape * 2:
+                x, out = np.linspace(0.0, 1.0, n), np.zeros(n)
+                for f in (1, 2, 3):
+                    out += rng.normal() * np.sin(2.0 * np.pi * f * x + 2.0 * np.pi * rng.random())
+                yield out
+
+        got = armodel.smooth_profiles(shape * 2, np.random.default_rng(seed))
+        for a, b in zip(got, one_at_a_time(np.random.default_rng(seed)), strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_noise_is_seeded_per_chunk(self):
         scene = small_scene()
@@ -130,12 +145,12 @@ class TestVelocities:
     @pytest.mark.parametrize("noise", [0.0, 0.2])
     def test_velocity_into_out(self, noise):
         # trajectory writes each velocity into the chunk's own row: same bits,
-        # and the window's other rows keep theirs
+        # and the window's other rows are neither read (NaN is fine) nor written
         other = ChunkState(index=2, clean_latent=None, latent=None)
-        out = np.full((2, *self.scene.shape), 7.0)
+        out = np.full((2, *self.scene.shape), np.nan)
         got = perturbed_velocity([other, self.chunk], [1], self.sched, noise, out)
         assert got is out
-        assert out[1].tobytes() == self.velocity(noise).tobytes() and (out[0] == 7.0).all()
+        assert out[1].tobytes() == self.velocity(noise).tobytes() and np.isnan(out[0]).all()
 
     def test_perturbation_deterministic(self):
         a, b = self.velocity(0.2), self.velocity(0.2)
@@ -187,6 +202,15 @@ class TestVelocityNoiseSeeds:
             got = perturbed_velocity([chunk], [0], sched, 0.05)[0]
             assert got.tobytes() == expected.tobytes(), step
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_window_of_tables_matches_one_per_chunk(self, seed):
+        # trajectory derives a window of arriving chunks' tables in one call
+        for indices in (range(1, 5), [40], np.array([[7, 8], [9, 2**32 - 1]], np.uint32)):
+            tables = velocity_noise_seeds(seed, indices, 16)
+            assert tables.shape == (*np.shape(indices), 16, 4) and tables.dtype == np.uint64
+            for i, table in zip(np.ravel(indices), tables.reshape(-1, 16, 4)):
+                np.testing.assert_array_equal(table, velocity_noise_seeds(seed, int(i), 16))
+
     def test_one_step_and_empty_tables(self):
         np.testing.assert_array_equal(velocity_noise_seeds(7, 2, 1),
                                       velocity_noise_seeds(7, 2, 5)[:1])
@@ -208,11 +232,10 @@ class TestWindowVelocities:
     def window(shape, seed, size, steps=8):
         # chunks at different local steps and latent scales, tables as trajectory takes them
         rng = np.random.default_rng([size, *shape])
-        indices = 3 + np.arange(size)
-        return [ChunkState(int(index), *rng.normal(scale=k + 1.0, size=(2, *shape)),
-                           local_step=(3 * k + 1) % steps, noise_seeds=table)
-                for k, (index, table) in enumerate(
-                    zip(indices, velocity_noise_seeds(seed, indices, steps)))]
+        tables = velocity_noise_seeds(seed, range(3, 3 + size), steps)
+        return [ChunkState(3 + k, *rng.normal(scale=k + 1.0, size=(2, *shape)),
+                           local_step=(3 * k + 1) % steps, noise_seeds=tables[k])
+                for k in range(size)]
 
     @staticmethod
     def closed_form(chunk, sched, seed, noise):
@@ -230,7 +253,7 @@ class TestWindowVelocities:
         sched = PowerLawSchedule(power=0.75, steps=8)
         for size in range(1, 6):
             window = self.window(shape, seed, size)
-            for rows in ([r for r in range(size) if r != 1], list(range(size)), [size - 1]):
+            for rows in ([r for r in range(size) if r != 1], list(range(size)), [size - 1], []):
                 before = np.random.default_rng(size).normal(size=(size, *shape))
                 got = perturbed_velocity(window, rows, sched, noise, before.copy())
                 for r, chunk in enumerate(window):   # reused rows stay as they were
@@ -240,38 +263,23 @@ class TestWindowVelocities:
     def test_all_zero_draw_leaves_the_ideal_velocity(self, monkeypatch):
         sched = PowerLawSchedule(power=0.75, steps=8)
         window = self.window((2, 2, 2, 2), 5, 3)
-        zero = window[1].noise_seeds[window[1].local_step]
-        generator = armodel._generator
+        generator, built = np.random.Generator, []
 
         class ZeroDraws:
             def standard_normal(self, out):
                 out[...] = 0.0
 
-        monkeypatch.setattr(armodel, "_generator",
-                            lambda words: ZeroDraws() if np.array_equal(words, zero) else generator(words))
+        def second_draws_zero(bit_generator):   # rows draw in index order: row 1 is second
+            built.append(bit_generator)
+            return ZeroDraws() if len(built) == 2 else generator(bit_generator)
+
+        monkeypatch.setattr(np.random, "Generator", second_draws_zero)
         got = perturbed_velocity(window, [0, 1, 2], sched, 0.05)
+        monkeypatch.undo()
+        assert len(built) == 3
         assert got[1].tobytes() == self.closed_form(window[1], sched, 5, 0.0).tobytes()
         for r in (0, 2):
             assert got[r].tobytes() == self.closed_form(window[r], sched, 5, 0.05).tobytes()
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("tag", [1, 2])
-    def test_arrival_words_match_seed_sequence(self, seed, tag):
-        # trajectory derives a window of arrivals' words in one call, as a column
-        indices = np.arange(1, 5)
-        expected = np.stack([np.random.SeedSequence([seed, i, tag]).generate_state(4, np.uint64)
-                             for i in range(1, 5)])
-        np.testing.assert_array_equal(seed_states(seed, indices[:, None], [tag])[:, 0], expected)
-        np.testing.assert_array_equal(seed_states(seed, 3, tag), expected[2])
-        scene = small_scene(seed=seed)
-        draw = make_initial_noise if tag == 1 else make_clean_latent
-        assert (draw(scene, 3).tobytes()
-                == draw(scene, 3, seed_states(seed, 3, tag)).tobytes())
-
-    def test_initial_noise_is_default_rng(self):
-        scene = small_scene(seed=2**40 + 7)
-        expected = np.random.default_rng([2**40 + 7, 2, 1]).standard_normal(scene.shape)
-        assert make_initial_noise(scene, 2).tobytes() == expected.tobytes()
 
 
 class TestInputChecks:
@@ -282,8 +290,8 @@ class TestInputChecks:
         def no_draw(*args):
             pytest.fail("drew before checking noise_scale")
 
-        monkeypatch.setattr(armodel, "_generator", no_draw)
-        monkeypatch.setattr(armodel, "_projection_weights", no_draw)
+        for name in ("_seed_words", "_projection_weights", "make_initial_noise"):
+            monkeypatch.setattr(armodel, name, no_draw)
         scene = small_scene()
         with pytest.raises(InvalidInput, match="noise_scale"):
             run_denoise(scene, PowerLawSchedule(power=1.0, steps=8), kv=KVPlan(budget_chunks=1),
@@ -297,10 +305,15 @@ class TestInputChecks:
         with pytest.raises(InvalidInput, match="steps"):
             velocity_noise_seeds(7, 2, -1)
 
+    @pytest.mark.parametrize("indices", [[], [2**32 - 1, 2**32]])
+    def test_window_of_tables_needs_indices_of_one_word_count(self, indices):
+        with pytest.raises(InvalidInput, match="one word count"):
+            velocity_noise_seeds(7, indices, 4)
+
     @pytest.mark.parametrize("table", [None, velocity_noise_seeds(7, 1, 3)])
     def test_seed_table_missing_or_short(self, table):
         chunk = ChunkState(1, np.zeros(4), np.ones(4), local_step=3, noise_seeds=table)
-        with pytest.raises(InvalidInput, match="no velocity-noise seeds for local step 3"):
+        with pytest.raises(InvalidInput, match="chunk 1: no noise seeds for step 3"):
             perturbed_velocity([chunk], [0], PowerLawSchedule(power=1.0, steps=8), 0.05)
 
 
@@ -522,6 +535,31 @@ class TestWorkingSet:
         assert all(ref() is None for ref in refs)
         assert seen == scene.num_chunks
 
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_finished_chunk_states_die_before_the_next_velocity(self, monkeypatch, budget):
+        # run_denoise lets go of a finished chunk, with its clean latent and seed table,
+        # before the next step computes
+        refs, checks = [], []
+        events, velocity = armodel.trajectory, armodel.perturbed_velocity
+
+        def recording(*args):
+            for event in events(*args):
+                refs[:] = map(weakref.ref, event[2])
+                yield event
+                del event
+
+        def checking(*args):
+            checks.append(all(ref() is None for ref in refs))
+            return velocity(*args)
+
+        monkeypatch.setattr(armodel, "trajectory", recording)
+        monkeypatch.setattr(armodel, "perturbed_velocity", checking)
+        scene = SceneConfig(num_chunks=12, window=3, shape=(4, 2, 3, 3), seed=5)
+        run_denoise(scene, PowerLawSchedule(power=1.0, steps=6), kv=KVPlan(budget_chunks=budget),
+                    noise_scale=0.05)
+        assert len(checks) == total_global_steps(PowerLawSchedule(power=1.0, steps=6), scene)
+        assert all(checks)
+
     def test_no_record_objects_outlive_a_run(self):
         # the trace keeps its records as columns; a record object is built on read
         def live_records():
@@ -566,7 +604,7 @@ class TestNonFiniteSteps:
     @staticmethod
     def run_from(monkeypatch, sched, policy, noise):
         # a finite start whose L1 norm is finite too: one huge element
-        def huge_noise(scene, chunk_index, words=None):
+        def huge_noise(scene, chunk_index):
             x = np.zeros(scene.shape)
             x.flat[0] = 1e308
             return x
