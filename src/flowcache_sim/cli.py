@@ -133,7 +133,7 @@ def _retained_hash(trace) -> str:
     last = trace.compressions[-1]
     h = hashlib.sha256()
     for head in sorted(last.heads):
-        h.update(bytes(str(last.heads[head].retained_ids), "utf-8"))
+        h.update(bytes(str(last.heads[head].retained_ids.tolist()), "utf-8"))
     return h.hexdigest()[:12]
 
 

@@ -189,9 +189,9 @@ def select_tokens(score_row: np.ndarray, budget_tokens: int, key_granularity: st
     return members.reshape(-1)
 
 
-@dataclass
+@dataclass(eq=False)   # array fields: compare them with np.array_equal
 class HeadReport:
-    retained_ids: list[int]
+    retained_ids: np.ndarray   # read-only int64, ascending; may view a shared table
     evicted_count: int
     score_min: float
     score_max: float
@@ -200,7 +200,7 @@ class HeadReport:
 
 @dataclass
 class CompressionReport:
-    """Record of one compression pass; ``RunTrace.to_dict`` writes its JSON."""
+    """Record of one compression pass; ``RunTrace.to_json`` writes its JSON."""
 
     global_step: int
     arriving_chunk: int
@@ -279,12 +279,13 @@ class KVBuffer:
         heads = np.arange(plan.key_heads)
         self._keys = self._keys[keep, heads]
         self._ids = self._ids[keep, heads]
+        self._ids.flags.writeable = False   # the reports below view its columns
         report = CompressionReport(
             global_step=global_step, arriving_chunk=chunk_index,
             candidate_tokens=n_cand)
         for h, row in enumerate(scores):
             report.heads[h] = HeadReport(
-                retained_ids=self._ids[:, h].tolist(),
+                retained_ids=self._ids[:, h],
                 evicted_count=n_cand - keep.shape[0],
                 score_min=float(row.min()), score_max=float(row.max()),
                 score_mean=float(row.mean()))

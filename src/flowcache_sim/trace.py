@@ -151,17 +151,21 @@ class RunTrace:
             h.update(struct.pack("<qqq1s", rep.global_step, rep.arriving_chunk,
                                  rep.candidate_tokens, b"0"))
             for head, body in sorted(rep.heads.items()):
-                ids = np.asarray(body.retained_ids, np.int64).tobytes()
-                h.update(struct.pack("<q", head) + ids + struct.pack("<q", body.evicted_count))
+                h.update(struct.pack("<q", head) + body.retained_ids.tobytes()
+                         + struct.pack("<q", body.evicted_count))
         for idx in sorted(self.final_latents):   # tobytes is in C order
             h.update(struct.pack("<q", idx) + self.final_latents[idx].tobytes())
         return h.hexdigest()
 
     # -- export ------------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """JSON form: the records as ``COLUMNS``, every report field, the totals."""
-        return {
+    def to_json(self) -> str:
+        """JSON form: the records as ``COLUMNS``, every report field, the totals.
+
+        Retained ids stay arrays until the encoder reaches them, so only one
+        head's ids are ever a Python list (``np.ndarray.tolist`` as ``default``).
+        """
+        return json.dumps({
             "schema_version": SCHEMA_VERSION,
             "config": self.config,
             **{table: {name: base64.b64encode(array[name].tobytes()).decode()
@@ -174,10 +178,7 @@ class RunTrace:
             "final_latents": {str(k): base64.b64encode(np.asarray(v, "<f8").tobytes()).decode()
                               for k, v in self.final_latents.items()},
             "content_hash": self.content_hash,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        }, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
 
 
 def _is_int64(v) -> bool:
@@ -192,8 +193,8 @@ FIELD_TYPES = {
     "float": (lambda v: _is_int64(v) or isinstance(v, float) and math.isfinite(v),
               "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "list[int]": (lambda v: isinstance(v, list) and all(map(_is_int64, v)),
-                  "a list of int64s"),
+    "np.ndarray": (lambda v: isinstance(v, list) and all(map(_is_int64, v)),
+                   "a list of int64s"),
     "tuple[int, int, int, int]": (
         lambda v: isinstance(v, (list, tuple)) and len(v) == 4
         and all(map(_is_int64, v)), "a list of 4 int64s"),
@@ -205,6 +206,10 @@ def read_value(value, kind: str, where: str, error: type = InvalidInput):
     accepts, expected = FIELD_TYPES[kind]
     if not accepts(value):
         raise error(f"{where} must be {expected}")
+    if kind == "np.ndarray":   # read-only, like the ids a compression reports
+        value = np.array(value, np.int64)
+        value.flags.writeable = False
+        return value
     return tuple(value) if kind.startswith("tuple") else value
 
 

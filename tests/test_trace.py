@@ -1,7 +1,9 @@
 import base64
+import gc
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,21 @@ def recode(table, name, change):
     return mutate
 
 
+def traced(fn):
+    """``fn()``, the bytes it leaves allocated and its allocation peak, both
+    above what was allocated before it (tracemalloc, after a collection)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - base, peak - base
+
+
 def put(index, value):
     """A column change that sets one element."""
     def change(values):
@@ -71,6 +88,18 @@ class TestExport:
         assert again.to_json() == trace.to_json()
         # null estimates come back as None
         assert list(again.records) == list(trace.records)
+
+    def test_round_trip_gives_read_only_int64_ids(self):
+        trace = tiny_run()
+        back = import_trace(trace.to_json())
+        assert trace.compressions
+        assert len(back.compressions) == len(trace.compressions)
+        for rep, got in zip(trace.compressions, back.compressions):
+            assert sorted(got.heads) == sorted(rep.heads)
+            for h, head in rep.heads.items():
+                ids = got.heads[h].retained_ids
+                assert ids.dtype == np.int64 and not ids.flags.writeable
+                np.testing.assert_array_equal(ids, head.retained_ids)
 
     def test_non_canonical_base64_rejected(self):
         # "8=" and "9=" decode alike: they differ only in bits the padding leaves unused
@@ -188,6 +217,10 @@ class TestExport:
          r"compressions\[0\]\.global_step must be an int64"),
         (lambda p: p["compressions"][0]["heads"]["1"].update(retained_ids=[2**70]),
          r"compressions\[0\]\.heads\.1\.retained_ids must be a list of int64s"),
+        (lambda p: p["compressions"][0]["heads"]["1"].update(retained_ids=[1.0]),
+         r"^trace\.compressions\[0\]\.heads\.1\.retained_ids must be a list of int64s$"),
+        (lambda p: p["compressions"][0]["heads"]["0"].update(retained_ids="1,2"),
+         r"^trace\.compressions\[0\]\.heads\.0\.retained_ids must be a list of int64s$"),
         (lambda p: p["compressions"][0]["heads"].update({HUGE: {}}),
          rf"trace\.compressions\[0\]\.heads\.{HUGE} key must be an int64"),
         (lambda p: p["compressions"][0]["heads"].update({"x": {}}),
@@ -241,8 +274,9 @@ class TestExport:
          r"^trace\.config\.schema_version must be 3$"),
     ], ids=["decision-int", "decision-none", "heads-list", "finals-list",
             "finals-missing", "global-step-huge", "retained-id-huge",
-            "head-key-huge", "head-key-text", "finals-key-huge",
-            "finals-list-latent", "finals-not-base64", "finals-space-base64",
+            "retained-id-float", "retained-ids-text", "head-key-huge",
+            "head-key-text", "finals-key-huge", "finals-list-latent",
+            "finals-not-base64", "finals-space-base64",
             "score-min-nan", "estimate-inf", "estimate-minus-inf", "metric-nan",
             "column-truncated", "column-odd-bytes", "column-space-base64",
             "column-unpadded-base64", "compute-2", "chunk-count-sum",
@@ -288,6 +322,27 @@ class TestExport:
             GOLDEN.write_text(payload)
         assert GOLDEN.exists(), "golden fixture missing; regenerate"
         assert payload == GOLDEN.read_text()
+
+
+class TestMemory:
+    """What a finished trace keeps, and what exporting it adds on top."""
+
+    def test_finished_magi_fast_trace_keeps_under_250_kb(self):
+        magi_fast_run()   # first-call caches stay out of the measurement
+        trace, kept, _ = traced(magi_fast_run)
+        assert len(trace.compressions) == 5
+        assert kept < 250_000
+
+    def test_to_json_lists_one_head_of_ids_at_a_time(self):
+        trace = magi_fast_run()
+        heads = [head for rep in trace.compressions for head in rep.heads.values()]
+        as_arrays = traced(trace.to_json)[2]
+        lists, all_lists, _ = traced(lambda: [h.retained_ids.tolist() for h in heads])
+        for head, ids in zip(heads, lists):   # every head's ids a list at once
+            head.retained_ids = ids
+        as_lists = traced(trace.to_json)[2]
+        # converting every head before encoding would add all of all_lists
+        assert as_arrays - as_lists < all_lists / 2
 
 
 class TestRecordsView:
