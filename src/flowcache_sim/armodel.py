@@ -305,7 +305,7 @@ def _project(latent: np.ndarray, w: np.ndarray) -> np.ndarray:
     rows = np.einsum("tc,hcd->thd", latent.reshape(c, -1).T, w)
     norms = np.sqrt(np.einsum("thd,thd->th", rows, rows))
     norms[norms == 0.0] = 1.0
-    return rows / norms[:, :, None]
+    return np.divide(rows, norms[:, :, None], out=rows)
 
 
 def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
@@ -412,7 +412,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
                 continue
             query_source = chunk.latent if query_latent is None else query_latent
             report = buffer.add_clean_chunk(
-                chunk.index, _project(chunk.latent, w_key),
+                chunk.index, lambda: _project(chunk.latent, w_key),
                 lambda: _project(query_source, w_query), g)
             if report is not None:
                 trace.compressions.append(report)

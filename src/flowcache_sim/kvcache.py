@@ -4,8 +4,8 @@
 The buffer holds the clean region only: the keys of finished chunks, capped
 at the plan's budget per head. Clean chunks append uncompressed until the
 region would overflow; from then on every arrival triggers a compression
-that retains the top-scoring tokens per head. Chunks still denoising never
-enter the buffer; the run counts their tokens.
+that retains the top-scoring tokens per head, in arrays that last the run.
+Chunks still denoising never enter the buffer; the run counts their tokens.
 
 Scoring combines two per-head distributions over the candidate tokens:
 importance (attention mass received from recent query tokens, max-pooled for
@@ -23,11 +23,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidConfig, InvalidInput
+from .errors import DegenerateInput, InternalError, InvalidConfig, InvalidInput
 from .numerics import FLOAT, maxpool1d, softmax_, stable_topk
 
-# Blocked accumulation bound for the fast redundancy kernel; keeps peak
-# transient allocation at O(block * H * d + H * L) instead of O(H * L^2).
+# Blocked accumulation bound for the fast redundancy kernel: the unit keys of at
+# most this many tokens exist at once, in the caller's scratch if it passes one.
 _REDUNDANCY_BLOCK = 512
 
 
@@ -64,14 +64,15 @@ class KVPlan:
             raise InvalidConfig("budget_chunks must be positive or None")
 
 
-def importance(queries: np.ndarray, keys: np.ndarray, plan: KVPlan) -> np.ndarray:
+def importance(queries: np.ndarray, keys: np.ndarray, plan: KVPlan, *,
+               scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-head attention mass over historical tokens, rows summing to 1.
 
     ``queries`` is (L_q, H_q, d) and ``keys`` is (L_k, H_k, d); query heads
     are grouped contiguously onto key heads (H_q must be a multiple of H_k).
     Only the trailing ``query_window`` query rows contribute. For each key
     head the scaled dot-product rows are softmaxed over the key axis and
-    averaged over the contributing query rows.
+    averaged over the contributing query rows, the logits in ``scratch`` if it fits them.
     """
     queries = np.asarray(queries, dtype=FLOAT)
     keys = np.asarray(keys, dtype=FLOAT)
@@ -92,15 +93,17 @@ def importance(queries: np.ndarray, keys: np.ndarray, plan: KVPlan) -> np.ndarra
     # (w, h_q, d) -> (h_k, w * group, d), window rows outermost within a head
     window = (queries[-w:].reshape(w, h_k, group, d_q)
               .transpose(1, 0, 2, 3).reshape(h_k, w * group, d_q))
-    # one key head at a time: the peak holds one head's (w * group, l_k)
-    # logits, and each head's GEMM is the one a batched matmul runs (same bits)
+    # one key head at a time into one (w * group, l_k) logits array: a head's whole
+    # GEMM is the one a batched matmul runs (same bits); blocks of its rows are not
     keys_t = keys.transpose(1, 2, 0)
+    if scratch is None or scratch.size < w * group * l_k:
+        scratch = np.empty(w * group * l_k, dtype=FLOAT)
+    logits = scratch[:w * group * l_k].reshape(w * group, l_k)
     out = np.empty((h_k, l_k), dtype=FLOAT)
     for h in range(h_k):
-        logits = np.matmul(window[h], keys_t[h])
+        np.matmul(window[h], keys_t[h], out=logits)
         logits /= np.sqrt(d_k)
         out[h] = softmax_(logits, axis=-1).mean(axis=0)
-        del logits   # freed before the next head's are allocated
     return out
 
 
@@ -112,14 +115,14 @@ def pooled_importance(imp: np.ndarray, plan: KVPlan) -> np.ndarray:
     return maxpool1d(imp, plan.pool_kernel)
 
 
-def redundancy_fast(keys: np.ndarray) -> np.ndarray:
+def redundancy_fast(keys: np.ndarray, *, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Redundancy without the LxL matrix: mean-key dot products per token.
 
     The column mean of the zero-diagonal cosine matrix equals the dot product
     of each unit key with the mean of all unit keys, minus the token's own
     self-similarity contribution (exactly 1/L after row normalization). The
-    mean unit keys of all heads accumulate blockwise, so peak transient memory
-    stays O(block * H * d + H * L); results match verify.redundancy_naive within 1e-9.
+    mean unit keys of all heads accumulate blockwise, in ``scratch`` if it fits a block, so
+    transient memory stays O(block * H * d + H * L); it matches verify.redundancy_naive to 1e-9.
     """
     keys = np.asarray(keys, dtype=FLOAT)
     if keys.ndim != 3:
@@ -131,9 +134,12 @@ def redundancy_fast(keys: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise DegenerateInput("zero-norm key row")
     mean_unit = np.zeros((h_k, d), dtype=FLOAT)
+    if scratch is None or scratch.size < min(l_k, _REDUNDANCY_BLOCK) * h_k * d:
+        scratch = np.empty(min(l_k, _REDUNDANCY_BLOCK) * h_k * d, dtype=FLOAT)
     for start in range(0, l_k, _REDUNDANCY_BLOCK):
         block = keys[start:start + _REDUNDANCY_BLOCK]
-        mean_unit += (block / norms[start:start + _REDUNDANCY_BLOCK, :, None]).sum(axis=0)
+        out = scratch[:block.size].reshape(block.shape)
+        mean_unit += np.divide(block, norms[start:start + len(block), :, None], out=out).sum(axis=0)
     mean_unit /= l_k
     # einsum reads the strided keys without a copy; C order makes each head's
     # softmax sum contiguous, so the head count cannot change its order
@@ -214,7 +220,9 @@ class KVBuffer:
     Holds the tokens of finished chunks as dense token-major arrays: keys
     (L, H, d) and global token ids (L, H). Every compression keeps the same
     count for each head, so the region stays dense; row i of head h is that
-    head's i-th retained token, in ascending id order. Chunks still
+    head's i-th retained token, in ascending id order. Keys are written in place into
+    ``budget + tokens_per_chunk`` rows; compressions score and gather them in one scratch,
+    sized at the first for a head's logits and the candidates' keys. Chunks still
     denoising are not stored here: their occupancy is a token count that
     ``run_denoise`` keeps, and a run without a budget keeps no buffer.
     The budget is ``plan.budget_chunks`` whole chunks. ``frame_tokens`` is
@@ -231,7 +239,9 @@ class KVBuffer:
         self.tokens_per_chunk = tokens_per_chunk
         self.budget_tokens = plan.budget_chunks * tokens_per_chunk
         self.frame_tokens = frame_tokens
-        self._keys = np.empty((0, plan.key_heads, plan.head_dim), dtype=FLOAT)
+        self._keys = np.empty((self.budget_tokens + tokens_per_chunk, plan.key_heads,
+                               plan.head_dim), dtype=FLOAT)   # rows past clean_tokens unused
+        self._scratch = None
         self._ids = np.empty((0, plan.key_heads), dtype=np.int64)
 
     @property
@@ -241,10 +251,10 @@ class KVBuffer:
     def retained_ids(self, head: int) -> np.ndarray:
         return self._ids[:, head].copy()
 
-    def add_clean_chunk(self, chunk_index: int, keys: np.ndarray,
+    def add_clean_chunk(self, chunk_index: int, keys: Callable[[], np.ndarray],
                         queries: Callable[[], np.ndarray],
                         global_step: int) -> Optional[CompressionReport]:
-        """Fold a finished chunk's keys into the clean region.
+        """Fold a finished chunk's keys, which ``keys()`` returns, into the clean region.
 
         Appends while the clean region fits the budget; once an arrival
         overflows it, the merged candidate set is compressed on every arrival,
@@ -252,13 +262,15 @@ class KVBuffer:
         compression report, or None during the fill phase, which never
         calls ``queries``.
         """
-        if keys.shape != (self.tokens_per_chunk, *self._keys.shape[1:]):
-            raise InvalidInput(f"bad key shape {keys.shape}")
+        n, arriving = self.clean_tokens, keys()
+        if arriving.shape != (self.tokens_per_chunk, *self._keys.shape[1:]):
+            raise InvalidInput(f"bad key shape {arriving.shape}")
         base = (chunk_index - 1) * self.tokens_per_chunk
         new_ids = base + np.arange(self.tokens_per_chunk, dtype=np.int64)
-        self._keys = np.concatenate([self._keys, keys])
+        self._keys[n:n + self.tokens_per_chunk] = arriving
         self._ids = np.concatenate(
-            [self._ids, np.broadcast_to(new_ids[:, None], keys.shape[:2])])
+            [self._ids, np.broadcast_to(new_ids[:, None], arriving.shape[:2])])
+        del arriving   # not held across the compression
         if self.clean_tokens <= self.budget_tokens:
             return None
         return self._compress(chunk_index, queries, global_step)
@@ -271,13 +283,21 @@ class KVBuffer:
         query_rows = queries()
         if plan.query_granularity == "frame":
             query_rows = pool_queries_by_frame(query_rows, self.frame_tokens)
-        scores = score_candidates(query_rows, self._keys, plan)
+        if self._scratch is None:   # every later compression has the same shapes
+            rows = min(plan.query_window, len(query_rows)) * query_rows.shape[1] // plan.key_heads
+            self._scratch = np.empty(max(rows, self._keys[0].size) * len(self._keys), FLOAT)
+        scores = score_candidates(query_rows, self._keys[:n_cand], plan, scratch=self._scratch)
         keep = np.stack(
             [select_tokens(row, self.budget_tokens, plan.key_granularity,
                            self.frame_tokens, self.tokens_per_chunk)
              for row in scores], axis=1)                 # (kept, H)
-        heads = np.arange(plan.key_heads)
-        self._keys = self._keys[keep, heads]
+        if keep.min() < 0 or keep.max() >= n_cand:   # take's clip mode would hide it
+            raise InternalError("selected a position outside the candidates")
+        # row keep[i, h] of head h into the scratch (mode "raise" would buffer all of out)
+        heads, d = np.arange(plan.key_heads), plan.head_dim
+        gathered = self._scratch[:keep.size * d].reshape(*keep.shape, d)
+        np.take(self._keys.reshape(-1, d), keep * len(heads) + heads, 0, gathered, "clip")
+        self._keys[:len(keep)] = gathered
         self._ids = self._ids[keep, heads]
         self._ids.flags.writeable = False   # the reports below view its columns
         report = CompressionReport(
@@ -292,12 +312,12 @@ class KVBuffer:
         return report
 
 
-def score_candidates(queries: np.ndarray, keys: np.ndarray,
-                     plan: KVPlan) -> np.ndarray:
+def score_candidates(queries: np.ndarray, keys: np.ndarray, plan: KVPlan, *,
+                     scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Combined (heads, L) score of a candidate key set, all heads at once."""
-    imp = importance(queries, keys, plan)
+    imp = importance(queries, keys, plan, scratch=scratch)
     pooled = pooled_importance(imp, plan)
-    red = redundancy_fast(keys)
+    red = redundancy_fast(keys, scratch=scratch)
     return combined_score(pooled, red, plan.mix_lambda)
 
 

@@ -62,6 +62,20 @@ def test_every_traced_armodel_binding_is_called(monkeypatch):
     assert all(calls.values()), calls
 
 
+def test_traced_run_notes_every_kv_pass():
+    # the importance note unpacks (queries, keys, plan) from the positional
+    # arguments, so a scratch passed positionally would break it here
+    tracing = load("tracing")
+    tracer = tracing.Tracer()
+    with tracer.op(0):
+        magi_fast_run()
+    notes = [s[tracing.NOTE] for s in tracer.spans if s[tracing.NAME] == "kvcache.importance"]
+    assert len(notes) == 5 and all(flop > 0 and size > 0 for flop, size in notes)
+    metrics = tracing.layer_metrics(tracer.spans, [0])
+    assert metrics["kvcache.importance.calls"] == 5 and metrics["kvcache.compress.calls"] == 5
+    assert metrics["kvcache.importance.flop"] > 0 and metrics["kvcache.importance.bytes"] > 0
+
+
 def test_benchmark_invariant_check_reads_records():
     check_invariants = load("workloads").check_invariants
     compressed, uncompressed = magi_fast_run(), magi_fast_run(budget_chunks=None)

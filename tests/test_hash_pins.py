@@ -8,7 +8,9 @@ a refactor of the KV buffer or the trajectory loop that moves any retained
 id, decision or latent bit fails here. The pins change only with a deliberate,
 logged change to simulator behaviour. The SHA-256 of the ``sweep`` stdout on
 every axis and of ``run``'s report.txt pin the CLI's reference and baseline
-configs too, and the SHA-256 of ``run``'s curves.csv pins its rendering.
+configs too, and the SHA-256 of ``run``'s curves.csv pins its rendering. The
+SHA-256 of every case's ``to_json()`` pins the compression score summaries,
+which the content hash leaves out.
 """
 
 import hashlib
@@ -62,17 +64,50 @@ PINS = {
 }
 
 
-def content_hash(profile: str, overrides: dict) -> str:
+# SHA-256 of each case's whole trace.json: the content hash leaves out each
+# compression's score_min/max/mean, which only the export carries
+JSON_PINS = {
+    "baseline": "8bb04556fab71f0134f0a9384fa5f5056ec4523ca902479c580c78c7268a454f",
+    "magi-fast": "228e892ef88e0da313088ea7cc5553b6b3434ec7f4f564dbd3a769c0b50115af",
+    "magi-slow": "e3d0a8de585829fda8f23bb4e6fd9cb7b15e70037392627528685d29646fe700",
+    "skyreels-fast": "83f837c729e9c59705a6042c2051926bacb789a5468d1735cbe33eac624ee39c",
+    "skyreels-slow": "080293799277964a27ff930e8ba920ba2a5dddc07de49e293d7f32098405f6e6",
+    "magi-fast-lambda-0.03": "771f4f3d5bc990f99e317d0d140bdb8548f9a82bacd3edc3d1a36bead787addc",
+    "magi-fast-lambda-0.2": "5eac9eca988e450dd91de56ba5e790a15d9fc6568a962d96d7f5bdd727f084e6",
+    "magi-fast-lambda-1.0": "3b2ddf2680fbb5c55e5ff1e53dbdf545df948825f28884b6b99a6275f267576d",
+    "magi-fast-keys-frame": "a9a2a16ed07cf7dfc8c486d9bc5d7e5bbad9be6e865f7e2956b39f04a59d1c72",
+    "magi-fast-keys-chunk": "029c4b0a0f22940703f4f9fb4df9d011a5bdf9a3fd158e0cd66d92a12f9d3b3b",
+    "magi-fast-budget-None": "d93670a6fc42dbaa23622b778ae94d502f2bb2e5f2b45e6982e0506e9d0daa8c",
+    "magi-fast-budget-1": "0bbbeb027ff7d83ad0a6a3e3bef255b8736e84c76ad59dc6bbebcb676250a9b0",
+    "magi-fast-budget-2": "6cfaa20ffa9303e818cbdb3ef17d6108e3b5d7ee5c2256ec418961fac8410825",
+    "magi-fast-budget-3": "4c74205a2339afe77f16d118268ba92e4f202af914f3150128e56360ac1bde69",
+    "skyreels-fast-frame-frame":
+        "8fc93e9874c4d9fbc215fda1da92a3c99ce2da68ffa851a234e8cee1c51d7dee",
+    "magi-fast-noise-0.05": "58e6b54ff6461ae8876449f91a341273f573680dea9ffee3acca4a20c11820a4",
+    "magi-fast-noise-0.05-seed-4294967296":
+        "0d62a16def3ec0bbb2f2fc56fb33e9ce216e1fbc7fa035cf7427f81dc1f7543e",
+    "magi-fast-noise-0.05-seed-9223372036854775807":
+        "5e2cce18fd8f0163355d9ea6733f7f687565e769431afdbcebb5b1a38ecbfaf5",
+}
+
+
+def simulate(profile: str, overrides: dict):
     cfg = _deep_merge(resolve_config(profile=profile), overrides)
     scene, schedule, policy, kv, cost, noise_scale = build_objects(cfg)
     return run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
-                       noise_scale=noise_scale).content_hash
+                       noise_scale=noise_scale)
 
 
 @pytest.mark.parametrize("name,profile,overrides", CASES,
                          ids=[case[0] for case in CASES])
 def test_content_hash_pinned(name, profile, overrides):
-    assert content_hash(profile, overrides) == PINS[name]
+    assert simulate(profile, overrides).content_hash == PINS[name]
+
+
+@pytest.mark.parametrize("name,profile,overrides", CASES,
+                         ids=[case[0] for case in CASES])
+def test_trace_json_pinned(name, profile, overrides):
+    assert sha256(simulate(profile, overrides).to_json()) == JSON_PINS[name]
 
 
 def test_golden_fixture_hash_pinned():

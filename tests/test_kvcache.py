@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcache_sim import (KVBuffer, KVPlan, combined_score,
-                           granularity_aggregate, importance,
-                           pooled_importance, redundancy_fast, select_tokens)
-from flowcache_sim.errors import DegenerateInput, InvalidConfig, InvalidInput
+from flowcache_sim import (KVBuffer, KVPlan, build_objects, combined_score,
+                           granularity_aggregate, importance, pooled_importance,
+                           redundancy_fast, resolve_config, run_denoise, select_tokens)
+from flowcache_sim import kvcache
+from flowcache_sim.errors import DegenerateInput, InternalError, InvalidConfig, InvalidInput
 from flowcache_sim.kvcache import pool_queries_by_frame
 from flowcache_sim.numerics import maxpool1d, softmax_
 from flowcache_sim.trace import RunTrace
@@ -113,6 +114,22 @@ class TestImportance:
         keys = rng.normal(size=(301, h_k, 16))
         assert np.array_equal(importance(q, keys, cfg(query_window=window)),
                               batched_importance(q, keys, window))
+
+    @pytest.mark.parametrize("h_k", [1, 2, 4])
+    @pytest.mark.parametrize("group", [1, 2])
+    @pytest.mark.parametrize("window", [7, 60])
+    @pytest.mark.parametrize("frames", [1, 3])
+    def test_garbage_scratch_gives_the_same_bits(self, h_k, group, window, frames):
+        # the buffer's case: keys a prefix of a longer store, an oversized
+        # scratch left over from earlier passes, queries optionally frame-pooled
+        rng = np.random.default_rng(10 * h_k + group)
+        q = pool_queries_by_frame(rng.normal(size=(33, h_k * group, 16)), frames)
+        store = rng.normal(size=(340, h_k, 16))
+        config = cfg(query_window=window)
+        scratch = np.full(min(window, len(q)) * group * 340 + 7, np.nan)
+        got = importance(q, store[:301], config, scratch=scratch)
+        assert np.array_equal(got, importance(q, store[:301].copy(), config))
+        assert np.array_equal(got, importance(q, store[:301], config, scratch=scratch))
 
     def test_transient_is_one_heads_logits(self):
         h_k, group, w, l_k = 4, 2, 50, 2000
@@ -221,6 +238,13 @@ class TestRedundancy:
                                           redundancy_fast(keys[:, h:h + 1])[0])
         assert np.abs(batched - redundancy_naive(keys)).max() < 1e-9
 
+    @pytest.mark.parametrize("l_k", [2, 37, 513, 1100])
+    def test_garbage_scratch_gives_the_same_bits(self, l_k):
+        keys = np.random.default_rng(l_k).normal(size=(l_k + 5, 4, 16))[:l_k]
+        scratch = np.full(600 * 4 * 16, np.nan)
+        assert np.array_equal(redundancy_fast(keys, scratch=scratch),
+                              redundancy_fast(keys.copy()))
+
     def test_zero_norm_row_rejected(self):
         keys = np.random.default_rng(9).normal(size=(4, 1, 3))
         keys[2, 0] = 0.0
@@ -311,7 +335,7 @@ class TestBuffer:
 
     def feed(self, chunk_index):
         keys, _ = make_chunk_kv(self.rng, self.tokens, 2, 4)   # values still drawn
-        return self.buffer.add_clean_chunk(chunk_index, keys, lambda: self.queries,
+        return self.buffer.add_clean_chunk(chunk_index, lambda: keys, lambda: self.queries,
                                            chunk_index)
 
     def test_fill_phase_appends(self):
@@ -373,6 +397,42 @@ class TestBuffer:
         for h, head in report.heads.items():
             np.testing.assert_array_equal(head.retained_ids, kept[h])
 
+    def test_gather_rejects_a_position_past_the_candidates(self, monkeypatch):
+        # the gather's clip mode would clamp an out-of-range position silently
+        self.feed(1)
+        self.feed(2)
+        monkeypatch.setattr(kvcache, "select_tokens", lambda *args: np.arange(13, 37))
+        # 36 candidates: position 36 is one past the last
+        with pytest.raises(InternalError, match="outside the candidates"):
+            self.feed(3)
+
+    def test_later_compressions_reuse_the_run_long_arrays(self, monkeypatch):
+        # magi-fast: the first compression makes the scratch; each later one
+        # allocates well under half of one key head's logits
+        rises = []
+        add_clean_chunk = KVBuffer.add_clean_chunk
+
+        def measured(buffer, *args):
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            report = add_clean_chunk(buffer, *args)
+            if report is not None:
+                rises.append(tracemalloc.get_traced_memory()[1] - entry)
+            return report
+
+        monkeypatch.setattr(KVBuffer, "add_clean_chunk", measured)
+        scene, sched, policy, kv, cost, noise = build_objects(resolve_config(profile="magi-fast"))
+        tokens = scene.tokens_per_chunk   # query rows, and candidates per budget chunk
+        logits = (min(kv.query_window, tokens) * kv.query_heads // kv.key_heads
+                  * (kv.budget_chunks + 1) * tokens * 8)
+        tracemalloc.start()
+        try:
+            run_denoise(scene, sched, policy=policy, kv=kv, cost=cost, noise_scale=noise)
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 5 and rises[0] > logits
+        assert max(rises[1:]) < logits / 2
+
     @pytest.mark.parametrize("field", ["tokens_per_chunk", "frame_tokens"])
     def test_nonpositive_dimension_rejected(self, field):
         dims = dict(tokens_per_chunk=12, frame_tokens=4)
@@ -407,9 +467,9 @@ class TestFrameQueries:
         reports = 0
         for i in range(1, 5):
             keys, _ = make_chunk_kv(rng, 12, 2, 4)
-            got = frame.add_clean_chunk(i, keys, lambda: queries, i)
+            got = frame.add_clean_chunk(i, lambda: keys, lambda: queries, i)
             want = token.add_clean_chunk(
-                i, keys, lambda: pool_queries_by_frame(queries, 4), i)
+                i, lambda: keys, lambda: pool_queries_by_frame(queries, 4), i)
             assert plain(got) == plain(want)   # ids and float scores exact
             reports += got is not None
         assert reports == 2
@@ -423,10 +483,11 @@ class TestFrameQueries:
 
         for i in (1, 2):   # 24 tokens fit the budget: nothing scores the queries
             assert buffer.add_clean_chunk(
-                i, make_chunk_kv(rng, 12, 2, 4)[0], unread, i) is None
+                i, lambda: make_chunk_kv(rng, 12, 2, 4)[0], unread, i) is None
         queries = rng.normal(size=(7, 4, 4))   # 7 rows: not whole frames of 4
         with pytest.raises(InvalidConfig, match="not divisible by frame size"):
-            buffer.add_clean_chunk(3, make_chunk_kv(rng, 12, 2, 4)[0], lambda: queries, 3)
+            buffer.add_clean_chunk(3, lambda: make_chunk_kv(rng, 12, 2, 4)[0],
+                                   lambda: queries, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,10 +505,11 @@ def test_buffer_invariants(heads, frames, frame_size, granularity, arrivals,
                budget_chunks=budget_chunks, key_granularity=granularity)
     buffer = KVBuffer(plan, tokens_per_chunk=tokens, frame_tokens=frame_size)
     queries = rng.normal(size=(6, heads, 4))
-    compressing = False
+    compressing, arrived = False, np.empty((0, heads, 4))
     for chunk in range(1, arrivals + 1):
         keys, _ = make_chunk_kv(rng, tokens, heads, 4)
-        report = buffer.add_clean_chunk(chunk, keys, lambda: queries, chunk)
+        arrived = np.concatenate([arrived, keys])   # row i holds token id i
+        report = buffer.add_clean_chunk(chunk, lambda: keys, lambda: queries, chunk)
         # once the budget overflows, every later arrival compresses
         assert (report is not None) == (compressing or chunk * tokens > budget)
         compressing = report is not None
@@ -457,6 +519,8 @@ def test_buffer_invariants(heads, frames, frame_size, granularity, arrivals,
             assert ids.size == buffer.clean_tokens
             assert np.all(np.diff(ids) > 0)
             assert ids.min() >= 0 and ids.max() < chunk * tokens
+            # the keys stored in place are the retained tokens' own, in id order
+            np.testing.assert_array_equal(buffer._keys[:len(ids), h], arrived[ids, h])
         if report is not None:
             assert set(report.heads) == set(range(heads))
             for h, head in report.heads.items():
