@@ -295,14 +295,16 @@ def _projection_weights(scene: SceneConfig, plan: KVPlan) -> tuple[np.ndarray, n
     return w_key, w_query
 
 
-def _project(latent: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per-head (tokens, heads, dim) rows of ``latent`` under the map ``w``.
+def _project(latent: np.ndarray, w: np.ndarray, n: Optional[int] = None) -> np.ndarray:
+    """Per-head (tokens, heads, dim) rows of ``latent`` under the map ``w``, of its
+    last ``n`` tokens only if ``n`` is given (the same bits as those rows of all).
 
     Rows are l2-normalized per token so attention logits have a usable scale
     regardless of latent magnitude; an all-zero token stays zero.
     """
     c = latent.shape[0]
-    rows = np.einsum("tc,hcd->thd", latent.reshape(c, -1).T, w)
+    tokens = latent.reshape(c, -1).T
+    rows = np.einsum("tc,hcd->thd", tokens if n is None else tokens[-n:], w)
     norms = np.sqrt(np.einsum("thd,thd->th", rows, rows))
     norms[norms == 0.0] = 1.0
     return np.divide(rows, norms[:, :, None], out=rows)
@@ -382,9 +384,9 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     bitwise-identical trace. ``kv.budget_chunks=None`` disables compression:
     no buffer is kept and finished chunks add their tokens uncompressed.
     Otherwise each finished chunk's keys enter the buffer with a callable
-    projecting the queries of the newest still-active chunk (or its own),
-    which the buffer calls only when it compresses. At most ``window``
-    chunk states are live; the final latents are the rows of one table.
+    projecting the last n tokens' queries of the newest still-active chunk
+    (or its own), which the buffer calls only when it compresses. At most
+    ``window`` chunk states are live; the final latents are rows of one table.
     """
     _check_noise_scale(noise_scale)   # before any draw, the projection weights' too
     kv = kv or KVPlan()
@@ -413,7 +415,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
             query_source = chunk.latent if query_latent is None else query_latent
             report = buffer.add_clean_chunk(
                 chunk.index, lambda: _project(chunk.latent, w_key),
-                lambda: _project(query_source, w_query), g)
+                lambda n: _project(query_source, w_query, n), g)
             if report is not None:
                 trace.compressions.append(report)
             clean_tokens = buffer.clean_tokens

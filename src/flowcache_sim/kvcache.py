@@ -10,8 +10,8 @@ Chunks still denoising never enter the buffer; the run counts their tokens.
 Scoring combines two per-head distributions over the candidate tokens:
 importance (attention mass received from recent query tokens, max-pooled for
 robustness) and redundancy (mean cosine similarity to the other cached keys,
-penalized); neither reads values, so none are kept. Queries are asked for
-only when a compression scores them, optionally mean-pooled per frame.
+penalized); neither reads values, so none are kept. A compression asks for
+the query window's rows only, optionally mean-pooled per frame.
 Selection keeps the ``budget`` highest-scoring tokens per head, optionally at
 frame or chunk granularity.
 """
@@ -231,8 +231,8 @@ class KVBuffer:
     """
 
     def __init__(self, plan: KVPlan, tokens_per_chunk: int, frame_tokens: int):
-        if min(tokens_per_chunk, frame_tokens) < 1:
-            raise InvalidConfig("buffer dimensions must be positive")
+        if min(tokens_per_chunk, frame_tokens) < 1 or tokens_per_chunk % frame_tokens:
+            raise InvalidConfig("buffer dimensions must be positive, a chunk whole frames")
         if plan.budget_chunks is None:
             raise InvalidConfig("a KV buffer needs budget_chunks")
         self.plan = plan
@@ -252,15 +252,16 @@ class KVBuffer:
         return self._ids[:, head].copy()
 
     def add_clean_chunk(self, chunk_index: int, keys: Callable[[], np.ndarray],
-                        queries: Callable[[], np.ndarray],
+                        queries: Callable[[int], np.ndarray],
                         global_step: int) -> Optional[CompressionReport]:
         """Fold a finished chunk's keys, which ``keys()`` returns, into the clean region.
 
         Appends while the clean region fits the budget; once an arrival
         overflows it, the merged candidate set is compressed on every arrival,
-        scored against the query rows ``queries()`` returns. Returns the
-        compression report, or None during the fill phase, which never
-        calls ``queries``.
+        scored against the query rows of the last ``n`` tokens, which
+        ``queries(n)`` returns: ``n`` covers the query window, in whole frames
+        at frame query granularity. Returns the compression report, or None
+        during the fill phase, which never calls ``queries``.
         """
         n, arriving = self.clean_tokens, keys()
         if arriving.shape != (self.tokens_per_chunk, *self._keys.shape[1:]):
@@ -275,14 +276,15 @@ class KVBuffer:
             return None
         return self._compress(chunk_index, queries, global_step)
 
-    def _compress(self, chunk_index: int, queries: Callable[[], np.ndarray],
+    def _compress(self, chunk_index: int, queries: Callable[[int], np.ndarray],
                   global_step: int) -> CompressionReport:
         """Score the over-budget clean region and keep the budget per head."""
         plan = self.plan
         n_cand = self.clean_tokens
-        query_rows = queries()
+        frame = self.frame_tokens if plan.query_granularity == "frame" else 1
+        query_rows = queries(min(plan.query_window, self.tokens_per_chunk // frame) * frame)
         if plan.query_granularity == "frame":
-            query_rows = pool_queries_by_frame(query_rows, self.frame_tokens)
+            query_rows = pool_queries_by_frame(query_rows, frame)
         if self._scratch is None:   # every later compression has the same shapes
             rows = min(plan.query_window, len(query_rows)) * query_rows.shape[1] // plan.key_heads
             self._scratch = np.empty(max(rows, self._keys[0].size) * len(self._keys), FLOAT)

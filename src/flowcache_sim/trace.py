@@ -98,8 +98,15 @@ class RunTrace:
     compressions: list[CompressionReport] = field(default_factory=list)
     totals: RunTotals = field(default_factory=RunTotals)
     final_latents: dict[int, np.ndarray] = field(default_factory=dict)
-    content_hash: str = ""
     offsets: np.ndarray = field(init=False, repr=False)
+    _hash: Optional[str] = field(default="", init=False, repr=False)   # None until read
+
+    @property
+    def content_hash(self) -> str:
+        """The hash, computed on the first read after ``finish`` and cached; "" before."""
+        if self._hash is None:
+            self._hash = self._compute_hash()
+        return self._hash
 
     @property
     def records(self) -> Iterator[StepRecord]:
@@ -116,7 +123,7 @@ class RunTrace:
             yield self.steps[i].tolist(), self.chunk_steps[offsets[i]:offsets[i + 1]].tolist()
 
     def finish(self, final_latents: dict[int, np.ndarray]) -> None:
-        """Derive the row offsets, the totals (flops summed in order) and the hash."""
+        """Derive the row offsets and the totals (flops summed in order), not the hash."""
         steps, done = self.steps, len(self.chunk_steps)
         self.offsets = np.concatenate(([0], np.cumsum(steps["chunk_count"])))
         computed = int(self.chunk_steps["compute"].sum())
@@ -126,7 +133,7 @@ class RunTrace:
                                 float(steps["resident_bytes"].max(initial=0.0)),
                                 (done - computed) / done if done else 0.0)
         self.final_latents = final_latents
-        self.content_hash = self._compute_hash()
+        self._hash = None
 
     # -- hashing -----------------------------------------------------------
 
@@ -324,12 +331,13 @@ def import_trace(data: dict | str) -> RunTrace:
             if data["totals"][name] != value:
                 raise InvalidInput(f"trace.totals.{name} is {data['totals'][name]!r}; "
                                    f"the records give {value!r}")
+        where = "trace"   # the first read hashes, so an error hashing is caught below
+        if trace.content_hash != content_hash:
+            raise InvalidInput("trace content hash mismatch after import")
     except KeyError as exc:
         raise InvalidInput(f"{where}.{exc.args[0]} is missing") from None
     except (TypeError, ValueError, OverflowError, struct.error) as exc:
         raise InvalidInput(f"malformed {where}: {exc}") from None
-    if trace.content_hash != content_hash:
-        raise InvalidInput("trace content hash mismatch after import")
     return trace
 
 

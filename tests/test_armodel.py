@@ -442,6 +442,20 @@ class TestProjection:
             assert np.all(got[0] == 0.0)
             assert np.allclose(np.linalg.norm(got[1:], axis=-1), 1.0)
 
+    @pytest.mark.parametrize("profile", ["magi-fast", "skyreels-fast"])
+    def test_last_n_tokens_bit_equal_to_those_rows_of_all(self, profile):
+        scene, _, _, kv, *_ = build_objects(resolve_config(profile=profile))
+        rng = np.random.default_rng(31)
+        tokens, frame = scene.tokens_per_chunk, scene.tokens_per_frame
+        for w in armodel._projection_weights(scene, kv):
+            for _ in range(3):
+                latent = rng.standard_normal(scene.shape)
+                every = armodel._project(latent, w)
+                for n in (1, frame - 1, kv.query_window, 3 * frame, tokens - 1, tokens):
+                    got = armodel._project(latent, w, n)
+                    assert got.shape == every[-n:].shape
+                    assert got.tobytes() == every[-n:].tobytes()
+
 
 class TestTrajectoryIgnoresKV:
     """The KV buffer never feeds back into decisions or latents."""

@@ -1,14 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from flowcache_sim import PowerLawSchedule, SceneConfig, run_denoise
-from flowcache_sim import cli
+from flowcache_sim import cli, verify
 from flowcache_sim.cli import main
 from flowcache_sim.errors import InvalidConfig
+from flowcache_sim.trace import RunTrace
 
 
 def run_cli(*argv):
@@ -178,6 +182,30 @@ class TestRunCommand:
         assert not out.exists()
 
 
+class TestHashReads:
+    """The content hash is computed only where a command reads it."""
+
+    @pytest.fixture()
+    def hashed(self, monkeypatch):
+        calls = []
+        compute = RunTrace._compute_hash
+        monkeypatch.setattr(RunTrace, "_compute_hash",
+                            lambda trace: calls.append(trace) or compute(trace))
+        return calls
+
+    def test_sweep_computes_no_hash(self, hashed, capsys):
+        assert run_cli("sweep", "--axis", "lambda", "--values", "0.03,0.2",
+                       "--profile", "magi-fast") == 0
+        assert hashed == []
+
+    def test_run_computes_one_hash_for_the_json_and_the_report(self, hashed, tmp_path,
+                                                               capsys):
+        assert run_cli("run", "--profile", "magi-fast", "--out", str(tmp_path)) == 0
+        assert len(hashed) == 1
+        content_hash = json.loads((tmp_path / "trace.json").read_text())["content_hash"]
+        assert f"trace_hash: {content_hash}" in capsys.readouterr().out
+
+
 class TestVerifyCommand:
     def test_kernels_suite_passes(self, capsys):
         assert run_cli("verify", "--suite", "kernels") == 0
@@ -190,20 +218,31 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
     def test_negative_seed_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_suite", no_simulation)
+        monkeypatch.setattr(verify, "run_suite", no_simulation)
         assert run_cli("verify", "--suite", "all", "--seed", "-1") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --seed must be >= 0, got -1\n"
 
     def test_failure_exit_code(self, monkeypatch, capsys):
-        from flowcache_sim import cli
-        from flowcache_sim.verify import CheckResult
-
-        monkeypatch.setattr(cli, "run_suite", lambda name, seed=0: [
-            CheckResult("forced failure", False, 1.0, 0.0)])
+        monkeypatch.setattr(verify, "run_suite", lambda name, seed=0: [
+            verify.CheckResult("forced failure", False, 1.0, 0.0)])
         assert run_cli("verify", "--suite", "kernels") == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_suite_choices_are_the_verify_suites(self):
+        assert cli._SUITES == sorted(verify.SUITES)
+        for name in verify.SUITES:   # and the parser offers each of them
+            assert cli.build_parser().parse_args(["verify", "--suite", name]).suite == name
+
+    def test_importing_the_cli_leaves_verify_unloaded(self):
+        # every command but verify starts without compiling or running verify.py
+        code = ("import sys, flowcache_sim.cli; "
+                "sys.exit('flowcache_sim.verify' in sys.modules)")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestSweepCommand:

@@ -335,7 +335,7 @@ class TestBuffer:
 
     def feed(self, chunk_index):
         keys, _ = make_chunk_kv(self.rng, self.tokens, 2, 4)   # values still drawn
-        return self.buffer.add_clean_chunk(chunk_index, lambda: keys, lambda: self.queries,
+        return self.buffer.add_clean_chunk(chunk_index, lambda: keys, lambda n: self.queries[-n:],
                                            chunk_index)
 
     def test_fill_phase_appends(self):
@@ -439,6 +439,11 @@ class TestBuffer:
         with pytest.raises(InvalidConfig, match="dimensions must be positive"):
             KVBuffer(cfg(), **{**dims, field: 0})
 
+    def test_chunk_of_part_frames_rejected(self):
+        # the query window is taken in whole frames from the end of the chunk
+        with pytest.raises(InvalidConfig, match="a chunk whole frames"):
+            KVBuffer(cfg(query_granularity="frame"), tokens_per_chunk=10, frame_tokens=4)
+
     def test_budget_required(self):
         with pytest.raises(InvalidConfig, match="needs budget_chunks"):
             KVBuffer(cfg(budget_chunks=None), tokens_per_chunk=12, frame_tokens=4)
@@ -467,9 +472,9 @@ class TestFrameQueries:
         reports = 0
         for i in range(1, 5):
             keys, _ = make_chunk_kv(rng, 12, 2, 4)
-            got = frame.add_clean_chunk(i, lambda: keys, lambda: queries, i)
+            got = frame.add_clean_chunk(i, lambda: keys, lambda n: queries[-n:], i)
             want = token.add_clean_chunk(
-                i, lambda: keys, lambda: pool_queries_by_frame(queries, 4), i)
+                i, lambda: keys, lambda n: pool_queries_by_frame(queries, 4)[-n:], i)
             assert plain(got) == plain(want)   # ids and float scores exact
             reports += got is not None
         assert reports == 2
@@ -478,7 +483,7 @@ class TestFrameQueries:
         rng = np.random.default_rng(22)
         buffer = self.buffer(query_granularity="frame")
 
-        def unread():
+        def unread(n):
             raise AssertionError("a fill-phase arrival asked for its queries")
 
         for i in (1, 2):   # 24 tokens fit the budget: nothing scores the queries
@@ -487,7 +492,37 @@ class TestFrameQueries:
         queries = rng.normal(size=(7, 4, 4))   # 7 rows: not whole frames of 4
         with pytest.raises(InvalidConfig, match="not divisible by frame size"):
             buffer.add_clean_chunk(3, lambda: make_chunk_kv(rng, 12, 2, 4)[0],
-                                   lambda: queries, 3)
+                                   lambda n: queries[-n:], 3)
+
+
+@pytest.mark.parametrize("granularity, window, frame_tokens, asked", [
+    ("token", 50, 4, 12),   # min(query_window, tokens_per_chunk)
+    ("token", 5, 4, 5),
+    ("frame", 50, 4, 12),   # min(query_window, frames per chunk) whole frames
+    ("frame", 2, 4, 8),
+    ("frame", 1, 3, 3),
+])
+def test_compression_asks_for_the_query_window_tokens_only(granularity, window,
+                                                           frame_tokens, asked):
+    rng = np.random.default_rng(23)
+    queries = rng.normal(size=(12, 4, 4))
+    plan = cfg(key_heads=2, head_dim=4, budget_chunks=1, query_window=window,
+               query_granularity=granularity)
+    counts = []
+
+    def window_rows(n):
+        counts.append(n)
+        return queries[-n:]
+
+    sliced, whole = (KVBuffer(plan, tokens_per_chunk=12, frame_tokens=frame_tokens)
+                     for _ in range(2))
+    for chunk in (1, 2, 3):
+        keys, _ = make_chunk_kv(rng, 12, 2, 4)
+        got = sliced.add_clean_chunk(chunk, lambda: keys, window_rows, chunk)
+        # every row given: the window reads the same trailing rows
+        want = whole.add_clean_chunk(chunk, lambda: keys, lambda n: queries, chunk)
+        assert plain(got) == plain(want)
+    assert counts == [asked, asked]
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,7 +544,7 @@ def test_buffer_invariants(heads, frames, frame_size, granularity, arrivals,
     for chunk in range(1, arrivals + 1):
         keys, _ = make_chunk_kv(rng, tokens, heads, 4)
         arrived = np.concatenate([arrived, keys])   # row i holds token id i
-        report = buffer.add_clean_chunk(chunk, lambda: keys, lambda: queries, chunk)
+        report = buffer.add_clean_chunk(chunk, lambda: keys, lambda n: queries[-n:], chunk)
         # once the budget overflows, every later arrival compresses
         assert (report is not None) == (compressing or chunk * tokens > budget)
         compressing = report is not None

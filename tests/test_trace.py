@@ -16,7 +16,7 @@ from flowcache_sim import (PROFILES, CostModel, KVPlan, PowerLawSchedule,
                            l1rel_curves, resolve_config, run_denoise, speedup,
                            trajectory)
 from flowcache_sim.errors import InvalidComparison, InvalidInput
-from flowcache_sim.trace import COLUMNS, DECISIONS, ChunkStepRecord, curves_csv
+from flowcache_sim.trace import COLUMNS, DECISIONS, ChunkStepRecord, RunTrace, curves_csv
 
 GOLDEN = Path(__file__).parent / "data" / "golden_magi_fast.json"
 
@@ -419,6 +419,19 @@ class TestCurves:
 
 
 class TestDeterminism:
+    def test_hash_computed_on_first_read_and_kept(self, monkeypatch):
+        calls = []
+        compute = RunTrace._compute_hash
+        monkeypatch.setattr(RunTrace, "_compute_hash",
+                            lambda trace: calls.append(trace) or compute(trace))
+        assert RunTrace(config={}).content_hash == ""   # unfinished: nothing to hash
+        trace = tiny_run()
+        assert calls == []
+        first = trace.content_hash
+        assert trace.content_hash == first and len(calls) == 1
+        trace.finish(trace.final_latents)   # a finish drops the cached hash
+        assert trace.content_hash == first and len(calls) == 2
+
     def test_same_seed_same_hash(self):
         assert tiny_run(seed=7).content_hash == tiny_run(seed=7).content_hash
 
