@@ -10,8 +10,7 @@ from .armodel import (ChunkState, CostModel, SceneConfig, active_window,
 from .config import PROFILES, build_objects, resolve_config
 from .errors import (DegenerateInput, InternalError, InvalidComparison,
                      InvalidConfig, InvalidInput, SimulatorError, Singularity)
-from .kvcache import (CompressionReport, KVBuffer, KVPlan,
-                      combined_score, granularity_aggregate, importance,
+from .kvcache import (CompressionReport, KVBuffer, KVPlan, importance,
                       pooled_importance, redundancy_fast, score_candidates,
                       select_tokens)
 from .numerics import l1_norm, maxpool1d, softmax, stable_topk

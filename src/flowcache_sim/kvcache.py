@@ -10,10 +10,11 @@ Chunks still denoising never enter the buffer; the run counts their tokens.
 Scoring combines two per-head distributions over the candidate tokens:
 importance (attention mass received from recent query tokens, max-pooled for
 robustness) and redundancy (mean cosine similarity to the other cached keys,
-penalized); neither reads values, so none are kept. A compression asks for
-the query window's rows only, optionally mean-pooled per frame.
-Selection keeps the ``budget`` highest-scoring tokens per head, optionally at
-frame or chunk granularity.
+penalized); neither reads values, so none are kept. The buffer turns the
+plan's granularities into group sizes once: 1 token, a frame or a chunk. A
+compression asks for the query window's rows only, each query group's rows
+mean-pooled into one; selection keeps the ``budget`` highest-scoring tokens
+per head in whole key groups.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ class KVPlan:
     budget_chunks: Optional[int] = 5   # None disables compression
     mix_lambda: float = 0.07          # weight on importance vs redundancy
     pool_kernel: int = 5              # odd max-pool width over token scores
-    query_window: int = 50            # trailing query tokens used for importance
+    query_window: int = 50            # trailing query rows for importance: tokens, or
+                                      # pooled frames at frame query granularity
     query_granularity: str = "token"  # token | frame
     key_granularity: str = "token"    # token | frame | chunk
 
@@ -149,50 +151,22 @@ def redundancy_fast(keys: np.ndarray, *, scratch: Optional[np.ndarray] = None) -
     return softmax_(col_mean, axis=-1)
 
 
-def combined_score(pooled_imp: np.ndarray, redundancy: np.ndarray,
-                   mix_lambda: float) -> np.ndarray:
-    """lambda * pooled importance - (1 - lambda) * redundancy, per head."""
-    if not 0.0 <= mix_lambda <= 1.0:
-        raise InvalidInput(f"lambda must be in [0, 1], got {mix_lambda}")
-    pooled_imp = np.asarray(pooled_imp, dtype=FLOAT)
-    redundancy = np.asarray(redundancy, dtype=FLOAT)
-    if pooled_imp.shape != redundancy.shape:
-        raise InvalidInput("score shapes differ")
-    return mix_lambda * pooled_imp - (1.0 - mix_lambda) * redundancy
-
-
-def granularity_aggregate(scores: np.ndarray, group_size: int) -> np.ndarray:
-    """Mean-aggregate token scores into contiguous groups of ``group_size``."""
-    scores = np.asarray(scores, dtype=FLOAT)
-    if group_size < 1:
-        raise InvalidConfig(f"group size must be >= 1, got {group_size}")
-    if scores.shape[-1] % group_size != 0:
-        raise InvalidConfig(
-            f"{scores.shape[-1]} tokens not divisible by group size {group_size}")
-    grouped = scores.reshape(*scores.shape[:-1], -1, group_size)
-    return grouped.mean(axis=-1)
-
-
-def select_tokens(score_row: np.ndarray, budget_tokens: int, key_granularity: str,
-                  frame_size: int, chunk_size: int) -> np.ndarray:
+def select_tokens(score_row: np.ndarray, budget_tokens: int, group: int) -> np.ndarray:
     """Positions retained by one head's scores under the token budget.
 
-    Token, frame and chunk granularity mean-aggregate scores into groups of
-    1, ``frame_size`` and ``chunk_size`` tokens, pick whole groups (budget
-    interpreted as floor(budget / group size) groups), and retain every
-    member token of the chosen groups. Returned positions are ascending.
+    Scores are mean-aggregated into contiguous groups of ``group`` tokens (1, a
+    frame or a chunk), the top floor(budget / group) groups are picked and
+    every member token of them is retained. Returned positions are ascending.
     """
-    group = {"token": 1, "frame": frame_size, "chunk": chunk_size}.get(key_granularity)
-    if group is None:
-        raise InvalidConfig(f"unknown key granularity {key_granularity!r}")
-    coarse = granularity_aggregate(score_row, group)
-    n_groups = min(budget_tokens // group, coarse.size)
+    score_row = np.asarray(score_row, dtype=FLOAT)
+    if score_row.ndim != 1 or group < 1 or score_row.size % group:
+        raise InvalidInput(f"need a 1-D score row of whole {group}-token groups, "
+                           f"got shape {score_row.shape}")
+    n_groups = min(budget_tokens // group, score_row.size // group)
     if n_groups < 1:
-        raise InvalidConfig(
-            f"budget {budget_tokens} below one {key_granularity} of {group} tokens")
-    picked = stable_topk(coarse, n_groups)
-    members = picked[:, None] * group + np.arange(group)[None, :]
-    return members.reshape(-1)
+        raise InvalidConfig(f"budget {budget_tokens} below one group of {group} tokens")
+    picked = stable_topk(score_row.reshape(-1, group).mean(axis=1), n_groups)
+    return (picked[:, None] * group + np.arange(group)).reshape(-1)
 
 
 @dataclass(eq=False)   # array fields: compare them with np.array_equal
@@ -225,9 +199,10 @@ class KVBuffer:
     sized at the first for a head's logits and the candidates' keys. Chunks still
     denoising are not stored here: their occupancy is a token count that
     ``run_denoise`` keeps, and a run without a budget keeps no buffer.
-    The budget is ``plan.budget_chunks`` whole chunks. ``frame_tokens`` is
-    the frame size: the group that frame key granularity selects and the
-    rows that frame query granularity mean-pools.
+    The budget is ``plan.budget_chunks`` whole chunks. The plan's granularities
+    become group sizes here, once: token is 1, frame ``frame_tokens`` and chunk
+    ``tokens_per_chunk``. Selection keeps whole key groups, and each query group's
+    rows are mean-pooled into one, so the query window counts query groups.
     """
 
     def __init__(self, plan: KVPlan, tokens_per_chunk: int, frame_tokens: int):
@@ -238,7 +213,10 @@ class KVBuffer:
         self.plan = plan
         self.tokens_per_chunk = tokens_per_chunk
         self.budget_tokens = plan.budget_chunks * tokens_per_chunk
-        self.frame_tokens = frame_tokens
+        sizes = {"token": 1, "frame": frame_tokens, "chunk": tokens_per_chunk}
+        self.key_group = sizes[plan.key_granularity]
+        self.query_group = sizes[plan.query_granularity]
+        self._arrived = 0   # the last arrival's chunk index
         self._keys = np.empty((self.budget_tokens + tokens_per_chunk, plan.key_heads,
                                plan.head_dim), dtype=FLOAT)   # rows past clean_tokens unused
         self._scratch = None
@@ -248,9 +226,6 @@ class KVBuffer:
     def clean_tokens(self) -> int:
         return int(self._ids.shape[0])
 
-    def retained_ids(self, head: int) -> np.ndarray:
-        return self._ids[:, head].copy()
-
     def add_clean_chunk(self, chunk_index: int, keys: Callable[[], np.ndarray],
                         queries: Callable[[int], np.ndarray],
                         global_step: int) -> Optional[CompressionReport]:
@@ -259,13 +234,17 @@ class KVBuffer:
         Appends while the clean region fits the budget; once an arrival
         overflows it, the merged candidate set is compressed on every arrival,
         scored against the query rows of the last ``n`` tokens, which
-        ``queries(n)`` returns: ``n`` covers the query window, in whole frames
-        at frame query granularity. Returns the compression report, or None
-        during the fill phase, which never calls ``queries``.
+        ``queries(n)`` returns: ``n`` covers the query window in whole query
+        groups. Chunk indices start at 1 and ascend, so the token ids do. Returns
+        the compression report, or None during the fill phase, which never calls
+        ``queries``.
         """
+        if chunk_index <= self._arrived:
+            raise InvalidInput(f"chunk_index {chunk_index} must be above {self._arrived}")
         n, arriving = self.clean_tokens, keys()
         if arriving.shape != (self.tokens_per_chunk, *self._keys.shape[1:]):
             raise InvalidInput(f"bad key shape {arriving.shape}")
+        self._arrived = chunk_index
         base = (chunk_index - 1) * self.tokens_per_chunk
         new_ids = base + np.arange(self.tokens_per_chunk, dtype=np.int64)
         self._keys[n:n + self.tokens_per_chunk] = arriving
@@ -279,20 +258,18 @@ class KVBuffer:
     def _compress(self, chunk_index: int, queries: Callable[[int], np.ndarray],
                   global_step: int) -> CompressionReport:
         """Score the over-budget clean region and keep the budget per head."""
-        plan = self.plan
+        plan, group = self.plan, self.query_group
         n_cand = self.clean_tokens
-        frame = self.frame_tokens if plan.query_granularity == "frame" else 1
-        query_rows = queries(min(plan.query_window, self.tokens_per_chunk // frame) * frame)
-        if plan.query_granularity == "frame":
-            query_rows = pool_queries_by_frame(query_rows, frame)
+        query_rows = queries(min(plan.query_window, self.tokens_per_chunk // group) * group)
+        if group > 1:   # one mean row per group; token granularity makes no copy
+            query_rows = query_rows.reshape(-1, group, *query_rows.shape[1:]).mean(axis=1)
         if self._scratch is None:   # every later compression has the same shapes
             rows = min(plan.query_window, len(query_rows)) * query_rows.shape[1] // plan.key_heads
             self._scratch = np.empty(max(rows, self._keys[0].size) * len(self._keys), FLOAT)
         scores = score_candidates(query_rows, self._keys[:n_cand], plan, scratch=self._scratch)
         keep = np.stack(
-            [select_tokens(row, self.budget_tokens, plan.key_granularity,
-                           self.frame_tokens, self.tokens_per_chunk)
-             for row in scores], axis=1)                 # (kept, H)
+            [select_tokens(row, self.budget_tokens, self.key_group) for row in scores],
+            axis=1)                                      # (kept, H)
         if keep.min() < 0 or keep.max() >= n_cand:   # take's clip mode would hide it
             raise InternalError("selected a position outside the candidates")
         # row keep[i, h] of head h into the scratch (mode "raise" would buffer all of out)
@@ -317,16 +294,6 @@ class KVBuffer:
 def score_candidates(queries: np.ndarray, keys: np.ndarray, plan: KVPlan, *,
                      scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Combined (heads, L) score of a candidate key set, all heads at once."""
-    imp = importance(queries, keys, plan, scratch=scratch)
-    pooled = pooled_importance(imp, plan)
-    red = redundancy_fast(keys, scratch=scratch)
-    return combined_score(pooled, red, plan.mix_lambda)
-
-
-def pool_queries_by_frame(queries: np.ndarray, frame_size: int) -> np.ndarray:
-    """Mean-pool query rows into per-frame query vectors (frame granularity)."""
-    queries = np.asarray(queries, dtype=FLOAT)
-    if queries.shape[0] % frame_size != 0:
-        raise InvalidConfig(
-            f"{queries.shape[0]} query rows not divisible by frame size {frame_size}")
-    return queries.reshape(-1, frame_size, *queries.shape[1:]).mean(axis=1)
+    pooled = pooled_importance(importance(queries, keys, plan, scratch=scratch), plan)
+    red = redundancy_fast(keys, scratch=scratch)   # after importance: both use the scratch
+    return plan.mix_lambda * pooled - (1.0 - plan.mix_lambda) * red

@@ -78,7 +78,7 @@ def test_criterion_5_topb_selection_oracle():
             n = int(rng.integers(4, 257))
             scores = rng.choice(rng.random(max(2, n // 3)), size=n)  # many ties
             budget = int(rng.integers(1, n + 1))
-            got = list(select_tokens(scores, budget, "token", 1, n))
+            got = list(select_tokens(scores, budget, 1))
             oracle = sorted(sorted(range(n),
                                    key=lambda i: (-scores[i], i))[:budget])
             mismatches += got != oracle
@@ -92,7 +92,7 @@ def test_criterion_5_topb_selection_oracle():
             red = redundancy_fast(keys)
             combined = 1.0 * pooled - 0.0 * red
             for h in range(2):
-                lhs = list(select_tokens(combined[h], 16, "token", 1, 40))
+                lhs = list(select_tokens(combined[h], 16, 1))
                 rhs = list(stable_topk(pooled[h], 16))
                 mismatches += lhs != rhs
         return mismatches

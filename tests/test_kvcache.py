@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcache_sim import (KVBuffer, KVPlan, build_objects, combined_score,
-                           granularity_aggregate, importance, pooled_importance,
-                           redundancy_fast, resolve_config, run_denoise, select_tokens)
+from flowcache_sim import (KVBuffer, KVPlan, build_objects, importance, pooled_importance,
+                           redundancy_fast, resolve_config, run_denoise, score_candidates,
+                           select_tokens)
 from flowcache_sim import kvcache
 from flowcache_sim.errors import DegenerateInput, InternalError, InvalidConfig, InvalidInput
-from flowcache_sim.kvcache import pool_queries_by_frame
 from flowcache_sim.numerics import maxpool1d, softmax_
 from flowcache_sim.trace import RunTrace
 from flowcache_sim.verify import redundancy_naive
@@ -123,7 +122,8 @@ class TestImportance:
         # the buffer's case: keys a prefix of a longer store, an oversized
         # scratch left over from earlier passes, queries optionally frame-pooled
         rng = np.random.default_rng(10 * h_k + group)
-        q = pool_queries_by_frame(rng.normal(size=(33, h_k * group, 16)), frames)
+        q = rng.normal(size=(33, h_k * group, 16))
+        q = q.reshape(-1, frames, *q.shape[1:]).mean(axis=1)
         store = rng.normal(size=(340, h_k, 16))
         config = cfg(query_window=window)
         scratch = np.full(min(window, len(q)) * group * 340 + 7, np.nan)
@@ -258,65 +258,68 @@ class TestRedundancy:
 
 
 class TestCombinedScore:
+    """``score_candidates`` at the ends of lambda: one term each, bit for bit."""
+
+    @staticmethod
+    def candidates(seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(9, 4, 8)), rng.normal(size=(30, 2, 8))
+
     def test_lambda_one_ranks_like_importance(self):
-        rng = np.random.default_rng(10)
-        pooled, red = rng.random((2, 12)), rng.random((2, 12))
-        out = combined_score(pooled, red, 1.0)
-        np.testing.assert_array_equal(np.argsort(out), np.argsort(pooled))
+        q, keys = self.candidates(10)
+        plan = cfg(head_dim=8, mix_lambda=1.0)
+        assert np.array_equal(score_candidates(q, keys, plan),
+                              pooled_importance(importance(q, keys, plan), plan))
 
     def test_lambda_zero_ranks_like_low_redundancy(self):
-        rng = np.random.default_rng(11)
-        pooled, red = rng.random((2, 12)), rng.random((2, 12))
-        out = combined_score(pooled, red, 0.0)
-        np.testing.assert_array_equal(np.argsort(out), np.argsort(-red))
-
-    def test_ranking_scale_invariance(self):
-        rng = np.random.default_rng(12)
-        pooled, red = rng.random((1, 20)), rng.random((1, 20))
-        a = combined_score(pooled, red, 0.07)
-        b = combined_score(3.5 * pooled, 3.5 * red, 0.07)
-        np.testing.assert_array_equal(np.argsort(a), np.argsort(b))
-
-    def test_lambda_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            combined_score(np.zeros((1, 2)), np.zeros((1, 2)), 1.5)
+        q, keys = self.candidates(11)
+        assert np.array_equal(score_candidates(q, keys, cfg(head_dim=8, mix_lambda=0.0)),
+                              -redundancy_fast(keys))
 
 
 class TestSelection:
     def test_argmax_pair(self):
         scores = np.array([0.4, 0.1, 0.3, 0.2])
-        keep = select_tokens(scores, 2, "token", 1, 4)
+        keep = select_tokens(scores, 2, 1)
         assert list(keep) == [0, 2]
 
     def test_frame_group_selection(self):
         # 2 frames of 3 tokens; frame scores [0.6, 0.4]; budget of one frame
         scores = np.array([0.6, 0.6, 0.6, 0.4, 0.4, 0.4])
-        keep = select_tokens(scores, 3, "frame", 3, 6)
+        keep = select_tokens(scores, 3, 3)
         assert list(keep) == [0, 1, 2]
 
     def test_frame_size_one_equals_token(self):
-        scores = np.random.default_rng(13).random(12)
-        np.testing.assert_array_equal(
-            select_tokens(scores, 5, "frame", 1, 12),
-            select_tokens(scores, 5, "token", 1, 12))
+        # the buffer resolves frame key granularity of 1-token frames to group 1
+        rng = np.random.default_rng(13)
+        frame, token = (KVBuffer(cfg(key_heads=2, head_dim=4, budget_chunks=2,
+                                     key_granularity=g), tokens_per_chunk=12, frame_tokens=1)
+                        for g in ("frame", "token"))
+        queries = rng.normal(size=(12, 4, 4))
+        for i in range(1, 5):
+            keys = rng.normal(size=(12, 2, 4))
+            assert plain(frame.add_clean_chunk(i, lambda: keys, lambda n: queries[-n:], i)) \
+                == plain(token.add_clean_chunk(i, lambda: keys, lambda n: queries[-n:], i))
 
     def test_group_loop_oracle(self):
         rng = np.random.default_rng(14)
         scores = rng.random(24)
         group = 4
-        keep = select_tokens(scores, 8, "frame", group, 24)
+        keep = select_tokens(scores, 8, group)
         means = scores.reshape(-1, group).mean(axis=1)
         best = sorted(sorted(range(6), key=lambda g: (-means[g], g))[:2])
         expected = [g * group + k for g in best for k in range(group)]
         assert list(keep) == expected
 
-    def test_unknown_granularity_rejected(self):
-        with pytest.raises(InvalidConfig, match="unknown key granularity 'bogus'"):
-            select_tokens(np.zeros(6), 6, "bogus", 3, 6)
-
-    def test_aggregate_divisibility(self):
-        with pytest.raises(InvalidConfig):
-            granularity_aggregate(np.zeros(10), 3)
+    @pytest.mark.parametrize("row, budget, group, error, match", [
+        (np.zeros((2, 6)), 6, 3, InvalidInput, "1-D score row"),
+        (np.zeros(6), 6, 0, InvalidInput, "whole 0-token groups"),
+        (np.zeros(10), 9, 3, InvalidInput, "whole 3-token groups"),
+        (np.zeros(12), 3, 4, InvalidConfig, "budget 3 below one group of 4"),
+    ], ids=["row-not-1d", "group-below-one", "row-not-whole-groups", "budget-below-one-group"])
+    def test_bad_input_rejected(self, row, budget, group, error, match):
+        with pytest.raises(error, match=match):
+            select_tokens(row, budget, group)
 
 
 def make_chunk_kv(rng, tokens, heads, dim):
@@ -359,7 +362,7 @@ class TestBuffer:
         report = self.feed(3)
         universe = set(range(36))
         for h in range(2):
-            ids = list(self.buffer.retained_ids(h))
+            ids = list(report.heads[h].retained_ids)
             assert ids == sorted(ids)
             assert set(ids) <= universe
             assert len(ids) == 24
@@ -367,10 +370,8 @@ class TestBuffer:
     def test_heads_can_differ(self):
         self.feed(1)
         self.feed(2)
-        self.feed(3)
-        a = list(self.buffer.retained_ids(0))
-        b = list(self.buffer.retained_ids(1))
-        assert a != b   # per-head selection is independent
+        heads = self.feed(3).heads
+        assert list(heads[0].retained_ids) != list(heads[1].retained_ids)   # heads select apart
 
     def test_report_round_trips_json(self):
         self.feed(1)
@@ -378,7 +379,7 @@ class TestBuffer:
         report = self.feed(3)
         payload = RunTrace(config={}, compressions=[report]).to_json()
         back = json.loads(payload)["compressions"][0]
-        assert back["heads"]["0"]["retained_ids"] == self.buffer.retained_ids(0).tolist()
+        assert back["heads"]["0"]["retained_ids"] == report.heads[0].retained_ids.tolist()
         assert "no_op" not in back
 
     def test_report_ids_are_read_only_and_never_rewritten(self):
@@ -396,6 +397,24 @@ class TestBuffer:
             assert self.feed(chunk) is not None
         for h, head in report.heads.items():
             np.testing.assert_array_equal(head.retained_ids, kept[h])
+
+    def test_chunk_index_below_one_rejected(self):
+        # chunk 0 would take the token ids -12..-1
+        with pytest.raises(InvalidInput, match="chunk_index 0 must be above 0"):
+            self.feed(0)
+        assert self.buffer.clean_tokens == 0
+
+    @pytest.mark.parametrize("again", [1, 3])
+    def test_chunk_index_not_above_the_last_rejected(self, again):
+        # an earlier or repeated chunk would break the ascending, unique ids
+        self.feed(3)
+        with pytest.raises(InvalidInput, match=f"chunk_index {again} must be above 3"):
+            self.feed(again)
+        assert self.buffer.clean_tokens == 12
+        self.feed(4)
+        report = self.feed(5)
+        for head in report.heads.values():
+            assert np.all(np.diff(head.retained_ids) > 0) and head.retained_ids.min() >= 24
 
     def test_gather_rejects_a_position_past_the_candidates(self, monkeypatch):
         # the gather's clip mode would clamp an out-of-range position silently
@@ -468,13 +487,13 @@ class TestFrameQueries:
     def test_pooled_in_buffer_equals_pooled_by_caller(self):
         rng = np.random.default_rng(21)
         queries = rng.normal(size=(12, 4, 4))
+        pooled = queries.reshape(-1, 4, 4, 4).mean(axis=1)   # frames of 4 tokens
         frame, token = self.buffer(query_granularity="frame"), self.buffer()
         reports = 0
         for i in range(1, 5):
             keys, _ = make_chunk_kv(rng, 12, 2, 4)
             got = frame.add_clean_chunk(i, lambda: keys, lambda n: queries[-n:], i)
-            want = token.add_clean_chunk(
-                i, lambda: keys, lambda n: pool_queries_by_frame(queries, 4)[-n:], i)
+            want = token.add_clean_chunk(i, lambda: keys, lambda n: pooled[-n:], i)
             assert plain(got) == plain(want)   # ids and float scores exact
             reports += got is not None
         assert reports == 2
@@ -489,10 +508,10 @@ class TestFrameQueries:
         for i in (1, 2):   # 24 tokens fit the budget: nothing scores the queries
             assert buffer.add_clean_chunk(
                 i, lambda: make_chunk_kv(rng, 12, 2, 4)[0], unread, i) is None
-        queries = rng.normal(size=(7, 4, 4))   # 7 rows: not whole frames of 4
-        with pytest.raises(InvalidConfig, match="not divisible by frame size"):
-            buffer.add_clean_chunk(3, lambda: make_chunk_kv(rng, 12, 2, 4)[0],
-                                   lambda n: queries[-n:], 3)
+        queries, asked = rng.normal(size=(12, 4, 4)), []
+        report = buffer.add_clean_chunk(3, lambda: make_chunk_kv(rng, 12, 2, 4)[0],
+                                        lambda n: asked.append(n) or queries[-n:], 3)
+        assert report is not None and asked == [12]   # the overflowing arrival scores
 
 
 @pytest.mark.parametrize("granularity, window, frame_tokens, asked", [
@@ -539,6 +558,7 @@ def test_buffer_invariants(heads, frames, frame_size, granularity, arrivals,
     plan = cfg(key_heads=heads, query_heads=heads, head_dim=4,
                budget_chunks=budget_chunks, key_granularity=granularity)
     buffer = KVBuffer(plan, tokens_per_chunk=tokens, frame_tokens=frame_size)
+    group = {"token": 1, "frame": frame_size, "chunk": tokens}[granularity]
     queries = rng.normal(size=(6, heads, 4))
     compressing, arrived = False, np.empty((0, heads, 4))
     for chunk in range(1, arrivals + 1):
@@ -550,16 +570,20 @@ def test_buffer_invariants(heads, frames, frame_size, granularity, arrivals,
         compressing = report is not None
         assert buffer.clean_tokens <= budget
         for h in range(heads):
-            ids = buffer.retained_ids(h)
+            # the fill phase keeps every arrived token
+            ids = np.arange(chunk * tokens) if report is None else report.heads[h].retained_ids
             assert ids.size == buffer.clean_tokens
             assert np.all(np.diff(ids) > 0)
             assert ids.min() >= 0 and ids.max() < chunk * tokens
+            # whole key groups: each run of ``group`` ids starts a group and is contiguous
+            runs = ids.reshape(-1, group)
+            assert np.all(runs[:, 0] % group == 0)
+            assert np.all(runs - runs[:, :1] == np.arange(group))
             # the keys stored in place are the retained tokens' own, in id order
             np.testing.assert_array_equal(buffer._keys[:len(ids), h], arrived[ids, h])
         if report is not None:
             assert set(report.heads) == set(range(heads))
             for h, head in report.heads.items():
                 assert head.retained_ids.dtype == np.int64
-                np.testing.assert_array_equal(head.retained_ids, buffer.retained_ids(h))
                 assert (len(head.retained_ids) + head.evicted_count
                         == report.candidate_tokens)
