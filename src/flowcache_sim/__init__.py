@@ -17,4 +17,4 @@ from .numerics import l1_norm, maxpool1d, softmax, stable_topk
 from .reuse import (ChunkReuseState, Decision, ReusePolicy, decide,
                     estimate_metric)
 from .schedule import PowerLawSchedule, euler_step
-from .trace import (RunTrace, curves_csv, import_trace, l1rel_curves, speedup)
+from .trace import RunTrace, curves_csv, import_trace, speedup

@@ -30,7 +30,7 @@ from .numerics import FLOAT, l1_norm, l1_norms
 from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
                     decide, estimate_metric)
 from .schedule import PowerLawSchedule
-from .trace import DTYPES, RunTrace, _config_snapshot
+from .trace import DTYPES, RunTrace, _config_snapshot, add_in_order
 
 # seed-stream tags, so every random draw has a stable address; velocity noise's
 # SeedSequence words come from velocity_noise_seeds, once per chunk
@@ -100,19 +100,23 @@ class CostModel:
                self.bytes_per_kv_token) < 0:
             raise InvalidConfig("cost model entries must be nonnegative")
 
-    def step_flops(self, computed: int, tokens_per_chunk: int,
-                   resident_before: int) -> float:
-        """Charge of one global step in which ``computed`` chunks compute.
-
-        Each pays the forward plus attention of its tokens over the tokens
-        resident as the step starts; reused chunks are free. Summed chunk by
-        chunk, forward first, so every caller gets the same float order.
-        """
-        flops = 0.0
-        for _ in range(computed):
-            flops += self.flops_per_chunk_forward
-            flops += self.flops_per_kv_token_pair * tokens_per_chunk * resident_before
-        return flops
+    def step_flops(self, steps: np.ndarray, computed: np.ndarray,
+                   tokens_per_chunk: int) -> list[float]:
+        """Every step's charge from a ``DTYPES["steps"]`` table where ``computed[i]`` of step
+        i's chunks compute: each pays the forward plus attention of its tokens over the
+        tokens resident as the step starts (step i - 1's clean tokens plus step i's chunks');
+        reused chunks are free. Added chunk by chunk, forward first, in Python numbers, so
+        an int cost's product stays exact."""
+        charges, clean = [], 0
+        for active, count, next_clean in zip(steps["chunk_count"].tolist(), computed.tolist(),
+                                             steps["kv_clean_tokens"].tolist()):
+            resident, flops = clean + active * tokens_per_chunk, 0.0
+            for _ in range(count):
+                flops += self.flops_per_chunk_forward
+                flops += self.flops_per_kv_token_pair * tokens_per_chunk * resident
+            charges.append(flops)
+            clean = next_clean
+        return charges
 
 
 @dataclass
@@ -377,7 +381,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
                 cost: Optional[CostModel] = None,
                 noise_scale: float = 0.0) -> RunTrace:
     """Run the trajectory; its trace holds the chunk-step rows as yielded, the
-    config snapshot, KV use and cost (computed chunks counted by their flags).
+    config snapshot, KV use and the cost ``cost.step_flops`` prices from them.
 
     ``policy=None`` disables the reuse machinery entirely (every step
     computes); an epsilon=0 policy takes the same decisions and produces a
@@ -404,9 +408,6 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     final_latents: dict[int, np.ndarray] = {}
 
     for g, rows, finished, query_latent in trajectory(scene, schedule, policy, noise_scale):
-        step_flops = cost.step_flops(sum(compute for _, _, compute, *_ in rows), tokens_per_chunk,
-                                     clean_tokens + len(rows) * tokens_per_chunk)
-
         for chunk in finished:
             final_latents[chunk.index] = chunk.latent
             if buffer is None:
@@ -421,12 +422,15 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
             clean_tokens = buffer.clean_tokens
 
         active_tokens = (len(rows) - len(finished)) * tokens_per_chunk
-        trace.steps[g] = (g, len(rows), step_flops, clean_tokens, active_tokens,
+        trace.steps[g] = (g, len(rows), 0.0, clean_tokens, active_tokens,
                           float(clean_tokens + active_tokens) * cost.bytes_per_kv_token)
         trace.chunk_steps[row:row + len(rows)] = rows
         row += len(rows)
         query_latent = finished = chunk = None   # freed now, not after the next step
 
+    counts = trace.steps["chunk_count"]   # each at least 1, so reduceat sums each step's flags
+    trace.steps["flops"] = cost.step_flops(trace.steps, np.add.reduceat(
+        trace.chunk_steps["compute"], np.cumsum(counts) - counts, dtype=np.int64), tokens_per_chunk)
     trace.finish(final_latents)
     return trace
 
@@ -437,16 +441,9 @@ def recompute_flops(trace: RunTrace, scene: SceneConfig, cost: CostModel) -> flo
     Exact without simulating the twin: the chunks active at a step follow
     from the window arithmetic, and the clean region after each arrival
     holds a count the budget fixes (a compression keeps ``min(budget, n)``
-    tokens or ``budget // group`` whole groups, whatever it scores). So each
-    step's resident tokens are the trace's own; only the computed count
-    differs. Summed in ``run_denoise``'s order, the total is bit-identical.
+    tokens or ``budget // group`` whole groups, whatever it scores). So the
+    twin's step table is the trace's own but for the flops, and pricing it with
+    every chunk computing, then adding as ``RunTrace.finish`` does, is bit-identical.
     """
-    tokens_per_chunk = scene.tokens_per_chunk
-    total, clean_tokens = 0.0, 0
     steps = trace.steps
-    for active, clean in zip(steps["chunk_count"].tolist(),
-                             steps["kv_clean_tokens"].tolist()):
-        total += cost.step_flops(active, tokens_per_chunk,
-                                 clean_tokens + active * tokens_per_chunk)
-        clean_tokens = clean
-    return total
+    return add_in_order(cost.step_flops(steps, steps["chunk_count"], scene.tokens_per_chunk))

@@ -35,8 +35,8 @@ def _out_dir(raw: str) -> Path:
     out_dir = Path(raw)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise SimulatorError(f"--out {raw} is not a directory") from None
+    except OSError as exc:   # a file in the way, a name too long, no permission...
+        raise SimulatorError(f"--out {raw} is not a usable directory: {exc.strerror}") from None
     return out_dir
 
 

@@ -9,9 +9,11 @@ outcomes, final latents) while excluding presentation-only fields.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
+import operator
 import struct
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
@@ -74,6 +76,12 @@ class RunTotals:
     reuse_fraction: float = 0.0
 
 
+def add_in_order(values: list[float]) -> float:
+    """``values`` added left to right from 0.0, the same bits on every Python
+    (builtin ``sum`` compensates floats from 3.12; numpy reductions go pairwise)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _config_snapshot(scene, schedule, policy, kv, cost, noise_scale) -> dict:
     """The run's config dict (``build_objects`` inverts it)."""
     return {
@@ -90,7 +98,7 @@ def _config_snapshot(scene, schedule, policy, kv, cost, noise_scale) -> dict:
 @dataclass(eq=False)
 class RunTrace:
     """A run's records as ``DTYPES`` rows, one per global step and one per
-    chunk-step; once finished, step i owns rows ``offsets[i]:offsets[i + 1]``."""
+    chunk-step; step i owns the ``chunk_count[i]`` chunk-step rows after step i - 1's."""
 
     config: dict
     steps: np.ndarray = field(default_factory=lambda: np.zeros(0, DTYPES["steps"]))
@@ -98,7 +106,6 @@ class RunTrace:
     compressions: list[CompressionReport] = field(default_factory=list)
     totals: RunTotals = field(default_factory=RunTotals)
     final_latents: dict[int, np.ndarray] = field(default_factory=dict)
-    offsets: np.ndarray = field(init=False, repr=False)
     _hash: Optional[str] = field(default="", init=False, repr=False)   # None until read
 
     @property
@@ -118,17 +125,16 @@ class RunTrace:
 
     def _walk(self) -> Iterator[tuple[list, list[tuple]]]:
         """Each step's row and its chunk-step rows, so no table is ever a list."""
-        offsets = self.offsets.tolist()
+        offsets = [0, *np.cumsum(self.steps["chunk_count"]).tolist()]
         for i in range(len(self.steps)):
             yield self.steps[i].tolist(), self.chunk_steps[offsets[i]:offsets[i + 1]].tolist()
 
     def finish(self, final_latents: dict[int, np.ndarray]) -> None:
-        """Derive the row offsets and the totals (flops summed in order), not the hash."""
+        """Derive the totals, the flops added with ``add_in_order``, but not the hash."""
         steps, done = self.steps, len(self.chunk_steps)
-        self.offsets = np.concatenate(([0], np.cumsum(steps["chunk_count"])))
         computed = int(self.chunk_steps["compute"].sum())
         tokens = steps["kv_clean_tokens"] + steps["kv_active_tokens"]
-        self.totals = RunTotals(computed, done - computed, sum(steps["flops"].tolist(), 0.0),
+        self.totals = RunTotals(computed, done - computed, add_in_order(steps["flops"].tolist()),
                                 int(tokens.max(initial=0)),
                                 float(steps["resident_bytes"].max(initial=0.0)),
                                 (done - computed) / done if done else 0.0)
@@ -343,31 +349,16 @@ def import_trace(data: dict | str) -> RunTrace:
 
 # -- derived views ----------------------------------------------------------
 
-def _progress(trace: RunTrace) -> list[float]:
-    """Each chunk-step's denoising progress %, in trace order."""
-    steps = trace.config["schedule"]["steps"]
-    return (100.0 * trace.chunk_steps["local_step"] / steps).tolist()
-
-
-def l1rel_curves(trace: RunTrace) -> dict[int, list[tuple[float, float]]]:
-    """Per-chunk (denoising progress %, metric) series in step order."""
-    curves: dict[int, list[tuple[float, float]]] = {}
-    rows = trace.chunk_steps
-    for chunk, progress, metric in zip(rows["chunk"].tolist(), _progress(trace),
-                                       rows["metric"].tolist()):
-        curves.setdefault(chunk, []).append((progress, metric))
-    return curves
-
-
 def curves_csv(trace: RunTrace) -> str:
     """CSV rendering of the per-chunk metric curves (no field needs quoting)."""
+    rows, steps = trace.chunk_steps, trace.config["schedule"]["steps"]
     lines = [f"schema_version,{SCHEMA_VERSION}",
              "chunk,local_step,progress_pct,metric,decision,estimate"]
     lines += [f"{chunk},{local_step},{progress:.6f},{metric!r},{DECISIONS[compute]},"
               + ("" if math.isnan(estimate) else repr(estimate))
               for chunk, local_step, compute, metric, _, estimate, progress
-              in zip(*(trace.chunk_steps[name].tolist() for name in COLUMNS["chunk_steps"]),
-                     _progress(trace))]
+              in zip(*(rows[name].tolist() for name in COLUMNS["chunk_steps"]),
+                     (100.0 * rows["local_step"] / steps).tolist())]
     return "\r\n".join(lines) + "\r\n"
 
 

@@ -1,6 +1,10 @@
+import base64
 import gc
+import json
+import math
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from flowcache_sim import (PROFILES, ChunkState, KVPlan, PowerLawSchedule,
                            ideal_velocity, make_clean_latent, make_initial_noise,
                            perturbed_velocity, resolve_config, run_denoise,
                            total_global_steps, trajectory, velocity_noise_seeds)
-from flowcache_sim import armodel
+from flowcache_sim import armodel, import_trace
+from flowcache_sim import trace as trace_module
 from flowcache_sim.armodel import recompute_flops
 from flowcache_sim.cli import _apply_axis
 from flowcache_sim.config import _deep_merge
@@ -680,3 +685,35 @@ def test_recompute_flops_equals_epsilon0_run(profile):
             assert type(derived) is float
             assert derived == twin.totals.total_flops, (seed, overrides)
 
+
+
+def compensated_sum(iterable, /, start=0):
+    """CPython 3.12's builtin ``sum``: while the total and the next item are both
+    floats, Neumaier's compensated addition; anything else is added plainly."""
+    total, c = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total, c = total + c + x if c else total + x, 0.0
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_flops_totals_hold_under_a_compensated_sum(monkeypatch):
+    # totals add left to right, so a Python whose sum compensates floats
+    # (3.12 on) writes the same golden bytes and the same twin total
+    golden = (Path(__file__).parent / "data" / "golden_magi_fast.json").read_text()
+    payload = json.loads(golden)
+    flops = np.frombuffer(base64.b64decode(payload["steps"]["flops"]), "<f8").tolist()
+    assert compensated_sum(flops, 0.0) != payload["totals"]["total_flops"]   # it would differ
+    for module in (trace_module, armodel):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert simulate(resolve_config(profile="magi-fast"))[0].to_json() == golden
+    for name in ("default", "int-cost"):
+        cfg = _deep_merge(resolve_config(profile="magi-fast"), TWIN_VARIANTS[name])
+        trace, scene, cost = simulate(cfg)
+        twin = simulate(_apply_axis(cfg, "epsilon", 0.0))[0]
+        assert recompute_flops(trace, scene, cost) == twin.totals.total_flops, name
+    assert import_trace(golden).content_hash == payload["content_hash"]

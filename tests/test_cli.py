@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -39,6 +40,20 @@ BAD_CONFIGS = {
     "kv.budget_chunks": '{"kv": {"budget_chunks": true}}',
     "policy.epsilon": '{"policy": {"epsilon": NaN}}',
 }
+
+
+# --out paths the OS will not make a directory of, by test id: a file already
+# there, and a name too long; each with its errno
+BAD_OUTS = {"file": ("taken", errno.EEXIST), "name-too-long": ("x" * 300, errno.ENAMETOOLONG)}
+
+
+def bad_out(tmp_path, case):
+    """The ``BAD_OUTS`` path ``case`` under ``tmp_path``, and the error it must give."""
+    name, code = BAD_OUTS[case]
+    out = tmp_path / name
+    if code == errno.EEXIST:
+        out.write_text("")
+    return out, f"error: --out {out} is not a usable directory: {os.strerror(code)}\n"
 
 
 class TestRunCommand:
@@ -133,11 +148,25 @@ class TestRunCommand:
             assert run_cli("run", *flags, "--out", str(tmp_path / "out")) == 2
             assert "seed must be >= 0" in capsys.readouterr().err
 
-    def test_out_is_a_file(self, tmp_path, capsys):
-        taken = tmp_path / "taken"
-        taken.write_text("")
-        assert run_cli("run", "--profile", "baseline", "--out", str(taken)) == 2
-        assert f"--out {taken} is not a directory" in capsys.readouterr().err
+    @pytest.mark.parametrize("case", list(BAD_OUTS))
+    def test_out_is_a_file(self, tmp_path, capsys, case):
+        out, error = bad_out(tmp_path, case)
+        assert run_cli("run", "--profile", "baseline", "--out", str(out)) == 2
+        assert capsys.readouterr().err == error
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config file: "),
+        ("{bad", "config file is not valid JSON: "),
+        ("[1,2]", "config file must contain a JSON object\n")],
+        ids=["missing", "not-json", "not-an-object"])
+    def test_bad_config_file(self, tmp_path, capsys, text, message):
+        cfg_file = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_file.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(cfg_file), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_indivisible_window_rejected(self, tmp_path, capsys):
         # the CLI and a library run_denoise caller get the same message
@@ -317,14 +346,17 @@ class TestSweepCommand:
             run_cli("sweep", "--axis", "bogus", "--values", "1")
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("axis,values", [("lambda", "0.1,abc"),
-                                             ("budget", "2.5")])
-    def test_bad_value_usage_error(self, axis, values, tmp_path, capsys):
+    @pytest.mark.parametrize("axis,values,message", [
+        pytest.param("lambda", "0.1,abc", "bad --values for axis lambda: could not "
+                     "convert string to float: 'abc'", id="lambda-0.1,abc"),
+        pytest.param("budget", "2.5", "bad --values for axis budget: invalid literal "
+                     "for int() with base 10: '2.5'", id="budget-2.5"),
+        pytest.param("lambda", ",", "empty --values list", id="lambda-,")])
+    def test_bad_value_usage_error(self, axis, values, message, tmp_path, capsys):
         out = tmp_path / "sweeps"
         assert run_cli("sweep", "--axis", axis, "--values", values,
                        "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert axis in err and repr(values.split(",")[-1]) in err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_writes_csv(self, small_cfg, tmp_path, capsys):
@@ -334,9 +366,9 @@ class TestSweepCommand:
         capsys.readouterr()
         assert (out / "sweep_epsilon.csv").exists()
 
-    def test_out_is_a_file(self, small_cfg, tmp_path, capsys):
-        taken = tmp_path / "taken"
-        taken.write_text("")
+    @pytest.mark.parametrize("case", list(BAD_OUTS))
+    def test_out_is_a_file(self, small_cfg, tmp_path, capsys, case):
+        out, error = bad_out(tmp_path, case)
         assert run_cli("sweep", "--axis", "epsilon", "--values", "0.015",
-                       "--config", small_cfg, "--out", str(taken)) == 2
-        assert f"--out {taken} is not a directory" in capsys.readouterr().err
+                       "--config", small_cfg, "--out", str(out)) == 2
+        assert capsys.readouterr().err == error

@@ -69,29 +69,35 @@ def test_unknown_key_rejected(path):
     assert str(info.value) == f"{path} is not a config field"
 
 
-# one out-of-range or unknown kv value each, with the error build_objects raises
-KV_INVALID = [
-    ("key_heads", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
-    ("query_heads", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
-    ("head_dim", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
-    ("query_heads", 3, InvalidConfig, "kv: query_heads must be a multiple of key_heads"),
-    ("budget_chunks", 0, InvalidConfig, "kv: budget_chunks must be positive or None"),
-    ("mix_lambda", 1.5, InvalidInput, "kv: mix_lambda must be in [0, 1], got 1.5"),
-    ("mix_lambda", -0.1, InvalidInput, "kv: mix_lambda must be in [0, 1], got -0.1"),
-    ("pool_kernel", 4, InvalidInput, "kv: pool_kernel must be odd, got 4"),
-    ("pool_kernel", 0, InvalidInput, "kv: pool_kernel must be odd, got 0"),
-    ("query_window", 0, InvalidInput, "kv: query_window must be >= 1"),
-    ("query_granularity", "pixel", InvalidConfig,
+# one out-of-range or unknown value per check, in every section, with the error
+# build_objects raises; ids name the field alone, as no two sections share one
+INVALID_VALUES = [
+    ("scene", "num_chunks", 0, InvalidConfig, "scene: num_chunks must be >= 1"),
+    ("scene", "shape", [4, 0, 3, 3], InvalidConfig, "scene: bad latent shape (4, 0, 3, 3)"),
+    ("scene", "norm_spread", 0.0, InvalidConfig, "scene: norm_spread must be positive"),
+    ("policy", "epsilon", -0.1, InvalidInput, "policy: epsilon must be >= 0, got -0.1"),
+    ("schedule", "steps", 0, InvalidInput, "schedule: steps must be >= 1, got 0"),
+    ("kv", "key_heads", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
+    ("kv", "query_heads", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
+    ("kv", "head_dim", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
+    ("kv", "query_heads", 3, InvalidConfig, "kv: query_heads must be a multiple of key_heads"),
+    ("kv", "budget_chunks", 0, InvalidConfig, "kv: budget_chunks must be positive or None"),
+    ("kv", "mix_lambda", 1.5, InvalidInput, "kv: mix_lambda must be in [0, 1], got 1.5"),
+    ("kv", "mix_lambda", -0.1, InvalidInput, "kv: mix_lambda must be in [0, 1], got -0.1"),
+    ("kv", "pool_kernel", 4, InvalidInput, "kv: pool_kernel must be odd, got 4"),
+    ("kv", "pool_kernel", 0, InvalidInput, "kv: pool_kernel must be odd, got 0"),
+    ("kv", "query_window", 0, InvalidInput, "kv: query_window must be >= 1"),
+    ("kv", "query_granularity", "pixel", InvalidConfig,
      "kv: unknown query granularity 'pixel'"),
-    ("key_granularity", "pixel", InvalidConfig, "kv: unknown key granularity 'pixel'"),
+    ("kv", "key_granularity", "pixel", InvalidConfig, "kv: unknown key granularity 'pixel'"),
 ]
 
 
-@pytest.mark.parametrize("key, value, error, message", KV_INVALID,
-                         ids=[f"{key}={value}" for key, value, *_ in KV_INVALID])
-def test_kv_value_rejected(key, value, error, message):
+@pytest.mark.parametrize("name, key, value, error, message", INVALID_VALUES,
+                         ids=[f"{key}={value}" for _, key, value, *_ in INVALID_VALUES])
+def test_kv_value_rejected(name, key, value, error, message):
     cfg = copy.deepcopy(TINY)
-    cfg["kv"][key] = value
+    cfg[name][key] = value
     with pytest.raises(error) as info:
         build_objects(cfg)
     assert type(info.value) is error

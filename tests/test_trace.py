@@ -1,4 +1,5 @@
 import base64
+import csv
 import gc
 import json
 import math
@@ -13,8 +14,7 @@ from hypothesis import strategies as st
 
 from flowcache_sim import (PROFILES, CostModel, KVPlan, PowerLawSchedule,
                            ReusePolicy, SceneConfig, build_objects, import_trace,
-                           l1rel_curves, resolve_config, run_denoise, speedup,
-                           trajectory)
+                           resolve_config, run_denoise, speedup, trajectory)
 from flowcache_sim.errors import InvalidComparison, InvalidInput
 from flowcache_sim.trace import COLUMNS, DECISIONS, ChunkStepRecord, RunTrace, curves_csv
 
@@ -393,12 +393,21 @@ class TestSpeedup:
             speedup(a, b)
 
 
+def csv_curves(trace) -> dict[int, list[tuple[float, float]]]:
+    """curves.csv's per-chunk (progress %, metric) series, in step order."""
+    curves: dict[int, list[tuple[float, float]]] = {}
+    for row in csv.DictReader(curves_csv(trace).splitlines()[1:]):   # past the schema line
+        curves.setdefault(int(row["chunk"]), []).append(
+            (float(row["progress_pct"]), float(row["metric"])))
+    return curves
+
+
 class TestCurves:
     def test_single_chunk_series_shape(self):
         scene = SceneConfig(num_chunks=1, window=1, shape=(4, 2, 3, 3), seed=0)
         sched = PowerLawSchedule(power=0.25, steps=16)
         trace = run_denoise(scene, sched, policy=ReusePolicy(0.015, 5))
-        curves = l1rel_curves(trace)
+        curves = csv_curves(trace)
         assert set(curves) == {1}
         assert len(curves[1]) == 16
         progress = [p for p, _ in curves[1]]
@@ -413,7 +422,7 @@ class TestCurves:
 
     def test_metric_series_non_decreasing_for_ideal_run(self):
         trace = magi_fast_run()
-        for series in l1rel_curves(trace).values():
+        for series in csv_curves(trace).values():
             metrics = [m for _, m in series]
             assert all(b >= a - 1e-12 for a, b in zip(metrics, metrics[1:]))
 
