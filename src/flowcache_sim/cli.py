@@ -20,13 +20,23 @@ from .config import PROFILES, build_objects, resolve_config, section
 from .errors import SimulatorError
 from .trace import curves_csv, flops_speedup, speedup
 
-_SWEEP_AXES = ("lambda", "budget", "granularity", "epsilon")
+_OWN = object()   # the reference run keeps the config's own value
+# each sweep axis: (config section, field, --values parser, reference run's value)
+_SWEEP_AXES = {
+    "lambda": ("kv", "mix_lambda", float, _OWN),
+    "budget": ("kv", "budget_chunks", int, None),
+    "granularity": ("kv", "key_granularity", str, _OWN),
+    "epsilon": ("policy", "epsilon", float, 0.0),
+}
+_SWEEP_COLUMNS = ["axis", "value", "reuse_fraction", "final_l1_error_vs_baseline",
+                  "speedup", "peak_kv_tokens", "retained_hash"]
 # sorted(verify.SUITES), written out so that only cmd_verify imports verify
 _SUITES = ["corollary", "kernels", "kvequiv", "policy", "theorem"]
 
 
-def _execute(cfg: dict):
-    scene, schedule, policy, kv, cost, noise_scale = build_objects(cfg)
+def _execute(objects):
+    """Simulate one ``build_objects`` result."""
+    scene, schedule, policy, kv, cost, noise_scale = objects
     return run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
                        noise_scale=noise_scale)
 
@@ -43,13 +53,13 @@ def _out_dir(raw: str) -> Path:
 def cmd_run(args) -> int:
     cfg = resolve_config(profile=args.profile, config_path=args.config,
                          seed=args.seed)
-    scene, schedule, policy, kv, cost, noise_scale = build_objects(cfg)
+    objects = build_objects(cfg)
     if args.print_config:
         print(json.dumps(cfg, indent=2, sort_keys=True))
         return 0
 
-    trace = run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
-                        noise_scale=noise_scale)
+    trace = _execute(objects)
+    scene, _, _, _, cost, _ = objects
     # the epsilon-0 (compute-everything) baseline's flops, from this run's records
     gain = flops_speedup(trace, recompute_flops(trace, scene, cost))
 
@@ -96,7 +106,7 @@ def _parse_values(axis: str, raw: str) -> list:
     items = [v.strip() for v in raw.split(",") if v.strip()]
     if not items:
         raise SimulatorError("empty --values list")
-    parse = {"budget": int, "lambda": float, "epsilon": float}.get(axis, str)
+    _, _, parse, _ = _SWEEP_AXES[axis]
     try:
         return [parse(v) for v in items]
     except ValueError as exc:
@@ -104,68 +114,47 @@ def _parse_values(axis: str, raw: str) -> list:
 
 
 def _apply_axis(cfg: dict, axis: str, value) -> dict:
+    name, field, _, _ = _SWEEP_AXES[axis]
     out = copy.deepcopy(cfg)
-    if axis == "lambda":
-        section(out, "kv")["mix_lambda"] = value
-    elif axis == "budget":
-        # budget rows exclude reuse so the memory axis is isolated
-        section(out, "kv")["budget_chunks"] = value
+    # budget rows exclude reuse so the memory axis is isolated; epsilon rows
+    # of a config without a policy start from one that reuses nothing
+    if axis == "budget" or (axis == "epsilon" and out.get("policy") is None):
         out["policy"] = {"epsilon": 0.0, "warmup": 0}
-    elif axis == "granularity":
-        section(out, "kv")["key_granularity"] = value
-    elif axis == "epsilon":
-        if out.get("policy") is None:
-            out["policy"] = {"epsilon": 0.0, "warmup": 0}
-        section(out, "policy")["epsilon"] = value
+    section(out, name)[field] = value
     return out
-
-
-def _final_latent_error(trace, reference) -> float:
-    errs = []
-    for idx, latent in trace.final_latents.items():
-        ref = reference.final_latents[idx]
-        denom = abs(ref).sum()
-        errs.append(float(abs(latent - ref).sum() / denom))
-    return max(errs)
 
 
 def _retained_hash(trace) -> str:
     if not trace.compressions:
         return "-"
-    last = trace.compressions[-1]
-    h = hashlib.sha256()
-    for head in sorted(last.heads):
-        h.update(bytes(str(last.heads[head].retained_ids.tolist()), "utf-8"))
-    return h.hexdigest()[:12]
+    heads = trace.compressions[-1].heads
+    ids = "".join(str(heads[head].retained_ids.tolist()) for head in sorted(heads))
+    return hashlib.sha256(ids.encode()).hexdigest()[:12]
+
+
+def _row(axis: str, value, trace, reference) -> list:
+    """The sweep row of one run, in ``_SWEEP_COLUMNS`` order."""
+    refs = reference.final_latents
+    error = max(float(abs(latent - refs[idx]).sum() / abs(refs[idx]).sum())
+                for idx, latent in trace.final_latents.items())
+    return [axis, value, trace.totals.reuse_fraction, error, speedup(trace, reference),
+            trace.totals.peak_resident_tokens, _retained_hash(trace)]
 
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(profile=args.profile, config_path=args.config,
                          seed=args.seed)
     values = _parse_values(args.axis, args.values)
-    at = {"budget": None, "epsilon": 0.0}
-    reference = _execute(_apply_axis(cfg, args.axis, at[args.axis])
-                         if args.axis in at else cfg)
-
-    def one(value):
-        trace = _execute(_apply_axis(cfg, args.axis, value))
-        return {
-            "axis": args.axis,
-            "value": value,
-            "reuse_fraction": trace.totals.reuse_fraction,
-            "final_l1_error_vs_baseline": _final_latent_error(trace, reference),
-            "speedup": speedup(trace, reference),
-            "peak_kv_tokens": trace.totals.peak_resident_tokens,
-            "retained_hash": _retained_hash(trace),
-        }
-
-    rows = [one(v) for v in values]
+    # every run's objects first, so that a bad value exits 2 before any simulation
+    built = [build_objects(cfg if value is _OWN else _apply_axis(cfg, args.axis, value))
+             for value in [_SWEEP_AXES[args.axis][3], *values]]
+    reference = _execute(built[0])
+    # _row takes each trace, so that it dies before the next row runs
+    rows = [_row(args.axis, value, _execute(objects), reference)
+            for value, objects in zip(values, built[1:])]
 
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    csv.writer(out).writerows([_SWEEP_COLUMNS, *rows])
     text = out.getvalue()
     if args.out:
         (_out_dir(args.out) / f"sweep_{args.axis}.csv").write_text(text)
@@ -181,11 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="simulate one configuration")
-    run_p.add_argument("--config", help="JSON config file")
-    run_p.add_argument("--profile", choices=sorted(PROFILES),
-                       help="named profile (default magi-fast)")
-    run_p.add_argument("--seed", type=int, help="override scene seed")
+    common = argparse.ArgumentParser(add_help=False)   # run's and sweep's
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--profile", choices=sorted(PROFILES),
+                        help="named profile (default magi-fast)")
+    common.add_argument("--seed", type=int, help="override scene seed")
+    run_p = sub.add_parser("run", parents=[common], help="simulate one configuration")
     run_p.add_argument("--out", default="runs", help="output directory")
     run_p.add_argument("--print-config", action="store_true",
                        help="print the fully-resolved config and exit")
@@ -197,13 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--seed", type=int, default=0)
     ver_p.set_defaults(func=cmd_verify)
 
-    sweep_p = sub.add_parser("sweep", help="sweep one ablation axis")
+    sweep_p = sub.add_parser("sweep", parents=[common], help="sweep one ablation axis")
     sweep_p.add_argument("--axis", required=True, choices=_SWEEP_AXES)
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated axis values")
-    sweep_p.add_argument("--config", help="JSON config file")
-    sweep_p.add_argument("--profile", choices=sorted(PROFILES))
-    sweep_p.add_argument("--seed", type=int)
     sweep_p.add_argument("--out", help="directory for the CSV table")
     sweep_p.set_defaults(func=cmd_sweep)
     return parser

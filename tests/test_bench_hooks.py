@@ -11,6 +11,8 @@ import gc
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from flowcache_sim import (PowerLawSchedule, ReusePolicy, SceneConfig, armodel,
                            build_objects, resolve_config, run_denoise)
 from flowcache_sim.trace import ChunkStepRecord
@@ -94,6 +96,15 @@ def test_records_build_one_step_at_a_time():
     first = next(records)
     live = sum(type(o) is ChunkStepRecord for o in gc.get_objects()) - before
     assert live == len(first.chunks) <= scene.window
+
+
+@pytest.mark.parametrize("name", load("workloads").NAMES)
+def test_workload_passes_its_pinned_check(name, tmp_path):
+    # the harness's own check: cli-sweep's counts cli._execute calls and their
+    # argument, and every pin compares output bytes or a content hash
+    workload = load("workloads").WORKLOADS[name](0, tmp_path)
+    assert workload.pinned is not None
+    workload.check(workload.op())
 
 
 def test_noisy_run_calls_perturbed_velocity_once_per_computing_step(monkeypatch):

@@ -359,6 +359,23 @@ class TestSweepCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,values,message", [
+        ("budget", "5,0", "kv: budget_chunks must be positive or None"),
+        ("lambda", "0.1,1.5", "kv: mix_lambda must be in [0, 1], got 1.5"),
+        ("granularity", "token,pixel", "kv: unknown key granularity 'pixel'"),
+        ("epsilon", "0.01,-1", "policy: epsilon must be >= 0, got -1.0")],
+        ids=["budget-5,0", "lambda-0.1,1.5", "granularity-token,pixel", "epsilon-0.01,-1"])
+    def test_bad_last_value_simulates_nothing(self, tmp_path, capsys, monkeypatch,
+                                              axis, values, message):
+        # every row's config is checked before the reference run
+        monkeypatch.setattr(cli, "run_denoise", no_simulation)
+        out = tmp_path / "sweeps"
+        assert run_cli("sweep", "--axis", axis, "--values", values,
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert not out.exists()
+
     def test_writes_csv(self, small_cfg, tmp_path, capsys):
         out = tmp_path / "sweeps"
         run_cli("sweep", "--axis", "epsilon", "--values", "0.015",

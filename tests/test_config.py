@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcache_sim import PROFILES, KVPlan, build_objects, run_denoise
+from flowcache_sim import PROFILES, KVPlan, build_objects, resolve_config, run_denoise
 from flowcache_sim.config import _BASE
 from flowcache_sim.errors import InvalidConfig, InvalidInput, SimulatorError
 from flowcache_sim.trace import RunTrace, _config_snapshot
@@ -74,8 +74,12 @@ def test_unknown_key_rejected(path):
 INVALID_VALUES = [
     ("scene", "num_chunks", 0, InvalidConfig, "scene: num_chunks must be >= 1"),
     ("scene", "shape", [4, 0, 3, 3], InvalidConfig, "scene: bad latent shape (4, 0, 3, 3)"),
+    ("scene", "window", 4, InvalidConfig,
+     "scene: window must satisfy 1 <= window <= num_chunks"),
     ("scene", "norm_spread", 0.0, InvalidConfig, "scene: norm_spread must be positive"),
+    ("scene", "norm_base", 0.0, InvalidConfig, "scene: norm_base must be positive"),
     ("policy", "epsilon", -0.1, InvalidInput, "policy: epsilon must be >= 0, got -0.1"),
+    ("policy", "warmup", -1, InvalidInput, "policy: warmup must be >= 0, got -1"),
     ("schedule", "steps", 0, InvalidInput, "schedule: steps must be >= 1, got 0"),
     ("kv", "key_heads", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
     ("kv", "query_heads", 0, InvalidConfig, "kv: head counts and head_dim must be positive"),
@@ -90,6 +94,8 @@ INVALID_VALUES = [
     ("kv", "query_granularity", "pixel", InvalidConfig,
      "kv: unknown query granularity 'pixel'"),
     ("kv", "key_granularity", "pixel", InvalidConfig, "kv: unknown key granularity 'pixel'"),
+    ("cost", "flops_per_kv_token_pair", -1.0, InvalidConfig,
+     "cost: cost model entries must be nonnegative"),
 ]
 
 
@@ -102,6 +108,21 @@ def test_kv_value_rejected(name, key, value, error, message):
         build_objects(cfg)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_negative_noise_scale_rejected():
+    cfg = copy.deepcopy(TINY)
+    cfg["noise_scale"] = -0.1
+    with pytest.raises(InvalidConfig) as info:
+        build_objects(cfg)
+    assert str(info.value) == "noise_scale must be >= 0"
+
+
+def test_unknown_profile_rejected():
+    with pytest.raises(InvalidConfig) as info:
+        resolve_config(profile="nope")
+    assert str(info.value) == ("unknown profile 'nope'; known: baseline, magi-fast, "
+                               "magi-slow, skyreels-fast, skyreels-slow")
 
 
 def test_kv_plan_fields_are_the_kv_section():

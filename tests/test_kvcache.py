@@ -100,6 +100,17 @@ class TestImportance:
             out = importance(q, keys, cfg())
             np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("q_shape, k_shape, message", [
+        ((3, 8), (5, 2, 4), "queries and keys must be rank-3 (tokens, heads, dim)"),
+        ((3, 2, 4), (5, 8), "queries and keys must be rank-3 (tokens, heads, dim)"),
+        ((3, 2, 4), (5, 2, 8), "head dim mismatch 4 vs 8"),
+        ((0, 2, 4), (5, 2, 4), "need at least one query row"),
+    ], ids=["queries-not-rank-3", "keys-not-rank-3", "head-dim-mismatch", "no-query-rows"])
+    def test_bad_shape_rejected(self, q_shape, k_shape, message):
+        with pytest.raises(InvalidInput) as info:
+            importance(np.ones(q_shape), np.ones(k_shape), cfg())
+        assert type(info.value) is InvalidInput and str(info.value) == message
+
     def test_head_divisibility(self):
         with pytest.raises(InvalidInput):
             importance(np.zeros((2, 3, 4)), np.zeros((5, 2, 4)), cfg())
@@ -182,6 +193,12 @@ class TestPooledImportance:
             np.testing.assert_array_equal(
                 out, [maxpool1d(row, kernel) for row in imp])
 
+    def test_not_2d_rejected(self):
+        with pytest.raises(InvalidInput) as info:
+            pooled_importance(np.ones(9), cfg())
+        assert type(info.value) is InvalidInput
+        assert str(info.value) == "importance must be (heads, tokens)"
+
     def test_window_scan_oracle(self):
         imp = np.random.default_rng(5).random((3, 32))
         out = pooled_importance(imp, cfg(pool_kernel=5))
@@ -255,6 +272,16 @@ class TestRedundancy:
     def test_too_few_tokens(self):
         with pytest.raises(InvalidInput):
             redundancy_naive(np.ones((1, 1, 3)))
+
+    @pytest.mark.parametrize("fn, keys, message", [
+        (redundancy_naive, np.ones((4, 3)), "keys must be rank-3 (tokens, heads, dim)"),
+        (redundancy_fast, np.ones((4, 3)), "keys must be rank-3 (tokens, heads, dim)"),
+        (redundancy_fast, np.ones((1, 1, 3)), "redundancy needs at least two tokens"),
+    ], ids=["naive-not-rank-3", "fast-not-rank-3", "fast-one-token"])
+    def test_bad_keys_rejected(self, fn, keys, message):
+        with pytest.raises(InvalidInput) as info:
+            fn(keys)
+        assert type(info.value) is InvalidInput and str(info.value) == message
 
 
 class TestCombinedScore:
@@ -397,6 +424,15 @@ class TestBuffer:
             assert self.feed(chunk) is not None
         for h, head in report.heads.items():
             np.testing.assert_array_equal(head.retained_ids, kept[h])
+
+    def test_bad_key_shape_rejected(self):
+        keys = np.ones((self.tokens - 1, 2, 4))
+        with pytest.raises(InvalidInput) as info:
+            self.buffer.add_clean_chunk(1, lambda: keys, lambda n: self.queries[-n:], 1)
+        assert str(info.value) == "bad key shape (11, 2, 4)"
+        assert self.buffer.clean_tokens == 0
+        assert self.feed(1) is None   # chunk 1 still arrives next
+        assert self.buffer.clean_tokens == self.tokens
 
     def test_chunk_index_below_one_rejected(self):
         # chunk 0 would take the token ids -12..-1

@@ -213,6 +213,11 @@ class TestStableTopK:
         with pytest.raises(InvalidInput):
             stable_topk(np.zeros(3), 4)
 
+    def test_not_1d_rejected(self):
+        with pytest.raises(InvalidInput) as info:
+            stable_topk(np.zeros((2, 3)), 1)
+        assert str(info.value) == "stable_topk expects a 1-D score vector"
+
     @given(data=st.data(), shift=st.integers(-50, 50))
     def test_shift_invariance(self, data, shift):
         # dyadic grid values + integer shifts keep float addition exact, so

@@ -136,6 +136,16 @@ class TestEstimateAndApply:
     def test_estimate_none_without_cache(self):
         assert estimate_metric(ChunkReuseState(), 0.1, 2.0) is None
 
+    @pytest.mark.parametrize("dt, latent_norm, error, message", [
+        (0.0, 2.0, InvalidInput, "dt must be positive, got 0.0"),
+        (-0.1, 2.0, InvalidInput, "dt must be positive, got -0.1"),
+        (0.1, 0.0, DegenerateInput, "relative_l1 against a zero-norm latent"),
+    ], ids=["dt-zero", "dt-negative", "zero-latent-norm"])
+    def test_estimate_bad_input(self, dt, latent_norm, error, message):
+        with pytest.raises(error) as info:
+            estimate_metric(ChunkReuseState(velocity_norm=2.0), dt, latent_norm)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_reuse_applies_cached_velocity(self):
         state = ChunkReuseState(velocity_norm=2.0)
         latents = np.array([[1.0]])

@@ -105,6 +105,12 @@ class TestEulerStep:
         with pytest.raises(InvalidInput):
             euler_step(np.zeros(2), np.zeros(3), 0.1)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_non_positive_dt(self, dt):
+        with pytest.raises(InvalidInput) as info:
+            euler_step(np.zeros(2), np.zeros(2), dt)
+        assert str(info.value) == f"dt must be positive, got {dt}"
+
     @given(a=st.floats(0.01, 50, allow_nan=False))
     def test_linear_in_velocity(self, a):
         x = np.array([0.5, -2.0, 3.0])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from flowcache_sim import verify
+from flowcache_sim.errors import InvalidInput
 from flowcache_sim.reuse import COMPUTE, REUSE, Decision
 
 decide = verify.decide
@@ -70,6 +71,13 @@ DEFECTS = [   # (defect, patched name, defect, suite, failing check's name prefi
 def test_suite_passes_unpatched(suite):
     # kvequiv's unpatched run is the acceptance suite's criterion 4
     assert all(result.passed for result in verify.run_suite(suite))
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(InvalidInput) as info:
+        verify.run_suite("nope")
+    assert str(info.value) == ("unknown suite 'nope'; known: kernels, theorem, "
+                               "corollary, policy, kvequiv")
 
 
 @pytest.mark.parametrize("name,attr,defect,suite,check", DEFECTS,
