@@ -19,17 +19,16 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidInput, Singularity
+from .errors import DegenerateInput, InvalidConfig, InvalidInput
 from .kvcache import KVBuffer, KVPlan
 from .numerics import FLOAT, l1_norm, l1_norms
-from .reuse import (COMPUTE, ChunkReuseState, Decision, ReusePolicy, apply,
-                    decide, estimate_metric)
-from .schedule import PowerLawSchedule
+from .reuse import COMPUTE, Decision, ReusePolicy, apply, decide, estimate_metric
+from .schedule import PowerLawSchedule, euler_step
 from .trace import DTYPES, RunTrace, _config_snapshot, add_in_order
 
 # seed-stream tags, so every random draw has a stable address; velocity noise's
@@ -121,15 +120,17 @@ class CostModel:
 
 @dataclass
 class ChunkState:
-    """One chunk's latent, ground truth, denoising progress, reuse state and,
-    in a run with velocity noise, its ``velocity_noise_seeds`` table."""
+    """One chunk's latent, ground truth, denoising progress, reuse state (the
+    rule's ``accumulator`` and its cached velocity's norm) and, in a run with
+    velocity noise, its ``velocity_noise_seeds`` table."""
 
     index: int                       # 1-based
     clean_latent: np.ndarray         # ground-truth endpoint of denoising
     latent: np.ndarray               # current state (a row of trajectory's latent table)
     latent_norm: float = 0.0         # L1 norm of latent, taken with it
     local_step: int = 0              # the chunk is clean once this is steps
-    reuse: ChunkReuseState = field(default_factory=ChunkReuseState)
+    accumulator: float = 0.0         # the reuse rule's f, as of the last decision
+    velocity_norm: Optional[float] = None   # of the cached velocity; None before one
     noise_seeds: Optional[np.ndarray] = None   # (steps, 4) uint64, or None
 
 
@@ -152,9 +153,8 @@ def make_clean_latent(scene: SceneConfig, chunk_index: int) -> np.ndarray:
     for a, b, c, d in (profiles[:4], profiles[4:]):   # outer products, in einsum's order
         out += a[:, None, None, None] * b[:, None, None] * c[:, None] * d
     total = np.abs(out).sum()
-    if total == 0.0:  # measure-zero; regenerate deterministically
-        out += 1.0
-        total = out.size
+    if total == 0.0:   # measure-zero; no scaling reaches the chunk's norm
+        raise DegenerateInput(f"chunk {chunk_index}'s clean latent is all zeros")
     return out * (scene.clean_norm(chunk_index) / total)
 
 
@@ -189,12 +189,11 @@ def ideal_velocity(chunk: ChunkState, t: float, schedule: PowerLawSchedule,
                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Optimal velocity field: -(sigma'/sigma)(latent - clean) = -(p/t)(...).
 
-    Into ``out`` if given. Not scanned here: the caller's checked norm is the check.
+    Into ``out`` if given; a t <= 0 raises ``Singularity`` before ``out`` is written.
+    Not scanned here: the caller's checked norm is the check.
     """
-    if t <= 0:
-        raise Singularity(f"velocity undefined at t={t}")
-    return np.multiply(np.subtract(chunk.latent, chunk.clean_latent, out=out),
-                       -schedule.log_derivative_ratio(t), out=out)
+    ratio = schedule.log_derivative_ratio(t)
+    return np.multiply(np.subtract(chunk.latent, chunk.clean_latent, out=out), -ratio, out=out)
 
 
 def velocity_noise_seeds(seed: int, index: int | Sequence[int], steps: int) -> np.ndarray:
@@ -330,16 +329,14 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
     A chunk's state is made when its window opens and dropped once yielded
     as finished, so at most ``window`` chunk states are live; its latent is its row of a
     table whose rows end as the final latents. Decisions are per chunk; one ``perturbed_velocity``
-    call per step covers the computing rows, and norms and Euler steps take all active rows.
+    call per step covers the computing rows, ``apply`` records the chunks' reuse state, and
+    norms and Euler steps take all active rows.
     """
     global_steps = total_global_steps(schedule, scene)   # checks steps % window
     stride, dt = schedule.steps // scene.window, schedule.dt
     table = np.empty((scene.num_chunks, *scene.shape), FLOAT)
     velocities = np.empty((0, *scene.shape))   # a row per active chunk, in index order
     active: list[ChunkState] = []
-
-    def velocity(rows: list[int]) -> None:   # the model's velocity, into the computing rows
-        perturbed_velocity(active, rows, schedule, noise_scale, velocities)
 
     for g in range(global_steps):
         rows, finished = [], []   # the last step's finished chunks are freed before this step
@@ -355,12 +352,15 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
                 noise_seeds=next(tables) if noise_scale > 0 else None))
             velocities = np.concatenate((velocities, np.zeros((1, *scene.shape))))
         decisions = [Decision(COMPUTE, None, 0.0) if policy is None else
-                     decide(policy, chunk.reuse, chunk.local_step,
-                            estimate_metric(chunk.reuse, dt, chunk.latent_norm))
+                     decide(policy, chunk.accumulator, chunk.local_step,
+                            estimate_metric(chunk.velocity_norm, dt, chunk.latent_norm))
                      for chunk in active]
+        computing = [i for i, decision in enumerate(decisions) if decision.action == COMPUTE]
+        if computing:   # the model's velocity, into the computing rows
+            perturbed_velocity(active, computing, schedule, noise_scale, velocities)
+        metrics = apply(decisions, active, velocities, dt)
         latents = table[active[0].index - 1:active[-1].index]
-        metrics = apply(decisions, [chunk.reuse for chunk in active], latents,
-                        [chunk.latent_norm for chunk in active], velocities, dt, velocity)
+        euler_step(latents, velocities, dt, out=latents)
         # one reduction gives the new latents' check and norms
         for chunk, decision, metric, norm in zip(active, decisions, metrics,
                                                  l1_norms(latents, "euler_step")):

@@ -4,19 +4,19 @@ Each chunk owns an accumulator ``f`` that sums the estimated relative-L1
 change since its last computed step. A step recomputes when the chunk is
 inside its warmup window, when no cached velocity exists yet, or when the
 accumulated change would exceed the threshold; otherwise the cached velocity
-is reused and the accumulator grows.
+is reused and the accumulator grows. The rule reads and returns floats; the
+chunk's ``accumulator`` and ``velocity_norm`` live on ``armodel.ChunkState``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInput, InternalError, InvalidInput
 from .numerics import l1_norms
-from .schedule import euler_step
 
 COMPUTE = "compute"
 REUSE = "reuse"
@@ -36,14 +36,6 @@ class ReusePolicy:
             raise InvalidInput(f"warmup must be >= 0, got {self.warmup}")
 
 
-@dataclass
-class ChunkReuseState:
-    """Mutable per-chunk cache state owned by a single run."""
-
-    accumulator: float = 0.0
-    velocity_norm: Optional[float] = None   # of the cached velocity; None before one
-
-
 @dataclass(frozen=True)
 class Decision:
     action: str                      # COMPUTE or REUSE
@@ -51,8 +43,15 @@ class Decision:
     accumulator: float               # post-decision value of f
 
 
-def _relative(velocity_norm: float, dt: float, latent_norm: float) -> float:
-    """||velocity * dt||_1 / ||latent||_1 from the two L1 norms."""
+def estimate_metric(velocity_norm: Optional[float], dt: float,
+                    latent_norm: float) -> Optional[float]:
+    """||velocity * dt||_1 / ||latent||_1 from the velocity's and the latent's L1 norms.
+
+    None when no velocity has been computed yet (``velocity_norm`` is None), which
+    is only possible while a chunk's warmup forces computation anyway.
+    """
+    if velocity_norm is None:
+        return None
     if dt <= 0:
         raise InvalidInput(f"dt must be positive, got {dt}")
     if latent_norm == 0.0:
@@ -60,21 +59,10 @@ def _relative(velocity_norm: float, dt: float, latent_norm: float) -> float:
     return velocity_norm * dt / latent_norm
 
 
-def estimate_metric(state: ChunkReuseState, dt: float, latent_norm: float) -> Optional[float]:
-    """Estimate the current step's metric from the last computed velocity.
-
-    Reads the velocity norm stored with it and the latent's ``latent_norm``.
-    Returns None when no velocity has been computed yet (only possible while
-    a chunk's warmup forces computation anyway).
-    """
-    if state.velocity_norm is None:
-        return None
-    return _relative(state.velocity_norm, dt, latent_norm)
-
-
-def decide(policy: ReusePolicy, state: ChunkReuseState, local_step: int,
+def decide(policy: ReusePolicy, accumulator: float, local_step: int,
            estimate: Optional[float]) -> Decision:
-    """Apply the accumulate-and-threshold rule for one chunk step.
+    """Apply the accumulate-and-threshold rule for one chunk step, f being
+    ``accumulator`` before it.
 
     Branches, in order:
       1. warmup (local_step < warmup): compute, f resets to 0;
@@ -88,34 +76,31 @@ def decide(policy: ReusePolicy, state: ChunkReuseState, local_step: int,
         return Decision(COMPUTE, estimate, 0.0)
     if estimate is None or estimate <= 0.0:
         return Decision(COMPUTE, estimate, 0.0)
-    grown = state.accumulator + estimate
+    grown = accumulator + estimate
     if grown > policy.epsilon:
         return Decision(COMPUTE, estimate, 0.0)
     return Decision(REUSE, estimate, grown)
 
 
-def apply(decisions: Sequence[Decision], states: Sequence[ChunkReuseState],
-          latents: np.ndarray, latent_norms: Sequence[float], velocities: np.ndarray,
-          dt: float, compute_velocity: Callable[[list[int]], object]) -> list[float]:
-    """Advance a window of latents one step in place, row i under ``decisions[i]``.
+def apply(decisions: Sequence[Decision], chunks: Sequence, velocities: np.ndarray,
+          dt: float) -> list[float]:
+    """Record one step of a window of chunks, ``chunks[i]`` under ``decisions[i]``.
 
-    Compute: one ``compute_velocity(rows)`` call writes the computing rows' model velocities
-    into ``velocities`` and their checked L1 norms are cached. Reuse: the row keeps its
-    velocity. Returns each row's metric (true on compute, the estimate on reuse).
+    Compute: row i of ``velocities`` holds the chunk's fresh velocity, whose checked L1
+    norm is cached on ``chunks[i].velocity_norm``. Reuse: the row keeps its cached
+    velocity. Every chunk's ``accumulator`` takes its decision's. Returns each row's
+    metric (true on compute, the estimate on reuse); ``velocities`` is only read.
     """
-    computing = [i for i, decision in enumerate(decisions) if decision.action == COMPUTE]
-    if computing:
-        compute_velocity(computing)
+    if any(decision.action == COMPUTE for decision in decisions):
         norms = l1_norms(velocities, "ideal_velocity")   # reused rows' are already cached
     metrics = []
-    for i, (decision, state) in enumerate(zip(decisions, states)):
+    for i, (decision, chunk) in enumerate(zip(decisions, chunks)):
         if decision.action == COMPUTE:
-            state.velocity_norm = norms[i]
-            metrics.append(_relative(norms[i], dt, latent_norms[i]))
-        elif state.velocity_norm is None or decision.estimate is None:
+            chunk.velocity_norm = norms[i]
+            metrics.append(estimate_metric(norms[i], dt, chunk.latent_norm))
+        elif chunk.velocity_norm is None or decision.estimate is None:
             raise InternalError("reuse decision with no cached velocity or no estimate")
         else:
             metrics.append(decision.estimate)
-        state.accumulator = decision.accumulator
-    euler_step(latents, velocities, dt, out=latents)
+        chunk.accumulator = decision.accumulator
     return metrics

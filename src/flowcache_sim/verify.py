@@ -19,7 +19,7 @@ from .armodel import (ChunkState, ideal_velocity, perturbed_velocity, smooth_pro
 from .errors import DegenerateInput, InvalidInput
 from .kvcache import KVPlan, importance, redundancy_fast
 from .numerics import FLOAT, l1_norm, maxpool1d, softmax, stable_topk
-from .reuse import COMPUTE, REUSE, ChunkReuseState, ReusePolicy, decide
+from .reuse import COMPUTE, REUSE, ReusePolicy, decide
 from .schedule import PowerLawSchedule
 
 
@@ -318,11 +318,10 @@ def _interpret_reuse_rule(metrics, epsilon, warmup):
 
 def engine_decisions(metrics, epsilon, warmup):
     policy = ReusePolicy(epsilon=epsilon, warmup=warmup)
-    state = ChunkReuseState()
-    out = []
+    f, out = 0.0, []
     for i, x in enumerate(metrics):
-        decision = decide(policy, state, i, None if x is None else float(x))
-        state.accumulator = decision.accumulator
+        decision = decide(policy, f, i, None if x is None else float(x))
+        f = decision.accumulator
         out.append(decision.action)
     return out
 

@@ -19,7 +19,7 @@ from flowcache_sim import trace as trace_module
 from flowcache_sim.armodel import recompute_flops
 from flowcache_sim.cli import _apply_axis
 from flowcache_sim.config import _deep_merge
-from flowcache_sim.errors import InvalidConfig, InvalidInput, Singularity
+from flowcache_sim.errors import DegenerateInput, InvalidConfig, InvalidInput, Singularity
 from flowcache_sim.trace import DTYPES, ChunkStepRecord, StepRecord
 
 
@@ -88,6 +88,13 @@ class TestSceneSynthesis:
         for a, b in zip(got, one_at_a_time(np.random.default_rng(seed)), strict=True):
             assert a.tobytes() == b.tobytes()
 
+    def test_all_zero_clean_latent_is_degenerate(self, monkeypatch):
+        monkeypatch.setattr(armodel, "smooth_profiles",
+                            lambda sizes, rng: [np.zeros(n) for n in sizes])
+        with pytest.raises(DegenerateInput) as info:
+            make_clean_latent(small_scene(), 3)
+        assert str(info.value) == "chunk 3's clean latent is all zeros"
+
     def test_noise_is_seeded_per_chunk(self):
         scene = small_scene()
         a = make_initial_noise(scene, 1)
@@ -123,6 +130,10 @@ class TestVelocities:
     def test_singularity(self):
         with pytest.raises(Singularity):
             ideal_velocity(self.chunk, 0.0, self.sched)
+        out = np.full(self.scene.shape, 7.0)
+        with pytest.raises(Singularity):   # raised before out is written
+            ideal_velocity(self.chunk, 0.0, self.sched, out)
+        assert (out == 7.0).all()
 
     def test_path_reproduction_512_steps(self):
         # integrating the closed-form field tracks the interpolation path

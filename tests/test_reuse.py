@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcache_sim import ChunkReuseState, ReusePolicy, decide, estimate_metric
+from flowcache_sim import ReusePolicy, decide, estimate_metric
 from flowcache_sim.errors import DegenerateInput, InternalError, InvalidInput
 from flowcache_sim.reuse import COMPUTE, REUSE, Decision, apply
 from flowcache_sim.verify import _interpret_reuse_rule, engine_decisions, relative_l1
@@ -41,33 +43,31 @@ class TestRelativeL1:
 class TestDecide:
     def test_warmup_always_computes(self):
         policy = ReusePolicy(epsilon=1e9, warmup=5)
-        state = ChunkReuseState()
         for step in range(5):
-            d = decide(policy, state, step, 1e-9)
+            d = decide(policy, 0.0, step, 1e-9)
             assert d.action == COMPUTE and d.accumulator == 0.0
 
     def test_hand_trace(self):
         # epsilon=0.05, warmup=2, post-warmup stream [0.02, 0.02, 0.02]
         # -> reuse(f=0.02), reuse(f=0.04), compute(f=0)
         policy = ReusePolicy(epsilon=0.05, warmup=2)
-        state = ChunkReuseState(velocity_norm=1.0)
-        got = []
+        f, got = 0.0, []
         for step, metric in zip((2, 3, 4), (0.02, 0.02, 0.02)):
-            d = decide(policy, state, step, metric)
-            state.accumulator = d.accumulator
+            d = decide(policy, f, step, metric)
+            f = d.accumulator
             got.append((d.action, round(d.accumulator, 10)))
         assert got == [(REUSE, 0.02), (REUSE, 0.04), (COMPUTE, 0.0)]
 
     def test_missing_estimate_computes(self):
-        d = decide(ReusePolicy(0.5, 0), ChunkReuseState(), 0, None)
+        d = decide(ReusePolicy(0.5, 0), 0.0, 0, None)
         assert d.action == COMPUTE
 
     def test_epsilon_zero_all_compute(self):
         policy = ReusePolicy(epsilon=0.0, warmup=0)
-        state = ChunkReuseState()
+        f = 0.0
         for step in range(10):
-            d = decide(policy, state, step, 0.001)
-            state.accumulator = d.accumulator
+            d = decide(policy, f, step, 0.001)
+            f = d.accumulator
             assert d.action == COMPUTE
 
     @given(data=st.data())
@@ -87,18 +87,17 @@ class TestDecide:
         epsilon = data.draw(st.floats(1e-3, 0.3))
         warmup = data.draw(st.integers(0, 4))
         policy = ReusePolicy(epsilon, warmup)
-        state = ChunkReuseState()
+        f = 0.0
         n = data.draw(st.integers(1, 64))
         for step in range(n):
             metric = data.draw(st.floats(1e-6, 2 * epsilon))
-            before = state.accumulator
-            d = decide(policy, state, step, metric)
-            state.accumulator = d.accumulator
+            d = decide(policy, f, step, metric)
             if d.action == COMPUTE:
                 assert d.accumulator == 0.0
             else:
-                assert d.accumulator > before
+                assert d.accumulator > f
                 assert d.accumulator <= epsilon
+            f = d.accumulator
 
     def test_monotone_metrics_give_shrinking_reuse_runs(self):
         # under a non-decreasing metric stream, consecutive reuse run
@@ -117,24 +116,22 @@ class TestDecide:
         assert runs and all(a >= b for a, b in zip(runs, runs[1:]))
 
 
+def chunk(latent_norm, velocity_norm=None, accumulator=0.0):
+    # the fields of armodel.ChunkState that apply reads and writes
+    return SimpleNamespace(latent_norm=latent_norm, velocity_norm=velocity_norm,
+                           accumulator=accumulator)
+
+
 class TestEstimateAndApply:
     def test_estimate_fresh_after_compute(self):
-        state = ChunkReuseState()
-        latents = np.array([[4.0, -4.0]])
-        velocities = np.zeros((1, 2))
-
-        def compute(rows):
-            velocities[rows] = 1.0
-
-        [metric] = apply([Decision(COMPUTE, None, 0.0)], [state], latents, [8.0],
-                         velocities, 0.5, compute)
-        assert state.velocity_norm == 2.0
-        assert latents.tolist() == [[4.5, -3.5]]
+        row = chunk(8.0)
+        [metric] = apply([Decision(COMPUTE, None, 0.0)], [row], np.array([[1.0, 1.0]]), 0.5)
+        assert row.velocity_norm == 2.0
         # unchanged dt and latent: the estimate equals the recorded metric
-        assert estimate_metric(state, 0.5, 8.0) == metric == 0.125
+        assert estimate_metric(row.velocity_norm, 0.5, 8.0) == metric == 0.125
 
     def test_estimate_none_without_cache(self):
-        assert estimate_metric(ChunkReuseState(), 0.1, 2.0) is None
+        assert estimate_metric(None, 0.1, 2.0) is None
 
     @pytest.mark.parametrize("dt, latent_norm, error, message", [
         (0.0, 2.0, InvalidInput, "dt must be positive, got 0.0"),
@@ -143,40 +140,34 @@ class TestEstimateAndApply:
     ], ids=["dt-zero", "dt-negative", "zero-latent-norm"])
     def test_estimate_bad_input(self, dt, latent_norm, error, message):
         with pytest.raises(error) as info:
-            estimate_metric(ChunkReuseState(velocity_norm=2.0), dt, latent_norm)
+            estimate_metric(2.0, dt, latent_norm)
         assert type(info.value) is error and str(info.value) == message
 
-    def test_reuse_applies_cached_velocity(self):
-        state = ChunkReuseState(velocity_norm=2.0)
-        latents = np.array([[1.0]])
-        [metric] = apply([Decision(REUSE, 0.1, 0.1)], [state], latents, [1.0],
-                         np.array([[2.0]]), 0.5, lambda row: pytest.fail("must not compute"))
-        assert latents[0, 0] == 2.0
+    def test_reuse_keeps_cached_velocity_norm(self):
+        row = chunk(1.0, velocity_norm=2.0)
+        [metric] = apply([Decision(REUSE, 0.1, 0.1)], [row], np.array([[5.0]]), 0.5)
         assert metric == 0.1
-        assert state.accumulator == 0.1
+        assert row.velocity_norm == 2.0 and row.accumulator == 0.1
 
     def test_rows_follow_their_own_decisions(self):
-        # a computing row gets a fresh velocity; the reusing row keeps its cached one
-        states = [ChunkReuseState(), ChunkReuseState(velocity_norm=3.0)]
-        latents = np.array([[2.0, 2.0], [1.0, -1.0]])
-        velocities = np.array([[0.0, 0.0], [2.0, -1.0]])
-        computed = []
-
-        def compute(rows):
-            computed.append(rows)
-            velocities[rows] = [-4.0, 4.0]
-
+        # a computing row's norm is taken from its fresh velocity; the reusing row keeps its cached one
+        rows = [chunk(4.0, accumulator=0.3), chunk(2.0, velocity_norm=3.0)]
         metrics = apply([Decision(COMPUTE, None, 0.0), Decision(REUSE, 0.25, 0.25)],
-                        states, latents, [4.0, 2.0], velocities, 0.5, compute)
-        assert computed == [[0]]   # one call with the computing rows
+                        rows, np.array([[-4.0, 4.0], [2.0, -1.0]]), 0.5)
         assert metrics == [1.0, 0.25]
-        assert [s.velocity_norm for s in states] == [8.0, 3.0]
-        assert latents.tolist() == [[0.0, 4.0], [2.0, -1.5]]
+        assert [(r.velocity_norm, r.accumulator) for r in rows] == [(8.0, 0.0), (3.0, 0.25)]
+
+    def test_velocities_are_only_read(self):
+        # apply records; the trajectory takes the Euler step
+        velocities = np.array([[-4.0, 4.0], [2.0, -1.0]])
+        before = velocities.tobytes()
+        apply([Decision(COMPUTE, None, 0.0), Decision(REUSE, 0.25, 0.25)],
+              [chunk(4.0), chunk(2.0, velocity_norm=3.0)], velocities, 0.5)
+        assert velocities.tobytes() == before
 
     def test_reuse_without_cache_is_internal_error(self):
         with pytest.raises(InternalError):
-            apply([Decision(REUSE, 0.1, 0.1)], [ChunkReuseState()], np.ones((1, 1)),
-                  [1.0], np.ones((1, 1)), 0.5, lambda row: None)
+            apply([Decision(REUSE, 0.1, 0.1)], [chunk(1.0)], np.ones((1, 1)), 0.5)
 
     def test_alternating_reuse_error_bounded(self):
         # scalar closed-form system: forcing compute/reuse alternation stays

@@ -25,11 +25,11 @@ stable_topk = verify.stable_topk
 velocity_noise_seeds = verify.velocity_noise_seeds
 
 
-def decide_at_tie(policy, state, local_step, estimate):
+def decide_at_tie(policy, accumulator, local_step, estimate):
     # the accumulate-and-threshold rule with >= where the rule says >
     if local_step < policy.warmup or estimate is None or estimate <= 0.0:
         return Decision(COMPUTE, estimate, 0.0)
-    grown = state.accumulator + estimate
+    grown = accumulator + estimate
     if grown >= policy.epsilon:
         return Decision(COMPUTE, estimate, 0.0)
     return Decision(REUSE, estimate, grown)
@@ -47,7 +47,7 @@ def noise_sized_by_first_row(window, rows, schedule, noise_scale, out=None):
 
 DEFECTS = [   # (defect, patched name, defect, suite, failing check's name prefix)
     ("decide ignoring warmup", "decide",
-     lambda policy, state, local_step, estimate: decide(policy, state, 10**9, estimate),
+     lambda policy, f, local_step, estimate: decide(policy, f, 10**9, estimate),
      "policy", "decision engine vs direct rule interpreter"),
     ("decide using >= at an exact tie", "decide", decide_at_tie,
      "policy", "decision engine vs interpreter at exact boundaries"),
@@ -92,7 +92,7 @@ IMPORT_ALLOWLIST = {
     "armodel": {"ChunkState", "ideal_velocity", "perturbed_velocity", "smooth_profiles",
                 "velocity_noise_seeds"},
     "kvcache": {"KVPlan", "importance", "redundancy_fast"},
-    "reuse": {"COMPUTE", "REUSE", "ChunkReuseState", "ReusePolicy", "decide"},
+    "reuse": {"COMPUTE", "REUSE", "ReusePolicy", "decide"},
     "trace": set(),
 }
 
