@@ -173,9 +173,6 @@ def select_tokens(score_row: np.ndarray, budget_tokens: int, group: int) -> np.n
 class HeadReport:
     retained_ids: np.ndarray   # read-only int64, ascending; may view a shared table
     evicted_count: int
-    score_min: float
-    score_max: float
-    score_mean: float
 
 
 @dataclass
@@ -278,17 +275,9 @@ class KVBuffer:
         np.take(self._keys.reshape(-1, d), keep * len(heads) + heads, 0, gathered, "clip")
         self._keys[:len(keep)] = gathered
         self._ids = self._ids[keep, heads]
-        self._ids.flags.writeable = False   # the reports below view its columns
-        report = CompressionReport(
-            global_step=global_step, arriving_chunk=chunk_index,
-            candidate_tokens=n_cand)
-        for h, row in enumerate(scores):
-            report.heads[h] = HeadReport(
-                retained_ids=self._ids[:, h],
-                evicted_count=n_cand - keep.shape[0],
-                score_min=float(row.min()), score_max=float(row.max()),
-                score_mean=float(row.mean()))
-        return report
+        self._ids.flags.writeable = False   # the report below views its columns
+        return CompressionReport(global_step, chunk_index, n_cand, {
+            h: HeadReport(self._ids[:, h], n_cand - len(keep)) for h in heads.tolist()})
 
 
 def score_candidates(queries: np.ndarray, keys: np.ndarray, plan: KVPlan, *,

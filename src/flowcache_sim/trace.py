@@ -26,7 +26,7 @@ from .kvcache import CompressionReport, HeadReport
 from .numerics import FLOAT
 from .reuse import COMPUTE, REUSE
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 # trace.json's base64 little-endian columns and RunTrace's packed row types, one
 # value per step or chunk-step; chunk_count gives each step's run of chunk-step
 # rows, and compute is 1 or 0
@@ -246,7 +246,7 @@ def _int_key(key: str, where: str) -> int:
         index = int(key)
     except ValueError:
         index = None
-    if not _is_int64(index):
+    if not _is_int64(index) or str(index) != key:   # one spelling per index
         raise InvalidInput(f"{where} key must be an int64")
     return index
 
@@ -274,7 +274,7 @@ def _column(text, where: str, dtype: str, count: Optional[int]) -> np.ndarray:
 def import_trace(data: dict | str) -> RunTrace:
     """Rebuild a trace from its JSON form and verify the content hash.
 
-    Only schema v3 is read. Input that breaks a check listed in
+    Only schema v4 is read. Input that breaks a check listed in
     docs/trace_schema.md raises InvalidInput naming its path.
     """
     from .config import build_objects   # config imports armodel, which imports trace

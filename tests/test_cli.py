@@ -190,7 +190,8 @@ class TestRunCommand:
         replayed = json.loads((out / "trace.json").read_text())
         assert replayed["content_hash"] == recorded["content_hash"]
 
-    @pytest.mark.parametrize("version", [1, 2, "3", 2.0, 3.0, None])
+    @pytest.mark.parametrize("version", [1, 2, "3", 2.0, 3.0, None,
+                                         pytest.param(3, id="v3")])
     def test_other_schema_version_rejected(self, tmp_path, capsys, monkeypatch,
                                            version):
         monkeypatch.setattr(cli, "run_denoise", no_simulation)

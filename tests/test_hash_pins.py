@@ -9,12 +9,17 @@ id, decision or latent bit fails here. The pins change only with a deliberate,
 logged change to simulator behaviour. The SHA-256 of the ``sweep`` stdout on
 every axis and of ``run``'s report.txt pin the CLI's reference and baseline
 configs too, and the SHA-256 of ``run``'s curves.csv pins its rendering. The
-SHA-256 of every case's ``to_json()`` pins the compression score summaries,
-which the content hash leaves out.
+SHA-256 of every case's ``to_json()`` pins what the content hash leaves out:
+the chunk-steps' ``estimate`` column, the config and the totals. Those pins
+and the golden file are re-checked in child processes that take other x86
+CPUs' numpy and OpenBLAS paths, so every pinned byte is portable there.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,30 +69,30 @@ PINS = {
 }
 
 
-# SHA-256 of each case's whole trace.json: the content hash leaves out each
-# compression's score_min/max/mean, which only the export carries
+# SHA-256 of each case's whole trace.json: besides the hashed records it pins
+# the unhashed estimate column, the config and the totals
 JSON_PINS = {
-    "baseline": "8bb04556fab71f0134f0a9384fa5f5056ec4523ca902479c580c78c7268a454f",
-    "magi-fast": "228e892ef88e0da313088ea7cc5553b6b3434ec7f4f564dbd3a769c0b50115af",
-    "magi-slow": "e3d0a8de585829fda8f23bb4e6fd9cb7b15e70037392627528685d29646fe700",
-    "skyreels-fast": "83f837c729e9c59705a6042c2051926bacb789a5468d1735cbe33eac624ee39c",
-    "skyreels-slow": "080293799277964a27ff930e8ba920ba2a5dddc07de49e293d7f32098405f6e6",
-    "magi-fast-lambda-0.03": "771f4f3d5bc990f99e317d0d140bdb8548f9a82bacd3edc3d1a36bead787addc",
-    "magi-fast-lambda-0.2": "5eac9eca988e450dd91de56ba5e790a15d9fc6568a962d96d7f5bdd727f084e6",
-    "magi-fast-lambda-1.0": "3b2ddf2680fbb5c55e5ff1e53dbdf545df948825f28884b6b99a6275f267576d",
-    "magi-fast-keys-frame": "a9a2a16ed07cf7dfc8c486d9bc5d7e5bbad9be6e865f7e2956b39f04a59d1c72",
-    "magi-fast-keys-chunk": "029c4b0a0f22940703f4f9fb4df9d011a5bdf9a3fd158e0cd66d92a12f9d3b3b",
-    "magi-fast-budget-None": "d93670a6fc42dbaa23622b778ae94d502f2bb2e5f2b45e6982e0506e9d0daa8c",
-    "magi-fast-budget-1": "0bbbeb027ff7d83ad0a6a3e3bef255b8736e84c76ad59dc6bbebcb676250a9b0",
-    "magi-fast-budget-2": "6cfaa20ffa9303e818cbdb3ef17d6108e3b5d7ee5c2256ec418961fac8410825",
-    "magi-fast-budget-3": "4c74205a2339afe77f16d118268ba92e4f202af914f3150128e56360ac1bde69",
+    "baseline": "1201ef2cbeb14ef34298f8a0a241b58558440a662e398ad58f84a2dc81d5bf27",
+    "magi-fast": "f79973900e5c2a428e06b6496ee9101f14761232e0d7d95291615675ee2d1038",
+    "magi-slow": "7ef382127a4b65fd7f7c78be7b7d1fe02b880ddc55e0873c8f2b15092508351c",
+    "skyreels-fast": "445ba86e141d9300a992152d4148b6e9de9b55bd1abc9611302fa6a3f4799e8b",
+    "skyreels-slow": "bf99a86366041d3949804928c9cc6ca6ccb378f37b160f9b1a99bf60e775384d",
+    "magi-fast-lambda-0.03": "b45cb70b29172cc6ebe594e7e0ab90d5fef5d58a7c3e851b2520007535238546",
+    "magi-fast-lambda-0.2": "8ff4eba6b27af09e68dd06ef21fc73aa36748062785a324e808ddf9f3713cebb",
+    "magi-fast-lambda-1.0": "be55529c064ba2edae2928d2ef1f95466edef5dda0986d53186a9f3824804234",
+    "magi-fast-keys-frame": "f292f1f66613b544e38bca94d12f0bde2755dd0c9ea0d8fa73875dfec2db1f38",
+    "magi-fast-keys-chunk": "54e1ab5d9f688b7b149dc6f4a7b2d8197056214770257fd49d6b6d744b688be0",
+    "magi-fast-budget-None": "123f1aa9f15e91d78381ae0413ebda5b7e6decc34567eb2964b6187605962a94",
+    "magi-fast-budget-1": "134249d733be1d7ef5c891c205bcc64957e4109cb711fcac45349be165cfc876",
+    "magi-fast-budget-2": "372a15640b09fbc191218e72856e93487b423e6fa363b61a0ec83dbbbd68174d",
+    "magi-fast-budget-3": "2b370d75dc8ef6262bdf1d12be315ec0bde0913efc57b3709391360df35c0147",
     "skyreels-fast-frame-frame":
-        "8fc93e9874c4d9fbc215fda1da92a3c99ce2da68ffa851a234e8cee1c51d7dee",
-    "magi-fast-noise-0.05": "58e6b54ff6461ae8876449f91a341273f573680dea9ffee3acca4a20c11820a4",
+        "e53280b482af0184ac8ed2cd24b7af8e44e02087a728d2a6f382525e74e916e0",
+    "magi-fast-noise-0.05": "99e46cfafb0fe9ad72296f0a59a2ca67adaf845905ce02f0d936bdc5c18ca58a",
     "magi-fast-noise-0.05-seed-4294967296":
-        "0d62a16def3ec0bbb2f2fc56fb33e9ce216e1fbc7fa035cf7427f81dc1f7543e",
+        "69f809dfa97d27d042a0cb214eaa6ac367e4dd01be4d3cef1e17d831b864980c",
     "magi-fast-noise-0.05-seed-9223372036854775807":
-        "5e2cce18fd8f0163355d9ea6733f7f687565e769431afdbcebb5b1a38ecbfaf5",
+        "2669ad7ede62a835d4afb65e116122d2652e75f94ff3d971822f47c5a7c7b4ff",
 }
 
 
@@ -108,6 +113,27 @@ def test_content_hash_pinned(name, profile, overrides):
                          ids=[case[0] for case in CASES])
 def test_trace_json_pinned(name, profile, overrides):
     assert sha256(simulate(profile, overrides).to_json()) == JSON_PINS[name]
+
+
+# numpy's SIMD dispatch and OpenBLAS's kernel choice follow the CPU: these
+# settings take the paths of an x86 CPU without AVX-512 and of one without AVX2
+@pytest.mark.parametrize("setting", [
+    {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4"},
+    {"OPENBLAS_CORETYPE": "Sandybridge"},
+], ids=["numpy-without-avx512", "openblas-sandybridge"])
+def test_pinned_bytes_hold_on_other_cpu_paths(setting):
+    # the golden file and every to_json pin, re-checked in a child process
+    # that has the setting; the child may never rewrite the golden file
+    env = {k: v for k, v in os.environ.items() if k != "FLOWCACHE_SIM_REGEN_GOLDEN"}
+    tests = Path(__file__).parent
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{tests / 'test_trace.py'}::TestExport::test_golden_fixture_byte_exact",
+         f"{tests / 'test_hash_pins.py'}::test_trace_json_pinned"],
+        cwd=tests.parent, env={**env, **setting}, capture_output=True, text=True,
+        timeout=600)
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert "19 passed" in child.stdout
 
 
 def test_golden_fixture_hash_pinned():
@@ -147,4 +173,4 @@ def test_run_report_pinned(tmp_path, capsys):
             == "acb644bdd6d828ff7cc20d9d434168c3cc402a999a22310d0d4093d807e92dc9")
     # bytes, not text: the CSV's rows end in \r\n
     assert (hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest()
-            == "6636f6035e5fd97e25ac782114bfd49da70a3a0354486efbf4180092cc6c9529")
+            == "8083b9e8fe3aec698fb8b4c133dc641d3d73e774acbfbe7be357f74ee236f794")

@@ -141,7 +141,8 @@ class TestExport:
 
     @pytest.mark.parametrize("text", ["[1]", '{"schema_version": 1',
                                       '{"schema_version": 2}',
-                                      '{"schema_version": 3}'])
+                                      '{"schema_version": 3}',
+                                      '{"schema_version": 4}'])
     def test_non_trace_text_rejected(self, text):
         with pytest.raises(InvalidInput):
             import_trace(text)
@@ -167,6 +168,16 @@ class TestExport:
         for rep in payload["compressions"]:
             rep["no_op"] = False
         with pytest.raises(InvalidInput, match="^unsupported trace schema 2$"):
+            import_trace(json.dumps(payload))
+
+    def test_schema_v3_text_rejected(self):
+        # v3: each compression head also carried the combined score's min, max and mean
+        payload = json.loads(tiny_run().to_json())
+        payload["schema_version"] = payload["config"]["schema_version"] = 3
+        for rep in payload["compressions"]:
+            for head in rep["heads"].values():
+                head.update({f"score_{stat}": 0.0 for stat in ("min", "max", "mean")})
+        with pytest.raises(InvalidInput, match="^unsupported trace schema 3$"):
             import_trace(json.dumps(payload))
 
     def test_truncated_final_latent_rejected(self):
@@ -234,8 +245,6 @@ class TestExport:
         (lambda p: p["final_latents"].update({"2": " " + p["final_latents"]["2"]}),
          r"trace\.final_latents\.2 is not valid base64"),
         # unhashed fields: the hash alone would not catch these
-        (lambda p: p["compressions"][0]["heads"]["0"].update(score_min=math.nan),
-         r"^trace\.compressions\[0\]\.heads\.0\.score_min must be a finite number$"),
         (recode("chunk_steps", "estimate", put(1, math.inf)),
          r"^trace\.chunk_steps\.estimate must hold finite values or NaN$"),
         (recode("chunk_steps", "estimate", put(1, -math.inf)),
@@ -271,18 +280,29 @@ class TestExport:
         (lambda p: p["config"]["scene"].update(extra=1),
          r"^trace\.config\.scene\.extra is not a config field$"),
         (lambda p: p["config"].update(schema_version=7),
-         r"^trace\.config\.schema_version must be 3$"),
+         r"^trace\.config\.schema_version must be 4$"),
+        # a second spelling of a key, with its value, would overwrite it unseen
+        *[(lambda p, key=key: (heads := p["compressions"][0]["heads"]).update(
+              {key: heads[str(int(key))]}),
+           rf"^trace\.compressions\[0\]\.heads\.{key} key must be an int64$")
+          for key in ("0_0", " 1", "01", "\u0661")],
+        *[(lambda p, key=key: (finals := p["final_latents"]).update(
+              {key: finals[str(int(key))]}),
+           rf"^trace\.final_latents\.{key} key must be an int64$")
+          for key in ("0_1", " 1", "01")],
     ], ids=["decision-int", "decision-none", "heads-list", "finals-list",
             "finals-missing", "global-step-huge", "retained-id-huge",
             "retained-id-float", "retained-ids-text", "head-key-huge",
             "head-key-text", "finals-key-huge", "finals-list-latent",
             "finals-not-base64", "finals-space-base64",
-            "score-min-nan", "estimate-inf", "estimate-minus-inf", "metric-nan",
+            "estimate-inf", "estimate-minus-inf", "metric-nan",
             "column-truncated", "column-odd-bytes", "column-space-base64",
             "column-unpadded-base64", "compute-2", "chunk-count-sum",
             "chunk-count-negative", "chunk-count-list", "steps-list",
             "totals-forged", "totals-missing", "config-scene-extra",
-            "config-schema-7"])
+            "config-schema-7", "head-key-underscore", "head-key-space",
+            "head-key-zero-padded", "head-key-arabic-indic", "finals-key-underscore",
+            "finals-key-space", "finals-key-zero-padded"])
     def test_mutated_field_names_its_path(self, mutate, path):
         payload = json.loads(tiny_run().to_json())
         mutate(payload)
