@@ -20,7 +20,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -313,6 +313,11 @@ def _project(latent: np.ndarray, w: np.ndarray, n: Optional[int] = None) -> np.n
     return np.divide(rows, norms[:, :, None], out=rows)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
                policy: Optional[ReusePolicy], noise_scale: float) -> Iterator[tuple]:
     """Drive every chunk from noise to clean, yielding one event per step.
@@ -324,10 +329,12 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
 
     Step g yields ``(g, rows, finished, query_latent)``: the active chunks'
     ``trace.COLUMNS["chunk_steps"]`` rows in index order (compute flag, NaN
-    for no estimate), the chunks that became clean at g and, if any, a copy of
-    the latent of the newest chunk still active after g (else None).
-    A chunk's state is made when its window opens and dropped once yielded
-    as finished, so at most ``window`` chunk states are live; its latent is its row of a
+    for no estimate), an ``(index, latent)`` pair for each chunk that became clean
+    at g and, if any, a copy of the latent of the newest chunk still active after g
+    (else None). Yielded latents are read-only and hold no chunk state, so
+    ``list(trajectory(...))`` is a recording that ``run_denoise`` can replay for
+    any KV plan. A chunk's state is made when its window opens and dropped as it
+    finishes, so at most ``window`` chunk states are live; its latent is its row of a
     table whose rows end as the final latents. Decisions are per chunk; one ``perturbed_velocity``
     call per step covers the computing rows, ``apply`` records the chunks' reuse state, and
     norms and Euler steps take all active rows.
@@ -368,20 +375,25 @@ def trajectory(scene: SceneConfig, schedule: PowerLawSchedule,
                          decision.accumulator,
                          math.nan if decision.estimate is None else decision.estimate))
             chunk.latent_norm, chunk.local_step = norm, chunk.local_step + 1
-            if chunk.local_step == schedule.steps:
-                finished.append(chunk)
-        del active[:len(finished)]   # the oldest chunks finish first
+            if chunk.local_step == schedule.steps:   # no later step writes its row
+                finished.append((chunk.index, _read_only(chunk.latent)))
+        del active[:len(finished)], chunk   # the oldest finish first; chunk may be one
         velocities = velocities[len(finished):].copy() if finished else velocities
-        yield g, rows, finished, active[-1].latent.copy() if active and finished else None
+        yield (g, rows, finished,
+               _read_only(active[-1].latent.copy()) if active and finished else None)
 
 
 def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
                 policy: Optional[ReusePolicy] = None,
                 kv: Optional[KVPlan] = None,
                 cost: Optional[CostModel] = None,
-                noise_scale: float = 0.0) -> RunTrace:
+                noise_scale: float = 0.0,
+                events: Optional[Iterable[tuple]] = None) -> RunTrace:
     """Run the trajectory; its trace holds the chunk-step rows as yielded, the
     config snapshot, KV use and the cost ``cost.step_flops`` prices from them.
+
+    ``events`` defaults to ``trajectory(scene, schedule, policy, noise_scale)``; a
+    recording of it (a list) replays under any KV plan and cost, which never reach it.
 
     ``policy=None`` disables the reuse machinery entirely (every step
     computes); an epsilon=0 policy takes the same decisions and produces a
@@ -390,7 +402,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     Otherwise each finished chunk's keys enter the buffer with a callable
     projecting the last n tokens' queries of the newest still-active chunk
     (or its own), which the buffer calls only when it compresses. At most
-    ``window`` chunk states are live; the final latents are rows of one table.
+    ``window`` chunk states are live; the final latents are read-only rows of one table.
     """
     _check_noise_scale(noise_scale)   # before any draw, the projection weights' too
     kv = kv or KVPlan()
@@ -407,15 +419,16 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
     clean_tokens = row = 0
     final_latents: dict[int, np.ndarray] = {}
 
-    for g, rows, finished, query_latent in trajectory(scene, schedule, policy, noise_scale):
-        for chunk in finished:
-            final_latents[chunk.index] = chunk.latent
+    events = trajectory(scene, schedule, policy, noise_scale) if events is None else events
+    for g, rows, finished, query_latent in events:
+        for index, latent in finished:
+            final_latents[index] = latent
             if buffer is None:
                 clean_tokens += tokens_per_chunk
                 continue
-            query_source = chunk.latent if query_latent is None else query_latent
+            query_source = latent if query_latent is None else query_latent
             report = buffer.add_clean_chunk(
-                chunk.index, lambda: _project(chunk.latent, w_key),
+                index, lambda: _project(latent, w_key),
                 lambda n: _project(query_source, w_query, n), g)
             if report is not None:
                 trace.compressions.append(report)
@@ -426,7 +439,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
                           float(clean_tokens + active_tokens) * cost.bytes_per_kv_token)
         trace.chunk_steps[row:row + len(rows)] = rows
         row += len(rows)
-        query_latent = finished = chunk = None   # freed now, not after the next step
+        query_latent = finished = None   # freed now, not after the next step
 
     counts = trace.steps["chunk_count"]   # each at least 1, so reduceat sums each step's flags
     trace.steps["flops"] = cost.step_flops(trace.steps, np.add.reduceat(

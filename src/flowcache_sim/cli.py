@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, armodel
 from .armodel import recompute_flops, run_denoise
 from .config import PROFILES, build_objects, resolve_config, section
 from .errors import SimulatorError
@@ -34,11 +34,12 @@ _SWEEP_COLUMNS = ["axis", "value", "reuse_fraction", "final_l1_error_vs_baseline
 _SUITES = ["corollary", "kernels", "kvequiv", "policy", "theorem"]
 
 
-def _execute(objects):
-    """Simulate one ``build_objects`` result."""
-    scene, schedule, policy, kv, cost, noise_scale = objects
+def _execute(run):
+    """Simulate one ``(build_objects result, events)`` pair: events are a recording
+    of the run's ``armodel.trajectory``, or None to run the trajectory live."""
+    (scene, schedule, policy, kv, cost, noise_scale), events = run
     return run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
-                       noise_scale=noise_scale)
+                       noise_scale=noise_scale, events=events)
 
 
 def _out_dir(raw: str) -> Path:
@@ -58,7 +59,7 @@ def cmd_run(args) -> int:
         print(json.dumps(cfg, indent=2, sort_keys=True))
         return 0
 
-    trace = _execute(objects)
+    trace = _execute((objects, None))
     scene, _, _, _, cost, _ = objects
     # the epsilon-0 (compute-everything) baseline's flops, from this run's records
     gain = flops_speedup(trace, recompute_flops(trace, scene, cost))
@@ -148,9 +149,13 @@ def cmd_sweep(args) -> int:
     # every run's objects first, so that a bad value exits 2 before any simulation
     built = [build_objects(cfg if value is _OWN else _apply_axis(cfg, args.axis, value))
              for value in [_SWEEP_AXES[args.axis][3], *values]]
-    reference = _execute(built[0])
+    events = None
+    if _SWEEP_AXES[args.axis][0] == "kv":   # KV fields never reach the trajectory
+        scene, schedule, policy, _, _, noise_scale = built[0]
+        events = list(armodel.trajectory(scene, schedule, policy, noise_scale))
+    reference = _execute((built[0], events))
     # _row takes each trace, so that it dies before the next row runs
-    rows = [_row(args.axis, value, _execute(objects), reference)
+    rows = [_row(args.axis, value, _execute((objects, events)), reference)
             for value, objects in zip(values, built[1:])]
 
     out = io.StringIO()

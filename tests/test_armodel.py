@@ -14,7 +14,7 @@ from flowcache_sim import (PROFILES, ChunkState, KVPlan, PowerLawSchedule,
                            ideal_velocity, make_clean_latent, make_initial_noise,
                            perturbed_velocity, resolve_config, run_denoise,
                            total_global_steps, trajectory, velocity_noise_seeds)
-from flowcache_sim import armodel, import_trace
+from flowcache_sim import armodel, cli, import_trace
 from flowcache_sim import trace as trace_module
 from flowcache_sim.armodel import recompute_flops
 from flowcache_sim.cli import _apply_axis
@@ -357,7 +357,7 @@ class TestRunLifecycle:
         for g, rows, finished, _ in trajectory(scene, sched, None, 0.0):
             assert [row[0] for row in rows] == [
                 c for c, (start, end) in spans.items() if start <= g < end]
-            assert [c.index for c in finished] == [
+            assert [index for index, _ in finished] == [
                 c for c, (_, end) in spans.items() if end - 1 == g]
             seen += 1
         assert seen == total_global_steps(sched, scene)
@@ -520,10 +520,10 @@ class TestTrajectoryIgnoresKV:
                            DTYPES["chunk_steps"])
         assert np.isnan(stacked["estimate"]).any()
         assert stacked.tobytes() == trace.chunk_steps.tobytes()   # NaN estimates too
-        finished = [c for _, _, done, _ in events for c in done]
-        assert [c.index for c in finished] == list(range(1, scene.num_chunks + 1))
-        for chunk in finished:
-            assert np.array_equal(chunk.latent, trace.final_latents[chunk.index])
+        finished = [pair for _, _, done, _ in events for pair in done]
+        assert [index for index, _ in finished] == list(range(1, scene.num_chunks + 1))
+        for index, latent in finished:
+            assert np.array_equal(latent, trace.final_latents[index])
 
     def test_yielded_latents_are_not_changed_later(self):
         # finished latents are rows of the run's latent table and the query latent
@@ -531,7 +531,7 @@ class TestTrajectoryIgnoresKV:
         scene, sched, policy, kv, cost, noise = self.magi_fast_objects()
         held, queries = [], 0
         for _, _, finished, query_latent in trajectory(scene, sched, policy, noise):
-            held += [(chunk.index, chunk.latent, chunk.latent.copy()) for chunk in finished]
+            held += [(index, latent, latent.copy()) for index, latent in finished]
             if query_latent is not None:
                 held.append((None, query_latent, query_latent.copy()))
                 queries += 1
@@ -547,48 +547,81 @@ class TestWorkingSet:
     """Chunk state lives only while its window is open."""
 
     @staticmethod
-    def live_chunk_states():
-        return sum(type(o) is ChunkState for o in gc.get_objects())
+    def tracked_chunk_states(monkeypatch) -> list:
+        """Weak references to every ``ChunkState`` the trajectory makes from now on."""
+        refs = []
 
-    def test_finished_chunk_states_die_by_the_next_step(self):
+        def making(*args, **kwargs):
+            state = ChunkState(*args, **kwargs)
+            refs.append(weakref.ref(state))
+            return state
+        monkeypatch.setattr(armodel, "ChunkState", making)
+        return refs
+
+    @staticmethod
+    def live_indices(refs) -> set:
+        return {ref().index for ref in refs if ref() is not None}
+
+    def test_finished_chunk_states_die_by_the_next_step(self, monkeypatch):
+        # a finished chunk is yielded as an (index, latent) pair, not as its state
+        refs = self.tracked_chunk_states(monkeypatch)
         scene = SceneConfig(num_chunks=12, window=3, shape=(4, 2, 3, 3), seed=5)
         sched = PowerLawSchedule(power=1.0, steps=6)
-        gc.collect()
-        before = self.live_chunk_states()
-        refs, seen = [], 0
-        for _, _, finished, _ in trajectory(scene, sched, ReusePolicy(0.015, 1), 0.0):
-            assert all(ref() is None for ref in refs)
-            assert self.live_chunk_states() - before <= scene.window
-            refs = [weakref.ref(chunk) for chunk in finished]
-            seen += len(refs)
-        del finished
-        assert all(ref() is None for ref in refs)
-        assert seen == scene.num_chunks
+        done, seen = set(), 0
+        for _, rows, finished, _ in trajectory(scene, sched, ReusePolicy(0.015, 1), 0.0):
+            live = self.live_indices(refs)
+            assert not live & done and len(live) <= scene.window
+            assert {row[0] for row in rows} - {index for index, _ in finished} <= live
+            done = {index for index, _ in finished}
+            seen += len(done)
+        assert seen == scene.num_chunks == len(refs)
+        assert not self.live_indices(refs)
 
     @pytest.mark.parametrize("budget", [None, 1])
     def test_finished_chunk_states_die_before_the_next_velocity(self, monkeypatch, budget):
-        # run_denoise lets go of a finished chunk, with its clean latent and seed table,
-        # before the next step computes
-        refs, checks = [], []
-        events, velocity = armodel.trajectory, armodel.perturbed_velocity
+        # no finished chunk's state, with its clean latent and seed table, is live
+        # while a step computes: only the window's chunks are (at window 1, the
+        # chunk that finished at the last step is the newest one)
+        refs = self.tracked_chunk_states(monkeypatch)
+        velocity = armodel.perturbed_velocity
 
-        def recording(*args):
-            for event in events(*args):
-                refs[:] = map(weakref.ref, event[2])
-                yield event
-                del event
+        def checking(window, *args):
+            checks.append(self.live_indices(refs) == {chunk.index for chunk in window})
+            return velocity(window, *args)
 
-        def checking(*args):
-            checks.append(all(ref() is None for ref in refs))
-            return velocity(*args)
-
-        monkeypatch.setattr(armodel, "trajectory", recording)
         monkeypatch.setattr(armodel, "perturbed_velocity", checking)
-        scene = SceneConfig(num_chunks=12, window=3, shape=(4, 2, 3, 3), seed=5)
-        run_denoise(scene, PowerLawSchedule(power=1.0, steps=6), kv=KVPlan(budget_chunks=budget),
-                    noise_scale=0.05)
-        assert len(checks) == total_global_steps(PowerLawSchedule(power=1.0, steps=6), scene)
-        assert all(checks)
+        sched = PowerLawSchedule(power=1.0, steps=6)
+        for window in (1, 3):
+            scene, checks = SceneConfig(num_chunks=12, window=window, shape=(4, 2, 3, 3),
+                                        seed=5), []
+            run_denoise(scene, sched, kv=KVPlan(budget_chunks=budget), noise_scale=0.05)
+            assert len(checks) == total_global_steps(sched, scene)
+            assert all(checks), window
+
+    def test_a_sweep_recording_holds_no_chunk_state_and_is_read_only(self, monkeypatch,
+                                                                     capsys):
+        # a kv-axis sweep records one trajectory; every row reads the same latents
+        refs, runs = self.tracked_chunk_states(monkeypatch), []
+        execute = cli._execute
+
+        def capturing(run):
+            runs.append((self.live_indices(refs), run[1], execute(run)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(cli, "_execute", capturing)
+        assert cli.main(["sweep", "--profile", "magi-fast", "--axis", "lambda",
+                         "--values", "0.03,1.0"]) == 0
+        capsys.readouterr()
+        events = runs[0][1]
+        assert len(runs) == 3 and len(refs) == len(runs[0][2].final_latents)
+        assert all(not live and recorded is events for live, recorded, _ in runs)
+        latents = [latent for _, _, finished, query in events
+                   for latent in [query, *(latent for _, latent in finished)]
+                   if latent is not None]
+        assert len(latents) > len(refs)
+        for latent in [*latents, *(trace.final_latents[1] for *_, trace in runs)]:
+            with pytest.raises(ValueError, match="read-only"):
+                latent[...] = 0.0
 
     def test_no_record_objects_outlive_a_run(self):
         # the trace keeps its records as columns; a record object is built on read

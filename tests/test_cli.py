@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowcache_sim import PowerLawSchedule, SceneConfig, run_denoise
-from flowcache_sim import cli, verify
+from flowcache_sim import armodel, cli, verify
 from flowcache_sim.cli import main
 from flowcache_sim.errors import InvalidConfig
 from flowcache_sim.trace import RunTrace
@@ -234,6 +235,73 @@ class TestHashReads:
         assert len(hashed) == 1
         content_hash = json.loads((tmp_path / "trace.json").read_text())["content_hash"]
         assert f"trace_hash: {content_hash}" in capsys.readouterr().out
+
+
+class TestSharedTrajectory:
+    """A sweep over a KV axis records one trajectory that every row replays."""
+
+    @pytest.fixture()
+    def executed(self, monkeypatch):
+        """Each ``cli._execute`` call's positional arguments and trace."""
+        calls, execute = [], cli._execute
+
+        def capturing(*args):
+            calls.append((args, execute(*args)))
+            return calls[-1][1]
+        monkeypatch.setattr(cli, "_execute", capturing)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 3, 19])
+    @pytest.mark.parametrize("extra", [{"policy": None}, {"noise_scale": 0.05}],
+                             ids=["nopolicy", "noisy"])
+    @pytest.mark.parametrize("axis,values", [("lambda", "0.03,1.0"),
+                                             ("granularity", "frame,chunk"),
+                                             ("budget", "8,3")])
+    def test_row_equals_standalone_run(self, executed, tmp_path, capsys, axis, values,
+                                       extra, seed):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(extra))
+        assert run_cli("sweep", "--axis", axis, "--values", values, "--config",
+                       str(cfg_file), "--seed", str(seed)) == 0
+        capsys.readouterr()
+        assert len(executed) == 3
+        reference = executed[0][0][0][0]
+        for ((objects, events),), trace in executed:
+            assert events is executed[0][0][0][1] is not None
+            scene, schedule, policy, kv, cost, noise_scale = objects
+            # what the trajectory reads is the reference's, so its recording serves the row
+            assert (scene, schedule, policy, noise_scale) == tuple(
+                reference[i] for i in (0, 1, 2, 5))
+            alone = run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
+                                noise_scale=noise_scale)
+            assert trace.content_hash == alone.content_hash
+            assert trace.totals == alone.totals
+            assert len(trace.compressions) == len(alone.compressions)
+            if alone.compressions:
+                last, alone_last = trace.compressions[-1].heads, alone.compressions[-1].heads
+                assert sorted(last) == sorted(alone_last)
+                for head in last:
+                    assert np.array_equal(last[head].retained_ids,
+                                          alone_last[head].retained_ids)
+        assert any(trace.compressions for _, trace in executed)
+
+    @pytest.mark.parametrize("axis,values", [("lambda", "0.03,1.0"),
+                                             ("granularity", "frame,chunk"),
+                                             ("budget", "8,3"), ("epsilon", "0,0.015")])
+    def test_trajectories_per_sweep(self, executed, monkeypatch, capsys, axis, values):
+        # kv axes run one trajectory; epsilon rows run their own. Either way
+        # _execute is called once per simulation with one argument, which
+        # the benchmark's sweep check counts
+        calls, trajectory = [], armodel.trajectory
+        monkeypatch.setattr(armodel, "trajectory",
+                            lambda *args: calls.append(args) or trajectory(*args))
+        assert run_cli("sweep", "--axis", axis, "--values", values,
+                       "--profile", "magi-fast") == 0
+        capsys.readouterr()
+        assert [len(args) for args, _ in executed] == [1, 1, 1]
+        assert len(calls) == (3 if axis == "epsilon" else 1)
+        assert all((events is None) == (axis == "epsilon")
+                   for ((_, events),), _ in executed)
 
 
 class TestVerifyCommand:
