@@ -302,15 +302,17 @@ def _project(latent: np.ndarray, w: np.ndarray, n: Optional[int] = None) -> np.n
     """Per-head (tokens, heads, dim) rows of ``latent`` under the map ``w``, of its
     last ``n`` tokens only if ``n`` is given (the same bits as those rows of all).
 
-    Rows are l2-normalized per token so attention logits have a usable scale
-    regardless of latent magnitude; an all-zero token stays zero.
+    One GEMM of all tokens with the heads' maps side by side, then the last ``n``
+    rows (a GEMM of fewer rows can give other bits), l2-normalized per token into a
+    fresh array that frees the full product, so attention logits have a usable
+    scale regardless of latent magnitude; an all-zero token stays zero.
     """
     c = latent.shape[0]
-    tokens = latent.reshape(c, -1).T
-    rows = np.einsum("tc,hcd->thd", tokens if n is None else tokens[-n:], w)
+    rows = latent.reshape(c, -1).T @ w.transpose(1, 0, 2).reshape(c, -1)
+    rows = rows[-(n or len(rows)):].reshape(-1, w.shape[0], w.shape[2])
     norms = np.sqrt(np.einsum("thd,thd->th", rows, rows))
     norms[norms == 0.0] = 1.0
-    return np.divide(rows, norms[:, :, None], out=rows)
+    return rows / norms[:, :, None]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

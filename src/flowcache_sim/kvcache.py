@@ -10,11 +10,12 @@ Chunks still denoising never enter the buffer; the run counts their tokens.
 Scoring combines two per-head distributions over the candidate tokens:
 importance (attention mass received from recent query tokens, max-pooled for
 robustness) and redundancy (mean cosine similarity to the other cached keys,
-penalized); neither reads values, so none are kept. The buffer turns the
-plan's granularities into group sizes once: 1 token, a frame or a chunk. A
-compression asks for the query window's rows only, each query group's rows
-mean-pooled into one; selection keeps the ``budget`` highest-scoring tokens
-per head in whole key groups.
+penalized); neither reads values, so none are kept. Importance takes a GEMM,
+an ``exp`` and a GEMV per key head, redundancy two contractions. The buffer
+turns the plan's granularities into group sizes once: 1 token, a frame or a
+chunk. A compression asks for the query window's rows only, each query group's
+rows mean-pooled into one; selection keeps the ``budget`` highest-scoring
+tokens per head in whole key groups.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ import numpy as np
 
 from .errors import DegenerateInput, InternalError, InvalidConfig, InvalidInput
 from .numerics import FLOAT, maxpool1d, softmax_, stable_topk
-
-# Blocked accumulation bound for the fast redundancy kernel: the unit keys of at
-# most this many tokens exist at once, in the caller's scratch if it passes one.
-_REDUNDANCY_BLOCK = 512
-
 
 @dataclass(frozen=True)
 class KVPlan:
@@ -72,9 +68,10 @@ def importance(queries: np.ndarray, keys: np.ndarray, plan: KVPlan, *,
 
     ``queries`` is (L_q, H_q, d) and ``keys`` is (L_k, H_k, d); query heads
     are grouped contiguously onto key heads (H_q must be a multiple of H_k).
-    Only the trailing ``query_window`` query rows contribute. For each key
-    head the scaled dot-product rows are softmaxed over the key axis and
-    averaged over the contributing query rows, the logits in ``scratch`` if it fits them.
+    Only the trailing ``query_window`` query rows contribute, prescaled by 1/sqrt(d).
+    Per key head, the logits rows (one GEMM, in ``scratch`` if it fits them) are
+    softmaxed over the keys and averaged: max subtraction and ``exp`` in place,
+    then one GEMV that weights each row by 1 / (its sum * the row count).
     """
     queries = np.asarray(queries, dtype=FLOAT)
     keys = np.asarray(keys, dtype=FLOAT)
@@ -86,26 +83,33 @@ def importance(queries: np.ndarray, keys: np.ndarray, plan: KVPlan, *,
         raise InvalidInput(f"head dim mismatch {d_q} vs {d_k}")
     if l_q < 1:
         raise InvalidInput("need at least one query row")
+    if l_k < 1:
+        raise InvalidInput("need at least one key row")
     if h_q < 1 or h_k < 1:
         raise InvalidInput(f"need a query and a key head, got {h_q} and {h_k}")
     if h_q % h_k != 0:
         raise InvalidInput(f"query heads {h_q} not divisible by key heads {h_k}")
     group = h_q // h_k
     w = min(plan.query_window, l_q)
-    # (w, h_q, d) -> (h_k, w * group, d), window rows outermost within a head
+    rows = w * group
+    # (w, h_q, d) -> (h_k, w * group, d), window rows outermost within a head; scaled
+    # out of place, as the reshape may view the caller's queries
     window = (queries[-w:].reshape(w, h_k, group, d_q)
-              .transpose(1, 0, 2, 3).reshape(h_k, w * group, d_q))
+              .transpose(1, 0, 2, 3).reshape(h_k, rows, d_q)) / np.sqrt(d_k)
     # one key head at a time into one (w * group, l_k) logits array: a head's whole
     # GEMM is the one a batched matmul runs (same bits); blocks of its rows are not
-    keys_t = keys.transpose(1, 2, 0)
-    if scratch is None or scratch.size < w * group * l_k:
-        scratch = np.empty(w * group * l_k, dtype=FLOAT)
-    logits = scratch[:w * group * l_k].reshape(w * group, l_k)
+    if scratch is None or scratch.size < rows * l_k:
+        scratch = np.empty(rows * l_k, dtype=FLOAT)
+    logits = scratch[:rows * l_k].reshape(rows, l_k)
     out = np.empty((h_k, l_k), dtype=FLOAT)
     for h in range(h_k):
-        np.matmul(window[h], keys_t[h], out=logits)
-        logits /= np.sqrt(d_k)
-        out[h] = softmax_(logits, axis=-1).mean(axis=0)
+        np.matmul(window[h], keys[:, h].T, out=logits)
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        sums = logits.sum(axis=1)
+        if not np.isfinite(sums).all():   # finite only when every entry is
+            raise InvalidInput("softmax produced a non-finite value")
+        np.dot(1.0 / (sums * rows), logits, out=out[h])
     return out
 
 
@@ -117,32 +121,26 @@ def pooled_importance(imp: np.ndarray, plan: KVPlan) -> np.ndarray:
     return maxpool1d(imp, plan.pool_kernel)
 
 
-def redundancy_fast(keys: np.ndarray, *, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+def redundancy_fast(keys: np.ndarray) -> np.ndarray:
     """Redundancy without the LxL matrix: mean-key dot products per token.
 
     The column mean of the zero-diagonal cosine matrix equals the dot product
     of each unit key with the mean of all unit keys, minus the token's own
     self-similarity contribution (exactly 1/L after row normalization). The
-    mean unit keys of all heads accumulate blockwise, in ``scratch`` if it fits a block, so
-    transient memory stays O(block * H * d + H * L); it matches verify.redundancy_naive to 1e-9.
+    mean unit keys of all heads are one contraction of the keys with their
+    reciprocal norms, so transient memory stays O(H * L); it matches
+    verify.redundancy_naive to 1e-9.
     """
     keys = np.asarray(keys, dtype=FLOAT)
     if keys.ndim != 3:
         raise InvalidInput("keys must be rank-3 (tokens, heads, dim)")
-    l_k, h_k, d = keys.shape
+    l_k = keys.shape[0]
     if l_k < 2:
         raise InvalidInput("redundancy needs at least two tokens")
     norms = np.sqrt(np.einsum("lhd,lhd->lh", keys, keys))   # (L, H)
     if np.any(norms == 0.0):
         raise DegenerateInput("zero-norm key row")
-    mean_unit = np.zeros((h_k, d), dtype=FLOAT)
-    if scratch is None or scratch.size < min(l_k, _REDUNDANCY_BLOCK) * h_k * d:
-        scratch = np.empty(min(l_k, _REDUNDANCY_BLOCK) * h_k * d, dtype=FLOAT)
-    for start in range(0, l_k, _REDUNDANCY_BLOCK):
-        block = keys[start:start + _REDUNDANCY_BLOCK]
-        out = scratch[:block.size].reshape(block.shape)
-        mean_unit += np.divide(block, norms[start:start + len(block), :, None], out=out).sum(axis=0)
-    mean_unit /= l_k
+    mean_unit = np.einsum("lhd,lh->hd", keys, 1.0 / norms) / l_k
     # einsum reads the strided keys without a copy; C order makes each head's
     # softmax sum contiguous, so the head count cannot change its order
     col_mean = np.einsum("lhd,hd->hl", keys, mean_unit, order="C")   # (H, L)
@@ -284,5 +282,4 @@ def score_candidates(queries: np.ndarray, keys: np.ndarray, plan: KVPlan, *,
                      scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Combined (heads, L) score of a candidate key set, all heads at once."""
     pooled = pooled_importance(importance(queries, keys, plan, scratch=scratch), plan)
-    red = redundancy_fast(keys, scratch=scratch)   # after importance: both use the scratch
-    return plan.mix_lambda * pooled - (1.0 - plan.mix_lambda) * red
+    return plan.mix_lambda * pooled - (1.0 - plan.mix_lambda) * redundancy_fast(keys)

@@ -435,12 +435,13 @@ class TestRunLifecycle:
 
 
 class TestProjection:
-    """One unit-row projection serves keys and queries, bit for bit as before."""
+    """One unit-row projection serves keys and queries, bit for bit as per-head products."""
 
     @staticmethod
     def written_out(latent, w):
+        # one GEMM per head, against the product's one GEMM of all heads side by side
         feats = latent.reshape(latent.shape[0], -1).T
-        rows = np.einsum("tc,hcd->thd", feats, w)
+        rows = np.matmul(feats, w).transpose(1, 0, 2)
         norms = np.sqrt(np.einsum("thd,thd->th", rows, rows))
         norms[norms == 0.0] = 1.0
         return rows / norms[:, :, None]

@@ -22,9 +22,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from flowcache_sim import PROFILES, build_objects, resolve_config, run_denoise
+from flowcache_sim import (PROFILES, build_objects, kvcache, resolve_config, run_denoise,
+                           select_tokens)
 from flowcache_sim.cli import main
 from flowcache_sim.config import _deep_merge
 
@@ -134,6 +136,27 @@ def test_pinned_bytes_hold_on_other_cpu_paths(setting):
         timeout=600)
     assert child.returncode == 0, child.stdout + child.stderr
     assert "19 passed" in child.stdout
+
+
+@pytest.mark.parametrize("mix_lambda", [None, 1.0, 0.03], ids=["default", "1.0", "0.03"])
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_selection_boundaries_tie_or_stand_far_apart(profile, mix_lambda, monkeypatch):
+    # what keeps the retained ids, so every hash and trace.json byte, off the
+    # last bits of exp and BLAS: at each head's boundary the last kept and the
+    # first dropped group scores are an exact tie (a max-pool plateau, equal on
+    # any CPU and broken by index) or at least 1e6 ulp apart
+    gaps = []
+
+    def measured(score_row, budget_tokens, group):
+        groups = np.sort(score_row.reshape(-1, group).mean(axis=1))[::-1]
+        kept, dropped = groups[min(budget_tokens // group, len(groups)) - 1:][:2]
+        gaps.append((kept - dropped) / np.spacing(max(abs(kept), abs(dropped))))
+        return select_tokens(score_row, budget_tokens, group)
+
+    monkeypatch.setattr(kvcache, "select_tokens", measured)
+    overrides = {} if mix_lambda is None else {"kv": {"mix_lambda": mix_lambda}}
+    assert simulate(profile, {"scene": {"seed": 0}, **overrides}).compressions
+    assert gaps and all(gap == 0.0 or gap >= 1e6 for gap in gaps), min(gaps)
 
 
 def test_golden_fixture_hash_pinned():

@@ -12,7 +12,7 @@ from flowcache_sim import (KVBuffer, KVPlan, build_objects, importance, pooled_i
                            select_tokens)
 from flowcache_sim import kvcache
 from flowcache_sim.errors import DegenerateInput, InternalError, InvalidConfig, InvalidInput
-from flowcache_sim.numerics import maxpool1d, softmax_
+from flowcache_sim.numerics import maxpool1d
 from flowcache_sim.trace import RunTrace
 from flowcache_sim.verify import redundancy_naive
 
@@ -43,16 +43,18 @@ def importance_oracle(queries, keys, window):
 
 
 def batched_importance(queries, keys, window):
-    """All key heads' logits in one matmul: the expression the per-head loop replaced."""
+    """All key heads at once: the per-head loop's arithmetic as batched matmuls."""
     l_q, h_q, d = queries.shape
     h_k = keys.shape[1]
     group = h_q // h_k
     w = min(window, l_q)
     rows = (queries[-w:].reshape(w, h_k, group, d)
-            .transpose(1, 0, 2, 3).reshape(h_k, w * group, d))
-    logits = np.matmul(rows, keys.transpose(1, 2, 0))
-    logits /= np.sqrt(d)
-    return softmax_(logits, axis=-1).mean(axis=1)
+            .transpose(1, 0, 2, 3).reshape(h_k, w * group, d)) / np.sqrt(d)
+    e = np.matmul(rows, keys.transpose(1, 2, 0))
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    weights = 1.0 / (e.sum(axis=-1) * (w * group))    # (h_k, w * group)
+    return np.matmul(weights[:, None, :], e)[:, 0]
 
 
 class TestImportance:
@@ -105,7 +107,9 @@ class TestImportance:
         ((3, 2, 4), (5, 8), "queries and keys must be rank-3 (tokens, heads, dim)"),
         ((3, 2, 4), (5, 2, 8), "head dim mismatch 4 vs 8"),
         ((0, 2, 4), (5, 2, 4), "need at least one query row"),
-    ], ids=["queries-not-rank-3", "keys-not-rank-3", "head-dim-mismatch", "no-query-rows"])
+        ((3, 2, 4), (0, 2, 4), "need at least one key row"),
+    ], ids=["queries-not-rank-3", "keys-not-rank-3", "head-dim-mismatch", "no-query-rows",
+            "no-key-rows"])
     def test_bad_shape_rejected(self, q_shape, k_shape, message):
         with pytest.raises(InvalidInput) as info:
             importance(np.ones(q_shape), np.ones(k_shape), cfg())
@@ -247,20 +251,13 @@ class TestRedundancy:
 
     @pytest.mark.parametrize("l_k", [2, 37, 513, 1100])
     def test_heads_batch_bit_for_bit(self, l_k):
-        # lengths on both sides of the accumulation block
+        # one head at a time gives the batched bits, at short and long lengths
         keys = np.random.default_rng(l_k).normal(size=(l_k, 4, 16))
         batched = redundancy_fast(keys)
         for h in range(4):
             np.testing.assert_array_equal(batched[h],
                                           redundancy_fast(keys[:, h:h + 1])[0])
         assert np.abs(batched - redundancy_naive(keys)).max() < 1e-9
-
-    @pytest.mark.parametrize("l_k", [2, 37, 513, 1100])
-    def test_garbage_scratch_gives_the_same_bits(self, l_k):
-        keys = np.random.default_rng(l_k).normal(size=(l_k + 5, 4, 16))[:l_k]
-        scratch = np.full(600 * 4 * 16, np.nan)
-        assert np.array_equal(redundancy_fast(keys, scratch=scratch),
-                              redundancy_fast(keys.copy()))
 
     def test_zero_norm_row_rejected(self):
         keys = np.random.default_rng(9).normal(size=(4, 1, 3))
