@@ -70,8 +70,10 @@ def importance(queries: np.ndarray, keys: np.ndarray, plan: KVPlan, *,
     are grouped contiguously onto key heads (H_q must be a multiple of H_k).
     Only the trailing ``query_window`` query rows contribute, prescaled by 1/sqrt(d).
     Per key head, the logits rows (one GEMM, in ``scratch`` if it fits them) are
-    softmaxed over the keys and averaged: max subtraction and ``exp`` in place,
-    then one GEMV that weights each row by 1 / (its sum * the row count).
+    softmaxed over the keys and averaged: ``exp`` in place, unshifted, then one GEMV
+    that weights each row by 1 / (its sum * the row count). Unit or zero keys and
+    unit queries or means of them keep the buffer's logits in [-1/sqrt(d), 1/sqrt(d)];
+    a logit above about 709.8 or a row all below about -708 raises ``InvalidInput``.
     """
     queries = np.asarray(queries, dtype=FLOAT)
     keys = np.asarray(keys, dtype=FLOAT)
@@ -104,10 +106,9 @@ def importance(queries: np.ndarray, keys: np.ndarray, plan: KVPlan, *,
     out = np.empty((h_k, l_k), dtype=FLOAT)
     for h in range(h_k):
         np.matmul(window[h], keys[:, h].T, out=logits)
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        sums = logits.sum(axis=1)
-        if not np.isfinite(sums).all():   # finite only when every entry is
+        np.exp(logits, out=logits)   # softmax is shift-invariant: no row max
+        sums = logits.sum(axis=1)   # finite iff every entry is; if at least tiny, so is 1/sums
+        if not np.finfo(FLOAT).tiny <= sums.min() <= sums.max() < np.inf:
             raise InvalidInput("softmax produced a non-finite value")
         np.dot(1.0 / (sums * rows), logits, out=out[h])
     return out
@@ -163,7 +164,8 @@ def select_tokens(score_row: np.ndarray, budget_tokens: int, group: int) -> np.n
     n_groups = min(budget_tokens // group, score_row.size // group)
     if n_groups < 1:
         raise InvalidConfig(f"budget {budget_tokens} below one group of {group} tokens")
-    picked = stable_topk(score_row.reshape(-1, group).mean(axis=1), n_groups)
+    means = score_row.reshape(-1, group).mean(axis=1) if group > 1 else score_row   # x/1 == x
+    picked = stable_topk(means, n_groups)
     return (picked[:, None] * group + np.arange(group)).reshape(-1)
 
 

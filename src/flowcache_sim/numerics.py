@@ -85,17 +85,18 @@ def maxpool1d(x: np.ndarray, kernel: int) -> np.ndarray:
 
 
 def stable_topk(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` largest scores, in ascending index order.
+    """Indices of the ``k`` largest finite scores, in ascending index order.
 
-    Ties break toward the lower index, which makes every selection
-    deterministic and lets a full stable sort serve as an oracle.
+    Ties break toward the lower index, which makes every selection deterministic;
+    a full stable sort, ``verify``'s oracle, gives the ids this partition does.
     """
     scores = np.asarray(scores, dtype=FLOAT)
     if scores.ndim != 1:
         raise InvalidInput("stable_topk expects a 1-D score vector")
     if not 0 < k <= scores.size:
         raise InvalidInput(f"k={k} out of range for {scores.size} scores")
-    # stable sort on negated scores: equal scores keep ascending index order
-    order = np.argsort(-scores, kind="stable")[:k]
-    order.sort()
-    return order
+    if not np.isfinite(scores).all():   # a partition would rank NaN above every score
+        raise InvalidInput("stable_topk needs finite scores")
+    top = np.partition(scores, scores.size - k)[scores.size - k:]   # the k largest, top[0] least
+    ties = scores == top[0]   # partition, ties filled by index: as many as top holds, lowest first
+    return np.flatnonzero((scores > top[0]) | (ties & (np.cumsum(ties) <= (top == top[0]).sum())))

@@ -459,6 +459,21 @@ class TestProjection:
             assert np.all(got[0] == 0.0)
             assert np.allclose(np.linalg.norm(got[1:], axis=-1), 1.0)
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_rows_and_frame_means_have_norm_at_most_one(self, profile):
+        # the bound that keeps the KV buffer's logits within 1/sqrt(d); a frame of
+        # all-zero tokens projects and pools to zero rows
+        scene, _, _, kv, *_ = build_objects(resolve_config(profile=profile))
+        latent = np.random.default_rng(32).standard_normal(scene.shape)
+        latent.reshape(scene.shape[0], -1)[:, :scene.tokens_per_frame] = 0.0
+        one = 1.0 + 4 * np.finfo(float).eps   # a unit row's norm, up to rounding
+        for w in armodel._projection_weights(scene, kv):
+            rows = armodel._project(latent, w)
+            frames = rows.reshape(-1, scene.tokens_per_frame, *rows.shape[1:]).mean(axis=1)
+            for got in (rows, frames):
+                assert np.linalg.norm(got, axis=-1).max() <= one
+            assert not rows[:scene.tokens_per_frame].any() and not frames[0].any()
+
     @pytest.mark.parametrize("profile", ["magi-fast", "skyreels-fast"])
     def test_last_n_tokens_bit_equal_to_those_rows_of_all(self, profile):
         scene, _, _, kv, *_ = build_objects(resolve_config(profile=profile))

@@ -138,13 +138,25 @@ def test_pinned_bytes_hold_on_other_cpu_paths(setting):
     assert "19 passed" in child.stdout
 
 
-@pytest.mark.parametrize("mix_lambda", [None, 1.0, 0.03], ids=["default", "1.0", "0.03"])
+MARGIN_CASES = {
+    "default": {},
+    "1.0": {"kv": {"mix_lambda": 1.0}},
+    "0.03": {"kv": {"mix_lambda": 0.03}},
+    "keys-frame": {"kv": {"key_granularity": "frame"}},
+    "keys-chunk": {"kv": {"key_granularity": "chunk"}},
+    "queries-frame": {"kv": {"query_granularity": "frame"}},
+    "budget-1": {"kv": {"budget_chunks": 1}},
+}
+
+
+@pytest.mark.parametrize("overrides", list(MARGIN_CASES.values()), ids=list(MARGIN_CASES))
 @pytest.mark.parametrize("profile", sorted(PROFILES))
-def test_selection_boundaries_tie_or_stand_far_apart(profile, mix_lambda, monkeypatch):
+def test_selection_boundaries_tie_or_stand_far_apart(profile, overrides, monkeypatch):
     # what keeps the retained ids, so every hash and trace.json byte, off the
     # last bits of exp and BLAS: at each head's boundary the last kept and the
     # first dropped group scores are an exact tie (a max-pool plateau, equal on
-    # any CPU and broken by index) or at least 1e6 ulp apart
+    # any CPU and broken by index) or at least 1e6 ulp apart; at each lambda
+    # extreme, key group size, pooled queries and the smallest budget
     gaps = []
 
     def measured(score_row, budget_tokens, group):
@@ -154,7 +166,6 @@ def test_selection_boundaries_tie_or_stand_far_apart(profile, mix_lambda, monkey
         return select_tokens(score_row, budget_tokens, group)
 
     monkeypatch.setattr(kvcache, "select_tokens", measured)
-    overrides = {} if mix_lambda is None else {"kv": {"mix_lambda": mix_lambda}}
     assert simulate(profile, {"scene": {"seed": 0}, **overrides}).compressions
     assert gaps and all(gap == 0.0 or gap >= 1e6 for gap in gaps), min(gaps)
 

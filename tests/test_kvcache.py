@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcache_sim import (KVBuffer, KVPlan, build_objects, importance, pooled_importance,
-                           redundancy_fast, resolve_config, run_denoise, score_candidates,
-                           select_tokens)
+from flowcache_sim import (PROFILES, KVBuffer, KVPlan, build_objects, importance,
+                           pooled_importance, redundancy_fast, resolve_config, run_denoise,
+                           score_candidates, select_tokens)
 from flowcache_sim import kvcache
+from flowcache_sim.config import _deep_merge
 from flowcache_sim.errors import DegenerateInput, InternalError, InvalidConfig, InvalidInput
 from flowcache_sim.numerics import maxpool1d
 from flowcache_sim.trace import RunTrace
@@ -51,8 +52,7 @@ def batched_importance(queries, keys, window):
     rows = (queries[-w:].reshape(w, h_k, group, d)
             .transpose(1, 0, 2, 3).reshape(h_k, w * group, d)) / np.sqrt(d)
     e = np.matmul(rows, keys.transpose(1, 2, 0))
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
+    np.exp(e, out=e)   # unshifted, as the loop takes it
     weights = 1.0 / (e.sum(axis=-1) * (w * group))    # (h_k, w * group)
     return np.matmul(weights[:, None, :], e)[:, 0]
 
@@ -176,6 +176,59 @@ class TestImportance:
         out = importance(q, keys, cfg(query_window=window))
         np.testing.assert_allclose(out, importance_oracle(q, keys, window),
                                    rtol=0, atol=1e-12)
+
+    def test_logit_above_exp_overflow_rejected(self):
+        # no row max is subtracted, so exp sees each logit as it is: at d = 1 the
+        # query is the logit against a unit key; exp(709) is finite, exp(710) is not
+        keys = np.array([[[1.0]], [[0.0]]])
+        assert np.isfinite(importance(np.full((1, 1, 1), 709.0), keys, cfg())).all()
+        with pytest.raises(InvalidInput) as info, np.errstate(over="ignore"):
+            importance(np.full((1, 1, 1), 710.0), keys, cfg())
+        assert str(info.value) == "softmax produced a non-finite value"
+
+    @pytest.mark.parametrize("logit", [-800.0, -720.0])
+    def test_row_of_vanishing_logits_rejected(self, logit):
+        # one row's logits all below about -708 sum to zero (exp(-800) underflows)
+        # or to a subnormal (exp(-720)), where the GEMV's 1 / sum would give NaN or
+        # inf; the row above it is fine, so the check is per row
+        q = np.array([0.0, logit]).reshape(2, 1, 1)
+        with pytest.raises(InvalidInput) as info:
+            importance(q, np.ones((3, 1, 1)), cfg())
+        assert str(info.value) == "softmax produced a non-finite value"
+
+    def test_logits_near_the_floor_match_the_shifted_oracle(self):
+        # logits of about -700 exponentiate to normal floats: no shift is needed
+        q = np.full((1, 1, 1), -700.0)
+        keys = np.array([1.0, 1.01, 0.99, 1.005]).reshape(4, 1, 1)
+        np.testing.assert_allclose(importance(q, keys, cfg()),
+                                   importance_oracle(q, keys, 50), rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("query_granularity", ["token", "frame"])
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_buffer_logits_stay_within_one_over_sqrt_d(profile, query_granularity, monkeypatch):
+    # what keeps importance's unshifted exp far from overflow and underflow: the
+    # buffer's keys are unit rows (or zero), its query rows unit rows or frame means
+    # of them, so every row's l2 norm is at most 1 and every logit within 1/sqrt(d)
+    seen = []
+
+    def measured(queries, keys, plan, **kw):
+        seen.append((queries.copy(), keys.copy()))
+        return importance(queries, keys, plan, **kw)
+
+    monkeypatch.setattr(kvcache, "importance", measured)
+    config = _deep_merge(resolve_config(profile=profile),
+                         {"kv": {"query_granularity": query_granularity}})
+    scene, schedule, policy, kv, cost, noise = build_objects(config)
+    assert run_denoise(scene, schedule, policy=policy, kv=kv, cost=cost,
+                       noise_scale=noise).compressions
+    one = 1.0 + 4 * np.finfo(float).eps   # a unit row's norm, up to rounding
+    for queries, keys in seen:
+        d = keys.shape[-1]
+        assert np.linalg.norm(queries, axis=-1).max() <= one
+        assert np.linalg.norm(keys, axis=-1).max() <= one
+        logits = queries.reshape(-1, d) @ keys.reshape(-1, d).T / math.sqrt(d)
+        assert np.abs(logits).max() <= one / math.sqrt(d)
 
 
 class TestPooledImportance:

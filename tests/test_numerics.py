@@ -218,6 +218,25 @@ class TestStableTopK:
             stable_topk(np.zeros((2, 3)), 1)
         assert str(info.value) == "stable_topk expects a 1-D score vector"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a partition ranks NaN above every score, so a NaN would change the ids silently
+        scores = np.array([0.5, bad, 0.1, 0.9])
+        for k in (1, 4):
+            with pytest.raises(InvalidInput) as info:
+                stable_topk(scores, k)
+            assert str(info.value) == "stable_topk needs finite scores"
+
+    @settings(max_examples=300)
+    @given(scores=st.lists(st.one_of(st.integers(-3, 3).map(float),
+                                     st.sampled_from([0.0, -0.0])), min_size=1, max_size=40))
+    def test_equals_the_stable_full_sort(self, scores):
+        # integer values tie heavily and -0.0 ties 0.0: the partition's tie fill must
+        # pick the lowest indices, as the stable sort on negated scores does, at every k
+        s = np.array(scores)
+        for k in range(1, len(s) + 1):
+            assert np.array_equal(stable_topk(s, k), np.sort(np.argsort(-s, kind="stable")[:k]))
+
     @given(data=st.data(), shift=st.integers(-50, 50))
     def test_shift_invariance(self, data, shift):
         # dyadic grid values + integer shifts keep float addition exact, so
