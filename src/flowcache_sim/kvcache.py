@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateInput, InternalError, InvalidConfig, InvalidInput
-from .numerics import FLOAT, maxpool1d, softmax_, stable_topk
+from .numerics import FLOAT, maxpool1d, softmax, stable_topk
 
 @dataclass(frozen=True)
 class KVPlan:
@@ -108,8 +108,10 @@ def importance(queries: np.ndarray, keys: np.ndarray, plan: KVPlan, *,
         np.matmul(window[h], keys[:, h].T, out=logits)
         np.exp(logits, out=logits)   # softmax is shift-invariant: no row max
         sums = logits.sum(axis=1)   # finite iff every entry is; if at least tiny, so is 1/sums
-        if not np.finfo(FLOAT).tiny <= sums.min() <= sums.max() < np.inf:
+        if not np.isfinite(sums).all():
             raise InvalidInput("softmax produced a non-finite value")
+        if sums.min() < np.finfo(FLOAT).tiny:
+            raise InvalidInput("softmax row sum vanished (a row of logits all below about -708)")
         np.dot(1.0 / (sums * rows), logits, out=out[h])
     return out
 
@@ -147,7 +149,7 @@ def redundancy_fast(keys: np.ndarray) -> np.ndarray:
     col_mean = np.einsum("lhd,hd->hl", keys, mean_unit, order="C")   # (H, L)
     col_mean /= norms.T
     col_mean -= 1.0 / l_k
-    return softmax_(col_mean, axis=-1)
+    return softmax(col_mean, axis=-1)
 
 
 def select_tokens(score_row: np.ndarray, budget_tokens: int, group: int) -> np.ndarray:

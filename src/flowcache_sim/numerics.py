@@ -40,13 +40,7 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     nor underflow to a zero denominator. Output entries are positive and sum
     to 1 along ``axis`` within 1e-12.
     """
-    return softmax_(np.array(x, dtype=FLOAT), axis)
-
-
-def softmax_(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``softmax`` in place: overwrite float64 ``x`` (same bits), return it."""
-    if not isinstance(x, np.ndarray) or x.dtype != FLOAT:
-        raise InvalidInput("softmax_ needs a float64 array")
+    x = np.array(x, dtype=FLOAT)   # the copy every pass below overwrites
     if x.ndim == 0 or not (-x.ndim <= axis < x.ndim):
         raise InvalidInput(f"axis {axis} invalid for shape {x.shape}")
     if x.shape[axis] == 0:

@@ -43,19 +43,9 @@ DECISIONS = (REUSE, COMPUTE)   # indexed by the compute flag
 
 
 @dataclass(frozen=True)
-class ChunkStepRecord:
-    chunk: int
-    local_step: int
-    decision: str
-    metric: float
-    accumulator: float
-    estimate: Optional[float] = None   # decision-time estimate; not hashed
-
-
-@dataclass(frozen=True)
 class StepRecord:
     global_step: int
-    chunks: list[ChunkStepRecord]
+    chunks: list[tuple]   # the step's chunk-step rows, in COLUMNS["chunk_steps"] order
     flops: float
     kv_clean_tokens: int
     kv_active_tokens: int
@@ -119,9 +109,7 @@ class RunTrace:
     def records(self) -> Iterator[StepRecord]:
         """The steps as ``StepRecord``s, each built from its rows when reached."""
         for (g, _, *costs), rows in self._walk():
-            yield StepRecord(g, [ChunkStepRecord(chunk, step, DECISIONS[compute], metric, acc,
-                                                 None if math.isnan(estimate) else estimate)
-                                 for chunk, step, compute, metric, acc, estimate in rows], *costs)
+            yield StepRecord(g, rows, *costs)
 
     def _walk(self) -> Iterator[tuple[list, list[tuple]]]:
         """Each step's row and its chunk-step rows, so no table is ever a list."""

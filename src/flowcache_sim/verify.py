@@ -48,7 +48,7 @@ def _l1_oracle(x: np.ndarray) -> float:
     return total
 
 
-def _softmax_oracle(x: np.ndarray) -> np.ndarray:
+def _oracle_softmax(x: np.ndarray) -> np.ndarray:
     # extended precision on x86 long double, cast back at the end
     hp = x.astype(np.longdouble)
     hp = hp - hp.max()
@@ -73,7 +73,7 @@ def _importance_oracle(queries: np.ndarray, keys: np.ndarray,
     for h in range(keys.shape[1]):
         pairs = [q[h * group + g] for q in queries[-window:] for g in range(group)]
         for q in pairs:
-            out[h] += _softmax_oracle(np.array(
+            out[h] += _oracle_softmax(np.array(
                 [q @ k / np.sqrt(q.size) for k in keys[:, h]]))
         out[h] /= len(pairs)
     return out
@@ -96,13 +96,13 @@ def suite_kernels(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for _ in range(50):
         x = rng.normal(scale=rng.uniform(0.5, 300.0), size=rng.integers(2, 40))
-        worst = max(worst, float(np.abs(softmax(x) - _softmax_oracle(x)).max()))
+        worst = max(worst, float(np.abs(softmax(x) - _oracle_softmax(x)).max()))
         m = rng.normal(scale=rng.uniform(0.5, 300.0), size=rng.integers(2, 40, 2))
-        expected = np.stack([_softmax_oracle(row) for row in m])   # row-wise
+        expected = np.stack([_oracle_softmax(row) for row in m])   # row-wise
         worst = max(worst, float(np.abs(softmax(m) - expected).max()))
     worst = max(worst, float(np.abs(
         softmax(np.array([1.0, 2.0, 3.0])) -
-        _softmax_oracle(np.array([1.0, 2.0, 3.0]))).max()))
+        _oracle_softmax(np.array([1.0, 2.0, 3.0]))).max()))
     results.append(CheckResult(
         "softmax vs extended-precision oracle (50 random vectors, "
         "50 row-wise matrices)",

@@ -1,4 +1,5 @@
 import base64
+import collections
 import gc
 import json
 import math
@@ -20,7 +21,7 @@ from flowcache_sim.armodel import recompute_flops
 from flowcache_sim.cli import _apply_axis
 from flowcache_sim.config import _deep_merge
 from flowcache_sim.errors import DegenerateInput, InvalidConfig, InvalidInput, Singularity
-from flowcache_sim.trace import DTYPES, ChunkStepRecord, StepRecord
+from flowcache_sim.trace import DTYPES
 
 
 def small_scene(**kw):
@@ -341,10 +342,9 @@ class TestRunLifecycle:
         stride = sched.steps // scene.window
         interior = range(stride * (scene.window - 1),
                          total_global_steps(sched, scene) - sched.steps + stride)
-        for rec in trace.records:
-            active = len(rec.chunks)
+        for g, active in trace.steps[["global_step", "chunk_count"]].tolist():
             assert active <= scene.window
-            if rec.global_step in interior:
+            if g in interior:
                 assert active == scene.window
 
     @pytest.mark.parametrize("chunks,window,steps",
@@ -366,9 +366,9 @@ class TestRunLifecycle:
         scene = small_scene()
         sched = PowerLawSchedule(power=0.25, steps=8)
         trace = run_denoise(scene, sched, policy=None)
+        rows = trace.chunk_steps
         for chunk in range(1, scene.num_chunks + 1):
-            steps = [cr.local_step for rec in trace.records
-                     for cr in rec.chunks if cr.chunk == chunk]
+            steps = rows["local_step"][rows["chunk"] == chunk].tolist()
             assert steps == list(range(sched.steps))
 
     @pytest.mark.parametrize("power", [1.0, 2.0])
@@ -392,10 +392,9 @@ class TestRunLifecycle:
         scene = SceneConfig(num_chunks=10, window=4, shape=(4, 2, 3, 3), seed=0)
         sched = PowerLawSchedule(power=0.25, steps=64)
         trace = run_denoise(scene, sched, policy=ReusePolicy(0.015, 5))
-        mixed = any(
-            {cr.decision for cr in rec.chunks} == {"compute", "reuse"}
-            for rec in trace.records)
-        assert mixed
+        compute = np.split(trace.chunk_steps["compute"],
+                           np.cumsum(trace.steps["chunk_count"])[:-1])
+        assert any(0 < step.sum() < len(step) for step in compute)
 
     def test_flops_never_exceed_baseline(self):
         scene = small_scene()
@@ -431,7 +430,7 @@ class TestRunLifecycle:
         trace = run_denoise(scene, sched, policy=None, kv=kv)
         assert trace.compressions   # compression fired with pooled queries
         tpc = scene.tokens_per_chunk
-        assert all(rec.kv_clean_tokens <= 2 * tpc for rec in trace.records)
+        assert (trace.steps["kv_clean_tokens"] <= 2 * tpc).all()
 
 
 class TestProjection:
@@ -507,21 +506,14 @@ class TestTrajectoryIgnoresKV:
         return run_denoise(scene, sched, policy=policy, kv=kv, cost=cost,
                            noise_scale=noise)
 
-    @staticmethod
-    def chunk_rows(trace):
-        return [(cr.chunk, cr.local_step, cr.decision, cr.metric,
-                 cr.accumulator, cr.estimate)
-                for rec in trace.records for cr in rec.chunks]
-
     def test_budget_and_key_granularity_leave_trajectory_unchanged(self):
         runs = [self.magi_fast_run(b, gran)
                 for b in (None, 1, 2, 5) for gran in ("token", "frame")]
         ref = runs[0]
-        assert any(cr.decision == "reuse"
-                   for rec in ref.records for cr in rec.chunks)
+        assert (ref.chunk_steps["compute"] == 0).any()
         assert sum(bool(run.compressions) for run in runs) == 6
         for run in runs[1:]:
-            assert self.chunk_rows(run) == self.chunk_rows(ref)
+            assert run.chunk_steps.tobytes() == ref.chunk_steps.tobytes()
             assert sorted(run.final_latents) == sorted(ref.final_latents)
             for idx, latent in ref.final_latents.items():
                 assert np.array_equal(run.final_latents[idx], latent)
@@ -640,17 +632,19 @@ class TestWorkingSet:
                 latent[...] = 0.0
 
     def test_no_record_objects_outlive_a_run(self):
-        # the trace keeps its records as columns; a record object is built on read
-        def live_records():
-            return sum(type(o) in (ChunkStepRecord, StepRecord) for o in gc.get_objects())
+        # the trace keeps its records as columns: of trace's own types, a run
+        # leaves only the trace and its totals
+        def live():
+            return collections.Counter(type(o).__name__ for o in gc.get_objects()
+                                       if type(o).__module__ == trace_module.__name__)
 
         scene = SceneConfig(num_chunks=12, window=3, shape=(4, 2, 3, 3), seed=5)
         sched = PowerLawSchedule(power=1.0, steps=6)
         gc.collect()
-        before = live_records()
+        before = live()
         trace = run_denoise(scene, sched, ReusePolicy(0.015, 1))
         gc.collect()
-        assert live_records() == before
+        assert live() - before == {"RunTrace": 1, "RunTotals": 1}
         assert trace.chunk_steps.nbytes == 41 * scene.num_chunks * sched.steps
 
     @staticmethod

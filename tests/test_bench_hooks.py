@@ -2,22 +2,26 @@
 
 ``perfbench/tracing.py`` replaces each ``(owner, attribute)`` it lists with a
 timing wrapper, and ``perfbench/workloads.py`` checks each op's traces by
-iterating ``trace.records``. A rename in the package, or a change to what
-``records`` yields, would otherwise only surface when ``perfbench/run.py``
-runs, so these tests check both up front.
+iterating ``trace.records``: each ``StepRecord``'s ``chunks`` (its chunk-step
+rows) and ``resident_tokens``. These are the only tests that read ``records``;
+they pin it to the ``steps`` and ``chunk_steps`` columns. A rename in the
+package, or a change to what ``records`` yields, would otherwise only surface
+when ``perfbench/run.py`` runs, so these tests check both up front.
 """
 
 import gc
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowcache_sim import (PowerLawSchedule, ReusePolicy, SceneConfig, armodel,
-                           build_objects, resolve_config, run_denoise)
-from flowcache_sim.trace import ChunkStepRecord
+                           build_objects, import_trace, resolve_config, run_denoise)
+from flowcache_sim.trace import DTYPES, StepRecord
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = Path(__file__).parent / "data" / "golden_magi_fast.json"
 
 
 def load(name):
@@ -28,9 +32,10 @@ def load(name):
     return module
 
 
-def magi_fast_run(**kv):
+def magi_fast_run(noise_scale=0.0, **kv):
     cfg = resolve_config(profile="magi-fast")
     cfg["kv"].update(kv)
+    cfg["noise_scale"] = noise_scale
     scene, sched, policy, kv_plan, cost, noise = build_objects(cfg)
     return run_denoise(scene, sched, policy=policy, kv=kv_plan, cost=cost,
                        noise_scale=noise)
@@ -86,16 +91,30 @@ def test_benchmark_invariant_check_reads_records():
         check_invariants(trace)
 
 
+@pytest.mark.parametrize("trace", [lambda: magi_fast_run(noise_scale=0.05),
+                                   lambda: import_trace(GOLDEN.read_text())],
+                         ids=["noisy-magi-fast", "golden"])
+def test_records_are_the_columns(trace):
+    # what check_invariants reads: the chunk-step rows and each step's resident tokens
+    trace = trace()
+    records = list(trace.records)
+    rows = [row for r in records for row in r.chunks]
+    assert np.array(rows, DTYPES["chunk_steps"]).tobytes() == trace.chunk_steps.tobytes()
+    assert sum(len(r.chunks) for r in records) == len(trace.chunk_steps)
+    resident = trace.steps["kv_clean_tokens"] + trace.steps["kv_active_tokens"]
+    assert max(r.resident_tokens for r in records) == resident.max()
+
+
 def test_records_build_one_step_at_a_time():
     # the benchmark's peak-allocation pass times the op and its check together
     scene = SceneConfig(num_chunks=12, window=3, shape=(4, 2, 3, 3), seed=5)
     trace = run_denoise(scene, PowerLawSchedule(power=1.0, steps=6), ReusePolicy(0.015, 1))
     gc.collect()
-    before = sum(type(o) is ChunkStepRecord for o in gc.get_objects())
+    before = sum(type(o) is StepRecord for o in gc.get_objects())
     records = iter(trace.records)   # kept alive, as a check's loop keeps it
     first = next(records)
-    live = sum(type(o) is ChunkStepRecord for o in gc.get_objects()) - before
-    assert live == len(first.chunks) <= scene.window
+    assert sum(type(o) is StepRecord for o in gc.get_objects()) - before <= 1
+    assert len(first.chunks) <= scene.window
 
 
 @pytest.mark.parametrize("name", load("workloads").NAMES)

@@ -194,6 +194,14 @@ class TestImportance:
         q = np.array([0.0, logit]).reshape(2, 1, 1)
         with pytest.raises(InvalidInput) as info:
             importance(q, np.ones((3, 1, 1)), cfg())
+        assert str(info.value) == (
+            "softmax row sum vanished (a row of logits all below about -708)")
+
+    def test_row_of_nan_logits_rejected_as_non_finite(self):
+        # a NaN sum is reported as non-finite even beside a vanishing row
+        q = np.array([np.nan, -800.0]).reshape(2, 1, 1)
+        with pytest.raises(InvalidInput) as info:
+            importance(q, np.ones((3, 1, 1)), cfg())
         assert str(info.value) == "softmax produced a non-finite value"
 
     def test_logits_near_the_floor_match_the_shifted_oracle(self):

@@ -16,7 +16,7 @@ from flowcache_sim import (PROFILES, CostModel, KVPlan, PowerLawSchedule,
                            ReusePolicy, SceneConfig, build_objects, import_trace,
                            resolve_config, run_denoise, speedup, trajectory)
 from flowcache_sim.errors import InvalidComparison, InvalidInput
-from flowcache_sim.trace import COLUMNS, DECISIONS, ChunkStepRecord, RunTrace, curves_csv
+from flowcache_sim.trace import COLUMNS, DTYPES, RunTrace, curves_csv
 
 GOLDEN = Path(__file__).parent / "data" / "golden_magi_fast.json"
 
@@ -86,8 +86,10 @@ class TestExport:
         trace = tiny_run()
         again = import_trace(trace.to_json())
         assert again.to_json() == trace.to_json()
-        # null estimates come back as None
-        assert list(again.records) == list(trace.records)
+        # the columns come back bit for bit, NaN estimates too
+        assert np.isnan(trace.chunk_steps["estimate"]).any()
+        assert again.steps.tobytes() == trace.steps.tobytes()
+        assert again.chunk_steps.tobytes() == trace.chunk_steps.tobytes()
 
     def test_round_trip_gives_read_only_int64_ids(self):
         trace = tiny_run()
@@ -162,8 +164,11 @@ class TestExport:
         trace = tiny_run()
         payload = json.loads(trace.to_json())
         payload["schema_version"] = payload["config"]["schema_version"] = 2
-        payload["records"] = [{**vars(r), "chunks": [vars(c) for c in r.chunks]}
-                              for r in trace.records]
+        chunks = np.split(trace.chunk_steps, np.cumsum(trace.steps["chunk_count"])[:-1])
+        payload["records"] = [
+            {**dict(zip(COLUMNS["steps"], step)),
+             "chunks": [dict(zip(COLUMNS["chunk_steps"], row)) for row in rows.tolist()]}
+            for step, rows in zip(trace.steps.tolist(), chunks)]
         del payload["steps"], payload["chunk_steps"]
         for rep in payload["compressions"]:
             rep["no_op"] = False
@@ -316,7 +321,7 @@ class TestExport:
                             cost=CostModel(bytes_per_kv_token=256))
         text = trace.to_json()
         assert column(json.loads(text), "steps", "resident_bytes")[0] == (
-            next(trace.records).resident_bytes)
+            trace.steps["resident_bytes"][0])
         back = import_trace(text)
         assert back.content_hash == trace.content_hash
         assert back.to_json() == text
@@ -329,7 +334,7 @@ class TestExport:
 
     def test_totals_account_every_slot(self):
         trace = tiny_run()
-        slots = sum(len(r.chunks) for r in trace.records)
+        slots = trace.steps["chunk_count"].sum()
         assert (trace.totals.computed_steps + trace.totals.reused_steps
                 == slots)
 
@@ -370,16 +375,15 @@ class TestRecordsView:
         scene = SceneConfig(num_chunks=3, window=2, shape=(4, 2, 3, 3), seed=1)
         sched = PowerLawSchedule(power=0.25, steps=8)
         policy = ReusePolicy(0.05, 2)
-        events = [(g, [ChunkStepRecord(chunk, local_step, DECISIONS[compute], metric,
-                                       accumulator, None if math.isnan(e) else e)
-                       for chunk, local_step, compute, metric, accumulator, e in rows])
-                  for g, rows, _, _ in trajectory(scene, sched, policy, 0.0)]
-        records = list(import_trace(run_denoise(scene, sched, policy=policy).to_json()).records)
-        assert len(records) == len(events) == 16
-        assert [(r.global_step, r.chunks) for r in records] == events
-        estimates = [c.estimate for r in records for c in r.chunks]
-        assert estimates[0] is None and None in estimates[1:]
-        assert all(e is None or type(e) is float for e in estimates)
+        events = list(trajectory(scene, sched, policy, 0.0))
+        back = import_trace(run_denoise(scene, sched, policy=policy).to_json())
+        assert len(back.steps) == len(events) == 16
+        assert back.steps["global_step"].tolist() == [g for g, *_ in events]
+        assert back.steps["chunk_count"].tolist() == [len(rows) for _, rows, _, _ in events]
+        rows = np.array([row for _, rows, _, _ in events for row in rows], DTYPES["chunk_steps"])
+        assert back.chunk_steps.tobytes() == rows.tobytes()   # NaN estimates too
+        null = np.isnan(back.chunk_steps["estimate"])
+        assert null[0] and null[1:].any() and not null.all()
 
 
 class TestSpeedup:
@@ -437,8 +441,7 @@ class TestCurves:
         trace = tiny_run()
         text = curves_csv(trace)
         rows = text.strip().splitlines()
-        slots = sum(len(r.chunks) for r in trace.records)
-        assert len(rows) == slots + 2   # schema line + header
+        assert len(rows) == len(trace.chunk_steps) + 2   # schema line + header
 
     def test_metric_series_non_decreasing_for_ideal_run(self):
         trace = magi_fast_run()
