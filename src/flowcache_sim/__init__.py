@@ -13,7 +13,7 @@ from .errors import (DegenerateInput, InternalError, InvalidComparison,
 from .kvcache import (CompressionReport, KVBuffer, KVPlan, importance,
                       pooled_importance, redundancy_fast, score_candidates,
                       select_tokens)
-from .numerics import l1_norm, maxpool1d, softmax, stable_topk
+from .numerics import l1_norm, maxpool1d, stable_topk
 from .reuse import Decision, ReusePolicy, decide, estimate_metric
 from .schedule import PowerLawSchedule, euler_step
 from .trace import RunTrace, curves_csv, import_trace, speedup

@@ -430,8 +430,7 @@ def run_denoise(scene: SceneConfig, schedule: PowerLawSchedule,
                 continue
             query_source = latent if query_latent is None else query_latent
             report = buffer.add_clean_chunk(
-                index, lambda: _project(latent, w_key),
-                lambda n: _project(query_source, w_query, n), g)
+                index, _project(latent, w_key), lambda n: _project(query_source, w_query, n), g)
             if report is not None:
                 trace.compressions.append(report)
             clean_tokens = buffer.clean_tokens

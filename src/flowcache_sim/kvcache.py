@@ -11,10 +11,11 @@ Scoring combines two per-head distributions over the candidate tokens:
 importance (attention mass received from recent query tokens, max-pooled for
 robustness) and redundancy (mean cosine similarity to the other cached keys,
 penalized); neither reads values, so none are kept. Importance takes a GEMM,
-an ``exp`` and a GEMV per key head, redundancy two contractions. The buffer
-turns the plan's granularities into group sizes once: 1 token, a frame or a
-chunk. A compression asks for the query window's rows only, each query group's
-rows mean-pooled into one; selection keeps the ``budget`` highest-scoring
+an ``exp`` and a GEMV per key head, redundancy two contractions and an ``exp``;
+both softmaxes run in place, unshifted, as logits and cosine means are bounded.
+The buffer turns the plan's granularities into group sizes once: 1 token, a frame
+or a chunk. A compression asks for the query window's rows only, each query
+group's rows mean-pooled into one; selection keeps the ``budget`` highest-scoring
 tokens per head in whole key groups.
 """
 
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateInput, InternalError, InvalidConfig, InvalidInput
-from .numerics import FLOAT, maxpool1d, softmax, stable_topk
+from .numerics import FLOAT, maxpool1d, stable_topk
 
 @dataclass(frozen=True)
 class KVPlan:
@@ -131,8 +132,9 @@ def redundancy_fast(keys: np.ndarray) -> np.ndarray:
     of each unit key with the mean of all unit keys, minus the token's own
     self-similarity contribution (exactly 1/L after row normalization). The
     mean unit keys of all heads are one contraction of the keys with their
-    reciprocal norms, so transient memory stays O(H * L); it matches
-    verify.redundancy_naive to 1e-9.
+    reciprocal norms, so transient memory stays O(H * L). The means are cosines in
+    [-1 - 1/L, 1], so each head's softmax is an unshifted ``exp`` in place, a row sum
+    (non-finite: ``InvalidInput``) and a divide, within 1e-9 of verify.redundancy_naive.
     """
     keys = np.asarray(keys, dtype=FLOAT)
     if keys.ndim != 3:
@@ -149,7 +151,12 @@ def redundancy_fast(keys: np.ndarray) -> np.ndarray:
     col_mean = np.einsum("lhd,hd->hl", keys, mean_unit, order="C")   # (H, L)
     col_mean /= norms.T
     col_mean -= 1.0 / l_k
-    return softmax(col_mean, axis=-1)
+    np.exp(col_mean, out=col_mean)   # of at most e: no row max
+    sums = col_mean.sum(axis=1, keepdims=True)   # finite iff every entry is
+    if not np.isfinite(sums).all():
+        raise InvalidInput("redundancy produced a non-finite value")
+    col_mean /= sums
+    return col_mean
 
 
 def select_tokens(score_row: np.ndarray, budget_tokens: int, group: int) -> np.ndarray:
@@ -225,10 +232,10 @@ class KVBuffer:
     def clean_tokens(self) -> int:
         return int(self._ids.shape[0])
 
-    def add_clean_chunk(self, chunk_index: int, keys: Callable[[], np.ndarray],
+    def add_clean_chunk(self, chunk_index: int, keys: np.ndarray,
                         queries: Callable[[int], np.ndarray],
                         global_step: int) -> Optional[CompressionReport]:
-        """Fold a finished chunk's keys, which ``keys()`` returns, into the clean region.
+        """Fold a finished chunk's (tokens, heads, dim) ``keys`` into the clean region.
 
         Appends while the clean region fits the budget; once an arrival
         overflows it, the merged candidate set is compressed on every arrival,
@@ -240,16 +247,16 @@ class KVBuffer:
         """
         if chunk_index <= self._arrived:
             raise InvalidInput(f"chunk_index {chunk_index} must be above {self._arrived}")
-        n, arriving = self.clean_tokens, keys()
-        if arriving.shape != (self.tokens_per_chunk, *self._keys.shape[1:]):
-            raise InvalidInput(f"bad key shape {arriving.shape}")
+        n = self.clean_tokens
+        if keys.shape != (self.tokens_per_chunk, *self._keys.shape[1:]):
+            raise InvalidInput(f"bad key shape {keys.shape}")
         self._arrived = chunk_index
         base = (chunk_index - 1) * self.tokens_per_chunk
         new_ids = base + np.arange(self.tokens_per_chunk, dtype=np.int64)
-        self._keys[n:n + self.tokens_per_chunk] = arriving
+        self._keys[n:n + self.tokens_per_chunk] = keys
         self._ids = np.concatenate(
-            [self._ids, np.broadcast_to(new_ids[:, None], arriving.shape[:2])])
-        del arriving   # not held across the compression
+            [self._ids, np.broadcast_to(new_ids[:, None], keys.shape[:2])])
+        del keys   # not held across the compression
         if self.clean_tokens <= self.budget_tokens:
             return None
         return self._compress(chunk_index, queries, global_step)

@@ -2,7 +2,8 @@
 
 All kernels operate on float64 numpy arrays, are pure functions of their
 inputs, and are deterministic for a fixed input. Inputs are validated to be
-finite; kernels that could overflow guard against producing NaN/Inf.
+finite; kernels that could overflow guard against producing NaN/Inf. The KV
+scores' softmaxes live in ``kvcache``: their bounded inputs need no max shift.
 """
 
 from __future__ import annotations
@@ -31,27 +32,6 @@ def l1_norms(rows: np.ndarray, what: str = "l1_norm") -> list[float]:
 def l1_norm(x: np.ndarray, what: str = "l1_norm") -> float:
     """Sum of absolute values over all elements, checked as ``l1_norms`` checks."""
     return l1_norms(np.asarray(x, dtype=FLOAT)[None], what)[0]
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``, into a fresh array.
-
-    Uses max-subtraction so inputs with magnitude up to ~1e3 neither overflow
-    nor underflow to a zero denominator. Output entries are positive and sum
-    to 1 along ``axis`` within 1e-12.
-    """
-    x = np.array(x, dtype=FLOAT)   # the copy every pass below overwrites
-    if x.ndim == 0 or not (-x.ndim <= axis < x.ndim):
-        raise InvalidInput(f"axis {axis} invalid for shape {x.shape}")
-    if x.shape[axis] == 0:
-        raise InvalidInput(f"softmax over an empty axis of shape {x.shape}")
-    x -= np.max(x, axis=axis, keepdims=True)
-    np.exp(x, out=x)
-    total = x.sum(axis=axis, keepdims=True)
-    if not np.isfinite(total).all():   # finite only when every entry is
-        raise InvalidInput("softmax produced a non-finite value")
-    x /= total
-    return x
 
 
 def maxpool1d(x: np.ndarray, kernel: int) -> np.ndarray:

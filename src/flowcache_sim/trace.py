@@ -274,7 +274,7 @@ def import_trace(data: dict | str) -> RunTrace:
         if data["schema_version"] != SCHEMA_VERSION:
             raise InvalidInput(f"unsupported trace schema {data['schema_version']}")
         try:
-            scene = build_objects(data["config"])[0]
+            scene, schedule = build_objects(data["config"])[:2]
         except SimulatorError as exc:
             raise InvalidInput(f"trace.config.{exc}") from None
         tables = []
@@ -300,6 +300,18 @@ def import_trace(data: dict | str) -> RunTrace:
         if counts.min(initial=0) < 0 or counts.max(initial=0) > rows or counts.sum() != rows:
             raise InvalidInput("trace.steps.chunk_count must be counts that sum "
                                f"to the {rows} chunk-step rows")
+        stride, steps, n = schedule.steps // scene.window, schedule.steps, scene.num_chunks
+        if rows != n * steps:   # first, so the config sizes no array beyond the input's
+            raise InvalidInput(f"trace.chunk_steps has {rows} rows; the config gives {n * steps}")
+        # chunk i (from 0) runs steps i * stride on; stably sorted, a step's rows go by chunk
+        g = (np.arange(n)[:, None] * stride + np.arange(steps)).ravel()
+        order = np.argsort(g, kind="stable")
+        for table, name, want in [("steps", "global_step", np.arange(g[-1] + 1)),
+                                  ("steps", "chunk_count", np.bincount(g)),
+                                  ("chunk_steps", "chunk", order // steps + 1),
+                                  ("chunk_steps", "local_step", order % steps)]:
+            if not np.array_equal(getattr(trace, table)[name], want):
+                raise InvalidInput(f"trace.{table}.{name} does not follow the config's chunk windows")
         for i, rep in enumerate(data["compressions"]):
             where = f"trace.compressions[{i}]"
             report = read_fields(CompressionReport, rep, where, heads={})
@@ -317,6 +329,8 @@ def import_trace(data: dict | str) -> RunTrace:
             where = f"trace.final_latents.{k}"
             finals[_int_key(k, where)] = _column(v, where, "<f8", scene.numel).astype(
                 FLOAT).reshape(scene.shape)
+        if finals.keys() != set(range(1, n + 1)):
+            raise InvalidInput(f"trace.final_latents must hold chunks 1 to {n}")
         where = "trace"
         trace.finish(finals)
         content_hash = data["content_hash"]

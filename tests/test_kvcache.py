@@ -310,6 +310,18 @@ class TestRedundancy:
             diff = np.abs(redundancy_fast(keys) - redundancy_naive(keys)).max()
             assert diff < 1e-9
 
+    @given(seed=st.integers(0, 2**32 - 1), l_k=st.integers(2, 64),
+           heads=st.integers(1, 4), dim=st.integers(1, 16),
+           scale=st.floats(1e-3, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_sums_to_one(self, seed, l_k, heads, dim, scale):
+        # each head's scores are a distribution over the tokens
+        keys = scale * np.random.default_rng(seed).normal(size=(l_k, heads, dim))
+        out = redundancy_fast(keys)
+        assert out.shape == (heads, l_k)
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12
+        assert (out >= 0).all()
+
     @pytest.mark.parametrize("l_k", [2, 37, 513, 1100])
     def test_heads_batch_bit_for_bit(self, l_k):
         # one head at a time gives the batched bits, at short and long lengths
@@ -335,7 +347,13 @@ class TestRedundancy:
         (redundancy_naive, np.ones((4, 3)), "keys must be rank-3 (tokens, heads, dim)"),
         (redundancy_fast, np.ones((4, 3)), "keys must be rank-3 (tokens, heads, dim)"),
         (redundancy_fast, np.ones((1, 1, 3)), "redundancy needs at least two tokens"),
-    ], ids=["naive-not-rank-3", "fast-not-rank-3", "fast-one-token"])
+        # a row sum is the finiteness check: a non-finite key makes its head's sum NaN
+        (redundancy_fast, np.r_[np.ones((3, 2, 4)), np.full((1, 2, 4), np.inf)],
+         "redundancy produced a non-finite value"),
+        (redundancy_fast, np.r_[np.ones((3, 2, 4)), [[[1.0, np.nan, 1.0, 1.0]] * 2]],
+         "redundancy produced a non-finite value"),
+    ], ids=["naive-not-rank-3", "fast-not-rank-3", "fast-one-token", "fast-inf-row",
+            "fast-nan-row"])
     def test_bad_keys_rejected(self, fn, keys, message):
         with pytest.raises(InvalidInput) as info:
             fn(keys)
@@ -383,8 +401,8 @@ class TestSelection:
         queries = rng.normal(size=(12, 4, 4))
         for i in range(1, 5):
             keys = rng.normal(size=(12, 2, 4))
-            assert plain(frame.add_clean_chunk(i, lambda: keys, lambda n: queries[-n:], i)) \
-                == plain(token.add_clean_chunk(i, lambda: keys, lambda n: queries[-n:], i))
+            assert plain(frame.add_clean_chunk(i, keys, lambda n: queries[-n:], i)) \
+                == plain(token.add_clean_chunk(i, keys, lambda n: queries[-n:], i))
 
     def test_group_loop_oracle(self):
         rng = np.random.default_rng(14)
@@ -423,7 +441,7 @@ class TestBuffer:
 
     def feed(self, chunk_index):
         keys, _ = make_chunk_kv(self.rng, self.tokens, 2, 4)   # values still drawn
-        return self.buffer.add_clean_chunk(chunk_index, lambda: keys, lambda n: self.queries[-n:],
+        return self.buffer.add_clean_chunk(chunk_index, keys, lambda n: self.queries[-n:],
                                            chunk_index)
 
     def test_fill_phase_appends(self):
@@ -486,7 +504,7 @@ class TestBuffer:
     def test_bad_key_shape_rejected(self):
         keys = np.ones((self.tokens - 1, 2, 4))
         with pytest.raises(InvalidInput) as info:
-            self.buffer.add_clean_chunk(1, lambda: keys, lambda n: self.queries[-n:], 1)
+            self.buffer.add_clean_chunk(1, keys, lambda n: self.queries[-n:], 1)
         assert str(info.value) == "bad key shape (11, 2, 4)"
         assert self.buffer.clean_tokens == 0
         assert self.feed(1) is None   # chunk 1 still arrives next
@@ -586,8 +604,8 @@ class TestFrameQueries:
         reports = 0
         for i in range(1, 5):
             keys, _ = make_chunk_kv(rng, 12, 2, 4)
-            got = frame.add_clean_chunk(i, lambda: keys, lambda n: queries[-n:], i)
-            want = token.add_clean_chunk(i, lambda: keys, lambda n: pooled[-n:], i)
+            got = frame.add_clean_chunk(i, keys, lambda n: queries[-n:], i)
+            want = token.add_clean_chunk(i, keys, lambda n: pooled[-n:], i)
             assert plain(got) == plain(want)   # ids and float scores exact
             reports += got is not None
         assert reports == 2
@@ -601,9 +619,9 @@ class TestFrameQueries:
 
         for i in (1, 2):   # 24 tokens fit the budget: nothing scores the queries
             assert buffer.add_clean_chunk(
-                i, lambda: make_chunk_kv(rng, 12, 2, 4)[0], unread, i) is None
+                i, make_chunk_kv(rng, 12, 2, 4)[0], unread, i) is None
         queries, asked = rng.normal(size=(12, 4, 4)), []
-        report = buffer.add_clean_chunk(3, lambda: make_chunk_kv(rng, 12, 2, 4)[0],
+        report = buffer.add_clean_chunk(3, make_chunk_kv(rng, 12, 2, 4)[0],
                                         lambda n: asked.append(n) or queries[-n:], 3)
         assert report is not None and asked == [12]   # the overflowing arrival scores
 
@@ -631,9 +649,9 @@ def test_compression_asks_for_the_query_window_tokens_only(granularity, window,
                      for _ in range(2))
     for chunk in (1, 2, 3):
         keys, _ = make_chunk_kv(rng, 12, 2, 4)
-        got = sliced.add_clean_chunk(chunk, lambda: keys, window_rows, chunk)
+        got = sliced.add_clean_chunk(chunk, keys, window_rows, chunk)
         # every row given: the window reads the same trailing rows
-        want = whole.add_clean_chunk(chunk, lambda: keys, lambda n: queries, chunk)
+        want = whole.add_clean_chunk(chunk, keys, lambda n: queries, chunk)
         assert plain(got) == plain(want)
     assert counts == [asked, asked]
 
@@ -658,7 +676,7 @@ def test_buffer_invariants(heads, frames, frame_size, granularity, arrivals,
     for chunk in range(1, arrivals + 1):
         keys, _ = make_chunk_kv(rng, tokens, heads, 4)
         arrived = np.concatenate([arrived, keys])   # row i holds token id i
-        report = buffer.add_clean_chunk(chunk, lambda: keys, lambda n: queries[-n:], chunk)
+        report = buffer.add_clean_chunk(chunk, keys, lambda n: queries[-n:], chunk)
         # once the budget overflows, every later arrival compresses
         assert (report is not None) == (compressing or chunk * tokens > budget)
         compressing = report is not None

@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowcache_sim import l1_norm, maxpool1d, softmax, stable_topk
+from flowcache_sim import l1_norm, maxpool1d, stable_topk
 from flowcache_sim.errors import InvalidInput
 from flowcache_sim.numerics import l1_norms
 
 # independently computed: scalar loop over default_rng(42).random(1000)
 L1_1000_UNIFORMS_SEED42 = 497.17783852843127
-# extended-precision (long double) evaluation of softmax([1, 2, 3])
-SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
 
 finite_vectors = arrays(
     np.float64, st.integers(1, 32),
@@ -66,67 +64,6 @@ class TestL1Norm:
     def test_absolute_homogeneity(self, x, c):
         scaled = l1_norm(c * x)
         assert scaled == pytest.approx(abs(c) * l1_norm(x), rel=1e-12, abs=1e-12)
-
-
-class TestSoftmax:
-    def test_symmetry(self):
-        np.testing.assert_allclose(softmax(np.zeros(3)), np.full(3, 1 / 3),
-                                   atol=1e-15)
-
-    def test_overflow_forcing_case(self):
-        out = softmax(np.array([1000.0, 0.0]))
-        assert abs(out[0] - 1.0) < 1e-12 and out[1] < 1e-12
-
-    def test_frozen_oracle_values(self):
-        np.testing.assert_allclose(softmax(np.array([1.0, 2.0, 3.0])),
-                                   SOFTMAX_123, rtol=1e-14)
-
-    def test_axis_handling(self):
-        x = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_allclose(softmax(x, axis=0).sum(axis=0), 1.0,
-                                   atol=1e-12)
-
-    def test_bad_axis(self):
-        with pytest.raises(InvalidInput):
-            softmax(np.zeros(3), axis=2)
-
-    def test_leaves_input_unchanged(self):
-        x = np.random.default_rng(1).normal(size=(3, 5))
-        before = x.copy()
-        out = softmax(x)
-        assert out is not x
-        np.testing.assert_array_equal(x, before)
-
-    @pytest.mark.parametrize("kernel", [softmax])
-    @pytest.mark.parametrize("shape,axis", [((0,), 0), ((3, 0), -1), ((0, 3), 0)])
-    def test_empty_axis_rejected(self, kernel, shape, axis):
-        with pytest.raises(InvalidInput):
-            kernel(np.zeros(shape), axis=axis)
-
-    @pytest.mark.parametrize("row", [[np.nan, 1.0], [np.inf, 0.0],
-                                     [-np.inf, -np.inf]])
-    def test_non_finite_row_rejected(self, row):
-        with pytest.raises(InvalidInput, match="softmax produced"), \
-                np.errstate(invalid="ignore"):
-            softmax(np.array([[0.0, 1.0], row]), axis=-1)
-
-    def test_in_place_needs_float64(self):
-        # the passes run in place on a float64 copy, so integer input comes
-        # out as float64 probabilities rather than truncated integers
-        out = softmax(np.arange(3), axis=0)
-        assert out.dtype == np.float64
-        np.testing.assert_allclose(out, softmax(np.arange(3.0)), rtol=0)
-        with pytest.raises(InvalidInput):
-            softmax(np.zeros(3), axis=1)
-
-    @given(x=finite_vectors)
-    @settings(max_examples=200)
-    def test_sums_to_one(self, x):
-        # entries may underflow to exactly 0 for extreme spreads (the
-        # [1000, 0] case above relies on it); the sum is the invariant
-        out = softmax(x)
-        assert abs(out.sum() - 1.0) < 1e-12
-        assert (out >= 0).all()
 
 
 class TestMaxPool:

@@ -276,6 +276,19 @@ class TestExport:
          r"chunk-step rows$"),
         (lambda p: p["steps"].update(chunk_count=[1] * 16),
          r"^trace\.steps\.chunk_count must be a base64 string$"),
+        # off the config's chunk windows: with the hash recomputed, each would import unchecked
+        (recode("chunk_steps", "chunk", put(0, 77)),
+         r"^trace\.chunk_steps\.chunk does not follow the config's chunk windows$"),
+        (recode("steps", "global_step", put(5, 999)),
+         r"^trace\.steps\.global_step does not follow the config's chunk windows$"),
+        (recode("chunk_steps", "local_step", put(3, 5)),
+         r"^trace\.chunk_steps\.local_step does not follow the config's chunk windows$"),
+        (lambda p: p["final_latents"].pop("3"),
+         r"^trace\.final_latents must hold chunks 1 to 3$"),
+        (lambda p: p["final_latents"].update({"4": p["final_latents"]["3"]}),
+         r"^trace\.final_latents must hold chunks 1 to 3$"),
+        (lambda p: p["config"]["schedule"].update(steps=12),
+         r"^trace\.chunk_steps has 24 rows; the config gives 36$"),
         (lambda p: p.update(steps=[]),
          r"^malformed trace\.steps: "),
         (lambda p: p["totals"].update(computed_steps=999),
@@ -303,7 +316,9 @@ class TestExport:
             "estimate-inf", "estimate-minus-inf", "metric-nan",
             "column-truncated", "column-odd-bytes", "column-space-base64",
             "column-unpadded-base64", "compute-2", "chunk-count-sum",
-            "chunk-count-negative", "chunk-count-list", "steps-list",
+            "chunk-count-negative", "chunk-count-list", "chunk-off-window",
+            "global-step-off-window", "local-step-off-window", "finals-chunk-dropped",
+            "finals-chunk-added", "config-more-steps", "steps-list",
             "totals-forged", "totals-missing", "config-scene-extra",
             "config-schema-7", "head-key-underscore", "head-key-space",
             "head-key-zero-padded", "head-key-arabic-indic", "finals-key-underscore",
