@@ -194,8 +194,8 @@ FIELD_TYPES = {
     "float": (lambda v: _is_int64(v) or isinstance(v, float) and math.isfinite(v),
               "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "np.ndarray": (lambda v: isinstance(v, list) and all(map(_is_int64, v)),
-                   "a list of int64s"),
+    "np.ndarray": (lambda v: isinstance(v, list) and {*map(type, v)} <= {int}
+                   and (not v or -2**63 <= min(v) and max(v) < 2**63), "a list of int64s"),
     "tuple[int, int, int, int]": (
         lambda v: isinstance(v, (list, tuple)) and len(v) == 4
         and all(map(_is_int64, v)), "a list of 4 int64s"),
@@ -274,7 +274,7 @@ def import_trace(data: dict | str) -> RunTrace:
         if data["schema_version"] != SCHEMA_VERSION:
             raise InvalidInput(f"unsupported trace schema {data['schema_version']}")
         try:
-            scene, schedule = build_objects(data["config"])[:2]
+            scene, schedule, _, kv = build_objects(data["config"])[:4]
         except SimulatorError as exc:
             raise InvalidInput(f"trace.config.{exc}") from None
         tables = []
@@ -312,15 +312,33 @@ def import_trace(data: dict | str) -> RunTrace:
                                   ("chunk_steps", "local_step", order % steps)]:
             if not np.array_equal(getattr(trace, table)[name], want):
                 raise InvalidInput(f"trace.{table}.{name} does not follow the config's chunk windows")
+        # every arrival past the `kept` budget chunks compresses back to kept * tpc tokens
+        tpc, kept = scene.tokens_per_chunk, min(kv.budget_chunks or n, n)
+        if (reports := len(data["compressions"])) != n - kept:
+            raise InvalidInput(f"trace.compressions has {reports} reports; the config gives "
+                               f"{n - kept}")
         for i, rep in enumerate(data["compressions"]):
-            where = f"trace.compressions[{i}]"
+            where, chunk = f"trace.compressions[{i}]", kept + 1 + i
             report = read_fields(CompressionReport, rep, where, heads={})
+            for name, want in [("arriving_chunk", chunk), ("candidate_tokens", (kept + 1) * tpc),
+                               ("global_step", (chunk - 1) * stride + steps - 1)]:   # it finished
+                if getattr(report, name) != want:
+                    raise InvalidInput(f"{where}.{name} is {getattr(report, name)}; "
+                                       f"the config gives {want}")
             if not isinstance(rep["heads"], dict):
                 raise InvalidInput(f"{where}.heads must be an object")
             for head, body in rep["heads"].items():
                 where = f"trace.compressions[{i}].heads.{head}"
                 index = _int_key(head, where)
-                report.heads[index] = read_fields(HeadReport, body, where)
+                report.heads[index] = read = read_fields(HeadReport, body, where)
+                if len(ids := read.retained_ids) != kept * tpc or ids[0] < 0 or (
+                        ids[-1] >= chunk * tpc or (ids[1:] <= ids[:-1]).any()
+                        or read.evicted_count != tpc):
+                    raise InvalidInput(f"{where} must retain {kept * tpc} ascending ids in "
+                                       f"[0, {chunk * tpc}) and evict {tpc}")
+            if report.heads.keys() != set(range(kv.key_heads)):
+                raise InvalidInput(f"trace.compressions[{i}].heads must be heads 0 "
+                                   f"to {kv.key_heads - 1}")
             trace.compressions.append(report)
         finals = {}
         if not isinstance(data.get("final_latents"), dict):

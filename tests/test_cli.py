@@ -256,7 +256,10 @@ class TestSharedTrajectory:
                              ids=["nopolicy", "noisy"])
     @pytest.mark.parametrize("axis,values", [("lambda", "0.03,1.0"),
                                              ("granularity", "frame,chunk"),
-                                             ("budget", "8,3")])
+                                             ("budget", "8,3"),
+                                             # the reference's own values: rows that reuse its run
+                                             ("lambda", "0.07,1.0"),
+                                             ("granularity", "token,chunk")])
     def test_row_equals_standalone_run(self, executed, tmp_path, capsys, axis, values,
                                        extra, seed):
         cfg_file = tmp_path / "cfg.json"
@@ -266,7 +269,7 @@ class TestSharedTrajectory:
         capsys.readouterr()
         assert len(executed) == 3
         reference = executed[0][0][0][0]
-        for ((objects, events),), trace in executed:
+        for ((objects, events, _),), trace in executed:
             assert events is executed[0][0][0][1] is not None
             scene, schedule, policy, kv, cost, noise_scale = objects
             # what the trajectory reads is the reference's, so its recording serves the row
@@ -289,9 +292,9 @@ class TestSharedTrajectory:
                                              ("granularity", "frame,chunk"),
                                              ("budget", "8,3"), ("epsilon", "0,0.015")])
     def test_trajectories_per_sweep(self, executed, monkeypatch, capsys, axis, values):
-        # kv axes run one trajectory; epsilon rows run their own. Either way
-        # _execute is called once per simulation with one argument, which
-        # the benchmark's sweep check counts
+        # kv axes run one trajectory; epsilon rows run their own, but the 0 row
+        # is the reference's run. Either way _execute is called once per row
+        # with one argument, which the benchmark's sweep check counts
         calls, trajectory = [], armodel.trajectory
         monkeypatch.setattr(armodel, "trajectory",
                             lambda *args: calls.append(args) or trajectory(*args))
@@ -299,9 +302,36 @@ class TestSharedTrajectory:
                        "--profile", "magi-fast") == 0
         capsys.readouterr()
         assert [len(args) for args, _ in executed] == [1, 1, 1]
-        assert len(calls) == (3 if axis == "epsilon" else 1)
+        assert len(calls) == (2 if axis == "epsilon" else 1)
         assert all((events is None) == (axis == "epsilon")
-                   for ((_, events),), _ in executed)
+                   for ((_, events, _),), _ in executed)
+
+    @pytest.mark.parametrize("axis,values,simulations", [
+        ("lambda", "0.03,0.07,0.15,0.20", 4), ("granularity", "token,frame,chunk", 3),
+        ("epsilon", "0,0.015", 2), ("budget", "8,3", 3)])
+    def test_reference_valued_row_reuses_the_reference_run(
+            self, executed, monkeypatch, capsys, axis, values, simulations):
+        # a row whose objects equal the reference's takes its trace: one simulation
+        # fewer, yet _execute still sees every row, with one argument
+        calls, simulate = [], cli.run_denoise
+        monkeypatch.setattr(cli, "run_denoise",
+                            lambda *args, **kw: calls.append(args) or simulate(*args, **kw))
+        argv = ["sweep", "--axis", axis, "--values", values, "--profile", "magi-fast"]
+        assert run_cli(*argv) == 0
+        rows = capsys.readouterr().out
+        count = len(values.split(","))
+        assert [len(args) for args, _ in executed] == [1] * (1 + count)
+        assert len(calls) == simulations
+        reused = [trace for _, trace in executed[1:] if trace is executed[0][1]]
+        assert len(reused) == 1 + count - simulations
+        # one command's rows share one dict, which holds only the reference's run
+        known = executed[0][0][0][2]
+        assert all(run[2] is known for (run,), _ in executed)
+        assert list(known.items()) == [(executed[0][0][0][0], executed[0][1])]
+        # a second command in the same process runs its own simulations
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == rows
+        assert len(calls) == 2 * simulations
 
 
 class TestVerifyCommand:

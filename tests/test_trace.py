@@ -237,6 +237,10 @@ class TestExport:
          r"^trace\.compressions\[0\]\.heads\.1\.retained_ids must be a list of int64s$"),
         (lambda p: p["compressions"][0]["heads"]["0"].update(retained_ids="1,2"),
          r"^trace\.compressions\[0\]\.heads\.0\.retained_ids must be a list of int64s$"),
+        (lambda p: p["compressions"][0]["heads"]["0"].update(retained_ids=[0, True]),
+         r"^trace\.compressions\[0\]\.heads\.0\.retained_ids must be a list of int64s$"),
+        (lambda p: p["compressions"][0]["heads"]["0"].update(retained_ids=[-2**63 - 1, 0]),
+         r"^trace\.compressions\[0\]\.heads\.0\.retained_ids must be a list of int64s$"),
         (lambda p: p["compressions"][0]["heads"].update({HUGE: {}}),
          rf"trace\.compressions\[0\]\.heads\.{HUGE} key must be an int64"),
         (lambda p: p["compressions"][0]["heads"].update({"x": {}}),
@@ -289,6 +293,32 @@ class TestExport:
          r"^trace\.final_latents must hold chunks 1 to 3$"),
         (lambda p: p["config"]["schedule"].update(steps=12),
          r"^trace\.chunk_steps has 24 rows; the config gives 36$"),
+        # off the config's budget: with the hash recomputed, each would import unchecked
+        (lambda p: p["compressions"][0].update(arriving_chunk=99),
+         r"^trace\.compressions\[0\]\.arriving_chunk is 99; the config gives 3$"),
+        (lambda p: p["compressions"][0].update(global_step=-5),
+         r"^trace\.compressions\[0\]\.global_step is -5; the config gives 15$"),
+        (lambda p: p["compressions"][0].update(candidate_tokens=36),
+         r"^trace\.compressions\[0\]\.candidate_tokens is 36; the config gives 54$"),
+        (lambda p: p["compressions"][0]["heads"]["1"]["retained_ids"].__setitem__(-1, 10**6),
+         r"^trace\.compressions\[0\]\.heads\.1 must retain 36 ascending ids in \[0, 54\) "
+         r"and evict 18$"),
+        (lambda p: (ids := p["compressions"][0]["heads"]["0"]["retained_ids"]).__setitem__(
+            slice(0, 2), ids[1::-1]),
+         r"^trace\.compressions\[0\]\.heads\.0 must retain 36 ascending ids in \[0, 54\) "
+         r"and evict 18$"),
+        (lambda p: p["compressions"][0]["heads"]["0"]["retained_ids"].pop(),
+         r"^trace\.compressions\[0\]\.heads\.0 must retain 36 ascending ids"),
+        (lambda p: p["compressions"][0]["heads"]["0"].update(evicted_count=17),
+         r"^trace\.compressions\[0\]\.heads\.0 must retain 36 ascending ids"),
+        (lambda p: (heads := p["compressions"][0]["heads"]).update({"7": heads["0"]}),
+         r"^trace\.compressions\[0\]\.heads must be heads 0 to 1$"),
+        (lambda p: p["compressions"][0]["heads"].pop("1"),
+         r"^trace\.compressions\[0\]\.heads must be heads 0 to 1$"),
+        (lambda p: p["compressions"].pop(),
+         r"^trace\.compressions has 0 reports; the config gives 1$"),
+        (lambda p: p["config"]["kv"].update(budget_chunks=None),
+         r"^trace\.compressions has 1 reports; the config gives 0$"),
         (lambda p: p.update(steps=[]),
          r"^malformed trace\.steps: "),
         (lambda p: p["totals"].update(computed_steps=999),
@@ -310,7 +340,8 @@ class TestExport:
           for key in ("0_1", " 1", "01")],
     ], ids=["decision-int", "decision-none", "heads-list", "finals-list",
             "finals-missing", "global-step-huge", "retained-id-huge",
-            "retained-id-float", "retained-ids-text", "head-key-huge",
+            "retained-id-float", "retained-ids-text", "retained-id-bool",
+            "retained-id-below-int64", "head-key-huge",
             "head-key-text", "finals-key-huge", "finals-list-latent",
             "finals-not-base64", "finals-space-base64",
             "estimate-inf", "estimate-minus-inf", "metric-nan",
@@ -318,7 +349,10 @@ class TestExport:
             "column-unpadded-base64", "compute-2", "chunk-count-sum",
             "chunk-count-negative", "chunk-count-list", "chunk-off-window",
             "global-step-off-window", "local-step-off-window", "finals-chunk-dropped",
-            "finals-chunk-added", "config-more-steps", "steps-list",
+            "finals-chunk-added", "config-more-steps", "arriving-chunk-99",
+            "compression-step-negative", "candidates-forged", "retained-id-beyond-arrivals",
+            "retained-ids-swapped", "retained-id-dropped", "evicted-forged", "head-7-added",
+            "head-dropped", "compression-dropped", "compression-unbudgeted", "steps-list",
             "totals-forged", "totals-missing", "config-scene-extra",
             "config-schema-7", "head-key-underscore", "head-key-space",
             "head-key-zero-padded", "head-key-arabic-indic", "finals-key-underscore",
