@@ -178,6 +178,11 @@ def select_tokens(score_row: np.ndarray, budget_tokens: int, group: int) -> np.n
     return (picked[:, None] * group + np.arange(group)).reshape(-1)
 
 
+def group_size(granularity: str, tokens_per_chunk: int, frame_tokens: int) -> int:
+    """Tokens in one group at ``granularity``: 1, a frame or a chunk."""
+    return {"token": 1, "frame": frame_tokens, "chunk": tokens_per_chunk}[granularity]
+
+
 @dataclass(eq=False)   # array fields: compare them with np.array_equal
 class HeadReport:
     retained_ids: np.ndarray   # read-only int64, ascending; may view a shared table
@@ -186,7 +191,7 @@ class HeadReport:
 
 @dataclass
 class CompressionReport:
-    """Record of one compression pass; ``RunTrace.to_json`` writes its JSON."""
+    """Record of one compression pass; trace.json keeps only its keep masks."""
 
     global_step: int
     arriving_chunk: int
@@ -206,9 +211,9 @@ class KVBuffer:
     denoising are not stored here: their occupancy is a token count that
     ``run_denoise`` keeps, and a run without a budget keeps no buffer.
     The budget is ``plan.budget_chunks`` whole chunks. The plan's granularities
-    become group sizes here, once: token is 1, frame ``frame_tokens`` and chunk
-    ``tokens_per_chunk``. Selection keeps whole key groups, and each query group's
-    rows are mean-pooled into one, so the query window counts query groups.
+    become group sizes here, once, by ``group_size``. Selection keeps whole key
+    groups, and each query group's rows are mean-pooled into one, so the query
+    window counts query groups.
     """
 
     def __init__(self, plan: KVPlan, tokens_per_chunk: int, frame_tokens: int):
@@ -219,9 +224,8 @@ class KVBuffer:
         self.plan = plan
         self.tokens_per_chunk = tokens_per_chunk
         self.budget_tokens = plan.budget_chunks * tokens_per_chunk
-        sizes = {"token": 1, "frame": frame_tokens, "chunk": tokens_per_chunk}
-        self.key_group = sizes[plan.key_granularity]
-        self.query_group = sizes[plan.query_granularity]
+        self.key_group = group_size(plan.key_granularity, tokens_per_chunk, frame_tokens)
+        self.query_group = group_size(plan.query_granularity, tokens_per_chunk, frame_tokens)
         self._arrived = 0   # the last arrival's chunk index
         self._keys = np.empty((self.budget_tokens + tokens_per_chunk, plan.key_heads,
                                plan.head_dim), dtype=FLOAT)   # rows past clean_tokens unused

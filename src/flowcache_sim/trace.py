@@ -22,14 +22,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidComparison, InvalidInput, SimulatorError
-from .kvcache import CompressionReport, HeadReport
+from .kvcache import CompressionReport, HeadReport, group_size
 from .numerics import FLOAT
 from .reuse import COMPUTE, REUSE
 
-SCHEMA_VERSION = 4
-# trace.json's base64 little-endian columns and RunTrace's packed row types, one
-# value per step or chunk-step; chunk_count gives each step's run of chunk-step
-# rows, and compute is 1 or 0
+SCHEMA_VERSION = 5
+# RunTrace's packed row types, one value per step or chunk-step, and trace.json's
+# base64 little-endian columns but for WINDOW_COLUMNS; chunk_count gives each
+# step's run of chunk-step rows, and compute is 1 or 0
 COLUMNS = {
     "steps": {"global_step": "<i8", "chunk_count": "<i8", "flops": "<f8",
               "kv_clean_tokens": "<i8", "kv_active_tokens": "<i8",
@@ -40,6 +40,10 @@ COLUMNS = {
 }
 DTYPES = {table: np.dtype(list(columns.items())) for table, columns in COLUMNS.items()}
 DECISIONS = (REUSE, COMPUTE)   # indexed by the compute flag
+# the columns the config's chunk windows fix: trace.json leaves them out
+WINDOW_COLUMNS = {"global_step", "chunk_count", "chunk", "local_step"}
+TRACE_KEYS = {"schema_version", "config", *COLUMNS, "keep", "totals", "final_latents",
+              "content_hash"}
 
 
 @dataclass(frozen=True)
@@ -161,25 +165,36 @@ class RunTrace:
     # -- export ------------------------------------------------------------
 
     def to_json(self) -> str:
-        """JSON form: the records as ``COLUMNS``, every report field, the totals.
-
-        Retained ids stay arrays until the encoder reaches them, so only one
-        head's ids are ever a Python list (``np.ndarray.tolist`` as ``default``).
-        """
+        """JSON form: what the config cannot fix, so ``import_trace`` rebuilds the
+        window columns and every report field but the ids the keep masks select."""
         return json.dumps({
             "schema_version": SCHEMA_VERSION,
             "config": self.config,
             **{table: {name: base64.b64encode(array[name].tobytes()).decode()
-                       for name in COLUMNS[table]}
+                       for name in COLUMNS[table] if name not in WINDOW_COLUMNS}
                for table, array in [("steps", self.steps), ("chunk_steps", self.chunk_steps)]},
-            "compressions": [{**vars(c), "heads": {str(h): dict(vars(r))
-                                                   for h, r in c.heads.items()}}
-                             for c in self.compressions],
+            "keep": base64.b64encode(self._keep_bits()).decode(),
             "totals": asdict(self.totals),
             "final_latents": {str(k): base64.b64encode(np.asarray(v, "<f8").tobytes()).decode()
                               for k, v in self.final_latents.items()},
             "content_hash": self.content_hash,
-        }, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
+        }, sort_keys=True, separators=(",", ":"))
+
+    def _keep_bits(self) -> bytes:
+        """``np.packbits`` of each pass's, then head's, mask over its candidates:
+        the head's previous retained ids (for the first pass, every earlier
+        token), then the arriving chunk's; a bit is set where the pass kept one."""
+        masks, retained = [], None
+        for rep in self.compressions:
+            ids = np.stack([body.retained_ids for _, body in sorted(rep.heads.items())])
+            heads, arrived = np.arange(len(ids))[:, None], rep.candidate_tokens - ids.shape[1]
+            first = (rep.arriving_chunk - 1) * arrived   # the arriving chunk's first id
+            held = np.zeros((len(ids), first + arrived), bool)
+            held[heads, ids] = True
+            earlier = held[:, :first] if retained is None else held[heads, retained]
+            masks.append(np.hstack([earlier, held[:, first:]]))
+            retained = ids
+        return np.packbits(np.array(masks, bool)).tobytes()
 
 
 def _is_int64(v) -> bool:
@@ -187,15 +202,13 @@ def _is_int64(v) -> bool:
 
 
 # field annotation -> (accepts a JSON value, what the value must be), for
-# config sections and trace records alike
+# the config's fields
 FIELD_TYPES = {
     "int": (_is_int64, "an int64"),
     "Optional[int]": (lambda v: v is None or _is_int64(v), "an int64 or null"),
     "float": (lambda v: _is_int64(v) or isinstance(v, float) and math.isfinite(v),
               "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "np.ndarray": (lambda v: isinstance(v, list) and {*map(type, v)} <= {int}
-                   and (not v or -2**63 <= min(v) and max(v) < 2**63), "a list of int64s"),
     "tuple[int, int, int, int]": (
         lambda v: isinstance(v, (list, tuple)) and len(v) == 4
         and all(map(_is_int64, v)), "a list of 4 int64s"),
@@ -207,41 +220,25 @@ def read_value(value, kind: str, where: str, error: type = InvalidInput):
     accepts, expected = FIELD_TYPES[kind]
     if not accepts(value):
         raise error(f"{where} must be {expected}")
-    if kind == "np.ndarray":   # read-only, like the ids a compression reports
-        value = np.array(value, np.int64)
-        value.flags.writeable = False
-        return value
     return tuple(value) if kind.startswith("tuple") else value
 
 
-def read_fields(cls, body: dict, where: str, error: type = InvalidInput, **given):
+def read_fields(cls, body: dict, where: str, error: type = InvalidInput):
     """``cls`` built from the JSON object ``body`` at path ``where``: each field
-    not in ``given`` with ``read_value``, and ``cls``'s own error prefixed."""
+    with ``read_value``, and ``cls``'s own error prefixed."""
+    given = {}
     for f in fields(cls):
-        if f.name not in given:
-            if f.name not in body:
-                raise error(f"{where}.{f.name} is missing")
-            given[f.name] = read_value(body[f.name], f.type, f"{where}.{f.name}", error)
+        if f.name not in body:
+            raise error(f"{where}.{f.name} is missing")
+        given[f.name] = read_value(body[f.name], f.type, f"{where}.{f.name}", error)
     try:
         return cls(**given)
     except SimulatorError as exc:
         raise type(exc)(f"{where}: {exc}") from None
 
 
-def _int_key(key: str, where: str) -> int:
-    """An object key that names an int64 index (a head or a chunk id)."""
-    try:
-        index = int(key)
-    except ValueError:
-        index = None
-    if not _is_int64(index) or str(index) != key:   # one spelling per index
-        raise InvalidInput(f"{where} key must be an int64")
-    return index
-
-
-def _column(text, where: str, dtype: str, count: Optional[int]) -> np.ndarray:
-    """The values of a column or final latent: strict base64 of ``dtype`` bytes,
-    ``count`` values unless ``count`` is None."""
+def _column(text, where: str, dtype: str, count: int) -> np.ndarray:
+    """The ``count`` values of a column: strict base64 of ``dtype`` bytes."""
     if type(text) is not str:
         raise InvalidInput(f"{where} must be a base64 string")
     try:
@@ -254,16 +251,27 @@ def _column(text, where: str, dtype: str, count: Optional[int]) -> np.ndarray:
     if len(raw) % size:
         raise InvalidInput(f"{where} has {len(raw)} bytes, not a multiple of {size}")
     values = np.frombuffer(raw, dtype)
-    if count is not None and len(values) != count:
+    if len(values) != count:
         raise InvalidInput(f"{where} has {len(values)} values; {count} expected")
     return values
+
+
+def _object(body, keys, where: str) -> dict:
+    """``body``, a JSON object with no key outside ``keys``."""
+    if not isinstance(body, dict):
+        raise InvalidInput(f"{where} must be an object")
+    if unknown := [key for key in body if key not in keys]:
+        raise InvalidInput(f"{where}.{unknown[0]} is not a trace field")
+    return body
 
 
 def import_trace(data: dict | str) -> RunTrace:
     """Rebuild a trace from its JSON form and verify the content hash.
 
-    Only schema v4 is read. Input that breaks a check listed in
-    docs/trace_schema.md raises InvalidInput naming its path.
+    Only schema v5 is read. The config fixes the window columns and every
+    compression report but its retained ids, which the keep masks select.
+    Input that breaks a check listed in docs/trace_schema.md raises
+    InvalidInput naming its path.
     """
     from .config import build_objects   # config imports armodel, which imports trace
 
@@ -271,91 +279,78 @@ def import_trace(data: dict | str) -> RunTrace:
     try:
         if isinstance(data, str):
             data = json.loads(data)
-        if data["schema_version"] != SCHEMA_VERSION:
-            raise InvalidInput(f"unsupported trace schema {data['schema_version']}")
+        if (version := data["schema_version"]) != SCHEMA_VERSION or type(version) is not int:
+            raise InvalidInput(f"unsupported trace schema {version}")
+        _object(data, TRACE_KEYS, where)
         try:
             scene, schedule, _, kv = build_objects(data["config"])[:4]
         except SimulatorError as exc:
             raise InvalidInput(f"trace.config.{exc}") from None
+        stride, steps, n = schedule.steps // scene.window, schedule.steps, scene.num_chunks
         tables = []
-        for table, body in [(table, data[table]) for table in COLUMNS]:
-            where, count = f"trace.{table}", None
-            for name, dtype in COLUMNS[table].items():
-                values = _column(body[name], f"{where}.{name}", dtype, count)
-                if count is None:
-                    count, array = len(values), np.zeros(len(values), DTYPES[table])
+        # the config gives each table's length; an array is sized only once the
+        # input has shown that many values
+        for (table, body), count in zip([(table, data[table]) for table in COLUMNS],
+                                        [(n - 1) * stride + steps, n * steps]):
+            where = f"trace.{table}"
+            written = [name for name in COLUMNS[table] if name not in WINDOW_COLUMNS]
+            _object(body, written, where)
+            columns = {name: _column(body[name], f"{where}.{name}", COLUMNS[table][name], count)
+                       for name in written}
+            tables.append(array := np.zeros(count, DTYPES[table]))
+            for name, values in columns.items():
                 nullable = name == "estimate"
                 if values.dtype.kind == "f" and not (
                         np.isfinite(values) | nullable & np.isnan(values)).all():
                     raise InvalidInput(f"{where}.{name} must hold finite values"
                                        + " or NaN" * nullable)
                 array[name] = values
-            tables.append(array)
         where = "trace"
         trace = RunTrace(data["config"], *tables)
-        counts, rows = trace.steps["chunk_count"], len(trace.chunk_steps)
         if trace.chunk_steps["compute"].max(initial=0) > 1:
             raise InvalidInput("trace.chunk_steps.compute must hold 0 or 1")
-        # each count in [0, rows], so neither the sum nor the offsets can wrap
-        if counts.min(initial=0) < 0 or counts.max(initial=0) > rows or counts.sum() != rows:
-            raise InvalidInput("trace.steps.chunk_count must be counts that sum "
-                               f"to the {rows} chunk-step rows")
-        stride, steps, n = schedule.steps // scene.window, schedule.steps, scene.num_chunks
-        if rows != n * steps:   # first, so the config sizes no array beyond the input's
-            raise InvalidInput(f"trace.chunk_steps has {rows} rows; the config gives {n * steps}")
         # chunk i (from 0) runs steps i * stride on; stably sorted, a step's rows go by chunk
         g = (np.arange(n)[:, None] * stride + np.arange(steps)).ravel()
-        order = np.argsort(g, kind="stable")
-        for table, name, want in [("steps", "global_step", np.arange(g[-1] + 1)),
-                                  ("steps", "chunk_count", np.bincount(g)),
-                                  ("chunk_steps", "chunk", order // steps + 1),
-                                  ("chunk_steps", "local_step", order % steps)]:
-            if not np.array_equal(getattr(trace, table)[name], want):
-                raise InvalidInput(f"trace.{table}.{name} does not follow the config's chunk windows")
-        # every arrival past the `kept` budget chunks compresses back to kept * tpc tokens
-        tpc, kept = scene.tokens_per_chunk, min(kv.budget_chunks or n, n)
-        if (reports := len(data["compressions"])) != n - kept:
-            raise InvalidInput(f"trace.compressions has {reports} reports; the config gives "
-                               f"{n - kept}")
-        for i, rep in enumerate(data["compressions"]):
-            where, chunk = f"trace.compressions[{i}]", kept + 1 + i
-            report = read_fields(CompressionReport, rep, where, heads={})
-            for name, want in [("arriving_chunk", chunk), ("candidate_tokens", (kept + 1) * tpc),
-                               ("global_step", (chunk - 1) * stride + steps - 1)]:   # it finished
-                if getattr(report, name) != want:
-                    raise InvalidInput(f"{where}.{name} is {getattr(report, name)}; "
-                                       f"the config gives {want}")
-            if not isinstance(rep["heads"], dict):
-                raise InvalidInput(f"{where}.heads must be an object")
-            for head, body in rep["heads"].items():
-                where = f"trace.compressions[{i}].heads.{head}"
-                index = _int_key(head, where)
-                report.heads[index] = read = read_fields(HeadReport, body, where)
-                if len(ids := read.retained_ids) != kept * tpc or ids[0] < 0 or (
-                        ids[-1] >= chunk * tpc or (ids[1:] <= ids[:-1]).any()
-                        or read.evicted_count != tpc):
-                    raise InvalidInput(f"{where} must retain {kept * tpc} ascending ids in "
-                                       f"[0, {chunk * tpc}) and evict {tpc}")
-            if report.heads.keys() != set(range(kv.key_heads)):
-                raise InvalidInput(f"trace.compressions[{i}].heads must be heads 0 "
-                                   f"to {kv.key_heads - 1}")
-            trace.compressions.append(report)
-        finals = {}
-        if not isinstance(data.get("final_latents"), dict):
+        trace.steps["global_step"], trace.steps["chunk_count"] = np.arange(g[-1] + 1), np.bincount(g)
+        trace.chunk_steps["chunk"], trace.chunk_steps["local_step"] = divmod(   # chunks from 1
+            np.argsort(g, kind="stable") + steps, steps)
+        if not isinstance(finals := data.get("final_latents"), dict):
             raise InvalidInput("trace.final_latents is missing or not an object")
-        for k, v in data["final_latents"].items():
-            where = f"trace.final_latents.{k}"
-            finals[_int_key(k, where)] = _column(v, where, "<f8", scene.numel).astype(
-                FLOAT).reshape(scene.shape)
-        if finals.keys() != set(range(1, n + 1)):
+        if finals.keys() != {str(k) for k in range(1, n + 1)}:   # one spelling per chunk
             raise InvalidInput(f"trace.final_latents must hold chunks 1 to {n}")
-        where = "trace"
+        finals = {k: _column(finals[str(k)], f"trace.final_latents.{k}", "<f8", scene.numel)
+                  .astype(FLOAT).reshape(scene.shape) for k in range(1, n + 1)}
+        # every arrival past the `kept` budget chunks compresses back to kept * tpc
+        # tokens in whole key groups, each head keeping its own
+        tpc, kept, heads = scene.tokens_per_chunk, min(kv.budget_chunks or n, n), kv.key_heads
+        passes, candidates = n - kept, (kept + 1) * tpc
+        bits = passes * heads * candidates
+        raw = _column(data["keep"], "trace.keep", "u1", -(-bits // 8))
+        masks = np.unpackbits(raw, count=bits).view(bool).reshape(passes, heads, candidates)
+        if np.packbits(masks).tobytes() != raw.tobytes():
+            raise InvalidInput("trace.keep must leave its padding bits clear")
+        group = group_size(kv.key_granularity, tpc, scene.tokens_per_frame)
+        groups = masks.reshape(passes, heads, candidates // group, group)
+        bad = (masks.sum(axis=2) != kept * tpc) | (groups.any(3) != groups.all(3)).any(2)
+        if bad.any():
+            p, h = np.argwhere(bad)[0]
+            raise InvalidInput(f"trace.keep[{p}][{h}] must keep {kept * tpc} of {candidates} "
+                               f"candidates in whole groups of {group}")
+        retained = np.broadcast_to(np.arange(kept * tpc, dtype=np.int64), (heads, kept * tpc))
+        for chunk, mask in enumerate(masks, kept + 1):
+            arriving = np.broadcast_to(np.arange((chunk - 1) * tpc, chunk * tpc), (heads, tpc))
+            retained = np.hstack([retained, arriving])[mask].reshape(heads, kept * tpc)
+            retained.flags.writeable = False
+            trace.compressions.append(CompressionReport(
+                (chunk - 1) * stride + steps - 1, chunk, candidates,   # the step it finished
+                {h: HeadReport(retained[h], tpc) for h in range(heads)}))
         trace.finish(finals)
         content_hash = data["content_hash"]
+        totals = _object(data["totals"], want := asdict(trace.totals), "trace.totals")
         where = "trace.totals"
-        for name, value in asdict(trace.totals).items():
-            if data["totals"][name] != value:
-                raise InvalidInput(f"trace.totals.{name} is {data['totals'][name]!r}; "
+        for name, value in want.items():
+            if totals[name] != value or type(totals[name]) is not type(value):   # 21.0 for 21
+                raise InvalidInput(f"trace.totals.{name} is {totals[name]!r}; "
                                    f"the records give {value!r}")
         where = "trace"   # the first read hashes, so an error hashing is caught below
         if trace.content_hash != content_hash:

@@ -74,27 +74,27 @@ PINS = {
 # SHA-256 of each case's whole trace.json: besides the hashed records it pins
 # the unhashed estimate column, the config and the totals
 JSON_PINS = {
-    "baseline": "1201ef2cbeb14ef34298f8a0a241b58558440a662e398ad58f84a2dc81d5bf27",
-    "magi-fast": "f79973900e5c2a428e06b6496ee9101f14761232e0d7d95291615675ee2d1038",
-    "magi-slow": "7ef382127a4b65fd7f7c78be7b7d1fe02b880ddc55e0873c8f2b15092508351c",
-    "skyreels-fast": "445ba86e141d9300a992152d4148b6e9de9b55bd1abc9611302fa6a3f4799e8b",
-    "skyreels-slow": "bf99a86366041d3949804928c9cc6ca6ccb378f37b160f9b1a99bf60e775384d",
-    "magi-fast-lambda-0.03": "b45cb70b29172cc6ebe594e7e0ab90d5fef5d58a7c3e851b2520007535238546",
-    "magi-fast-lambda-0.2": "8ff4eba6b27af09e68dd06ef21fc73aa36748062785a324e808ddf9f3713cebb",
-    "magi-fast-lambda-1.0": "be55529c064ba2edae2928d2ef1f95466edef5dda0986d53186a9f3824804234",
-    "magi-fast-keys-frame": "f292f1f66613b544e38bca94d12f0bde2755dd0c9ea0d8fa73875dfec2db1f38",
-    "magi-fast-keys-chunk": "54e1ab5d9f688b7b149dc6f4a7b2d8197056214770257fd49d6b6d744b688be0",
-    "magi-fast-budget-None": "123f1aa9f15e91d78381ae0413ebda5b7e6decc34567eb2964b6187605962a94",
-    "magi-fast-budget-1": "134249d733be1d7ef5c891c205bcc64957e4109cb711fcac45349be165cfc876",
-    "magi-fast-budget-2": "372a15640b09fbc191218e72856e93487b423e6fa363b61a0ec83dbbbd68174d",
-    "magi-fast-budget-3": "2b370d75dc8ef6262bdf1d12be315ec0bde0913efc57b3709391360df35c0147",
+    "baseline": "f5524947c9079657caf9146220c3ca1e230b690db4ffa3556dc1ea49cc031653",
+    "magi-fast": "6b32205182325921d40b20d36fcba63eca6a92b2eb4869794c37f4e49436f23b",
+    "magi-slow": "14f5a0483c337463f47bc0db48a7dd6a9da0732cc58eaf463eb1d9402b61a29b",
+    "skyreels-fast": "091c5d0e7672a2d4fdf89735ac5a2aaad64a6888367ca49fc6c27ddbb65e62b9",
+    "skyreels-slow": "3cb29eb71d06c2b136669aeed7e05d3cb0aaf3f3ad254ab78e0f9198c905c4e6",
+    "magi-fast-lambda-0.03": "1ae1bf35cb859ee138e10fbbba6acd6ada25b90f8895169173040b1cbb3d09fb",
+    "magi-fast-lambda-0.2": "8e0b1f7f3ee39cd89269561e84c126c3618f1db23e9b41440fe230d6683d02d0",
+    "magi-fast-lambda-1.0": "ddefa44a4f22860ba875e753c45450a70aacce9ee3fd3ffa8137fa7a23596e2a",
+    "magi-fast-keys-frame": "89d2206c0b9d1a95f707dcdeecf6df7114d411c0797c6d83f0e5c9e55f8a9d45",
+    "magi-fast-keys-chunk": "95ee6f89be18798cec5bbbdf68fb7674cbc9e4b6b93a6f412d34fcda195909d2",
+    "magi-fast-budget-None": "6db87c6f2becb1ebf7a0b8409a114beb64442469790ced0ed9036e264503497e",
+    "magi-fast-budget-1": "0f569b2bb7e603c71e1e0b4c3634e98356967835a5d94b0421a6e74e66f7716c",
+    "magi-fast-budget-2": "3a91b348eabd672fc853fe06d544f86cb2188a5e81e2a3bf2a2dc36c95786105",
+    "magi-fast-budget-3": "bae25c9947cc6d04b301c8d0886f879c9ad6cda270d46ae7c0f46ef870becdda",
     "skyreels-fast-frame-frame":
-        "e53280b482af0184ac8ed2cd24b7af8e44e02087a728d2a6f382525e74e916e0",
-    "magi-fast-noise-0.05": "99e46cfafb0fe9ad72296f0a59a2ca67adaf845905ce02f0d936bdc5c18ca58a",
+        "74bdff6427b0d545d491e06b55aeb9a282fcdd83626ed00cc38e4ca2711f777a",
+    "magi-fast-noise-0.05": "b1c2afd6f8c89a403fe54091c1306d03099c5f7793a733ef8b7b438014d166de",
     "magi-fast-noise-0.05-seed-4294967296":
-        "69f809dfa97d27d042a0cb214eaa6ac367e4dd01be4d3cef1e17d831b864980c",
+        "ee3c43baeaddef3babb60764e9e8618f20a8290af1eb4f5c8668e6174b4b1659",
     "magi-fast-noise-0.05-seed-9223372036854775807":
-        "2669ad7ede62a835d4afb65e116122d2652e75f94ff3d971822f47c5a7c7b4ff",
+        "bd16d2cf35b89828b8e290c6cdd071ce299279bf7d08b8a7dc6893707c0fcffd",
 }
 
 
@@ -207,4 +207,4 @@ def test_run_report_pinned(tmp_path, capsys):
             == "acb644bdd6d828ff7cc20d9d434168c3cc402a999a22310d0d4093d807e92dc9")
     # bytes, not text: the CSV's rows end in \r\n
     assert (hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest()
-            == "8083b9e8fe3aec698fb8b4c133dc641d3d73e774acbfbe7be357f74ee236f794")
+            == "f23222d1ea14c185492351bdc4ef771fa8f5e0d64b0071c3fd1f869d4ab9f96c")

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import tracemalloc
@@ -480,10 +481,13 @@ class TestBuffer:
         self.feed(1)
         self.feed(2)
         report = self.feed(3)
-        payload = RunTrace(config={}, compressions=[report]).to_json()
-        back = json.loads(payload)["compressions"][0]
-        assert back["heads"]["0"]["retained_ids"] == report.heads[0].retained_ids.tolist()
-        assert "no_op" not in back
+        payload = json.loads(RunTrace(config={}, compressions=[report]).to_json())
+        # the first pass's candidates are tokens 0 to 35, so a head's set bits are its ids
+        bits = np.unpackbits(np.frombuffer(base64.b64decode(payload["keep"]), np.uint8))
+        assert len(bits) == 2 * 36
+        for h, mask in enumerate(bits.reshape(2, 36)):
+            assert np.flatnonzero(mask).tolist() == report.heads[h].retained_ids.tolist()
+        assert "compressions" not in payload
 
     def test_report_ids_are_read_only_and_never_rewritten(self):
         self.feed(1)
@@ -578,6 +582,12 @@ class TestBuffer:
     def test_budget_required(self):
         with pytest.raises(InvalidConfig, match="needs budget_chunks"):
             KVBuffer(cfg(budget_chunks=None), tokens_per_chunk=12, frame_tokens=4)
+
+    def test_granularities_become_group_sizes(self):
+        assert [kvcache.group_size(g, 12, 4) for g in ("token", "frame", "chunk")] == [1, 4, 12]
+        buffer = KVBuffer(cfg(key_granularity="chunk", query_granularity="frame"),
+                          tokens_per_chunk=12, frame_tokens=4)
+        assert (buffer.key_group, buffer.query_group) == (12, 4)
 
 
 def plain(report):

@@ -16,7 +16,7 @@ from flowcache_sim import (PROFILES, CostModel, KVPlan, PowerLawSchedule,
                            ReusePolicy, SceneConfig, build_objects, import_trace,
                            resolve_config, run_denoise, speedup, trajectory)
 from flowcache_sim.errors import InvalidComparison, InvalidInput
-from flowcache_sim.trace import COLUMNS, DTYPES, RunTrace, curves_csv
+from flowcache_sim.trace import COLUMNS, DTYPES, WINDOW_COLUMNS, RunTrace, curves_csv
 
 GOLDEN = Path(__file__).parent / "data" / "golden_magi_fast.json"
 
@@ -35,6 +35,9 @@ def tiny_run(policy=ReusePolicy(0.05, 2), seed=1, **kv_kw):
 
 
 HUGE = "99999999999999999999"   # an int key beyond int64
+TINY = tiny_run()
+V4_FIELD = r"^trace\.compressions is not a trace field$"
+TINY_FRAME_JSON = tiny_run(key_granularity="frame").to_json()
 
 
 def column(payload, table, name) -> np.ndarray:
@@ -74,6 +77,73 @@ def put(index, value):
         values[index] = value
         return values
     return change
+
+
+def forge_column(table, name, change):
+    """A payload mutation: write the window column ``name``, which the config
+    fixes, into the file, ``change``d."""
+    def mutate(payload):
+        raw = change(getattr(TINY, table)[name].copy()).tobytes()
+        payload[table][name] = base64.b64encode(raw).decode()
+    return mutate
+
+
+def v4_reports(trace) -> list[dict]:
+    """The compression reports as schema v4 wrote them, ids as lists."""
+    return [{**vars(c), "heads": {str(h): {"retained_ids": r.retained_ids.tolist(),
+                                           "evicted_count": r.evicted_count}
+                                  for h, r in c.heads.items()}}
+            for c in trace.compressions]
+
+
+def forge_v4(change):
+    """A payload mutation: schema v4's compression list, ``change``d, written into
+    the v5 file (every field it held now follows from the config and ``keep``)."""
+    def mutate(payload):
+        reports = v4_reports(TINY)
+        change(reports)
+        payload["compressions"] = reports
+    return mutate
+
+
+def keep_bits(payload) -> np.ndarray:
+    """``keep``'s bits, padding included (a writable copy)."""
+    return np.unpackbits(np.frombuffer(base64.b64decode(payload["keep"]), np.uint8))
+
+
+def rekeep(change):
+    """A payload mutation: ``change`` the bits of ``keep``, then pack them again."""
+    def mutate(payload):
+        payload["keep"] = base64.b64encode(np.packbits(change(keep_bits(payload)))).decode()
+    return mutate
+
+
+def flip(*indices):
+    """A bit change that flips each bit at ``indices``, each found before any flips
+    (a callable index reads the bits)."""
+    def change(bits):
+        bits[[index(bits) if callable(index) else index for index in indices]] ^= 1
+        return bits
+    return change
+
+
+def first(value, head=0, candidates=54):
+    """An index: head ``head``'s first bit of the first pass that reads ``value``."""
+    return lambda bits: head * candidates + np.flatnonzero(
+        bits[head * candidates:(head + 1) * candidates] == value)[0]
+
+
+def off_group(bits, group=9):
+    """The first bit after a group boundary that the bit before it differs from."""
+    return next(i for i in range(group, 54, group) if bits[i - 1] != bits[i])
+
+
+def on_frame_keys(mutate):
+    """``mutate`` applied to the payload of the same run at frame key granularity."""
+    def on_frame(payload):
+        payload.update(json.loads(TINY_FRAME_JSON))
+        mutate(payload)
+    return on_frame
 
 
 class TestExport:
@@ -144,7 +214,8 @@ class TestExport:
     @pytest.mark.parametrize("text", ["[1]", '{"schema_version": 1',
                                       '{"schema_version": 2}',
                                       '{"schema_version": 3}',
-                                      '{"schema_version": 4}'])
+                                      '{"schema_version": 4}',
+                                      '{"schema_version": 5}'])
     def test_non_trace_text_rejected(self, text):
         with pytest.raises(InvalidInput):
             import_trace(text)
@@ -170,6 +241,7 @@ class TestExport:
              "chunks": [dict(zip(COLUMNS["chunk_steps"], row)) for row in rows.tolist()]}
             for step, rows in zip(trace.steps.tolist(), chunks)]
         del payload["steps"], payload["chunk_steps"]
+        payload["compressions"] = v4_reports(trace)
         for rep in payload["compressions"]:
             rep["no_op"] = False
         with pytest.raises(InvalidInput, match="^unsupported trace schema 2$"):
@@ -177,12 +249,27 @@ class TestExport:
 
     def test_schema_v3_text_rejected(self):
         # v3: each compression head also carried the combined score's min, max and mean
-        payload = json.loads(tiny_run().to_json())
+        trace = tiny_run()
+        payload = json.loads(trace.to_json())
         payload["schema_version"] = payload["config"]["schema_version"] = 3
+        payload["compressions"] = v4_reports(trace)
         for rep in payload["compressions"]:
             for head in rep["heads"].values():
                 head.update({f"score_{stat}": 0.0 for stat in ("min", "max", "mean")})
         with pytest.raises(InvalidInput, match="^unsupported trace schema 3$"):
+            import_trace(json.dumps(payload))
+
+    def test_schema_v4_text_rejected(self):
+        # v4: every column, and each compression's fields and retained ids as JSON
+        trace = tiny_run()
+        payload = json.loads(trace.to_json())
+        payload["schema_version"] = payload["config"]["schema_version"] = 4
+        for table in COLUMNS:
+            payload[table] = {name: base64.b64encode(getattr(trace, table)[name].tobytes()).decode()
+                              for name in COLUMNS[table]}
+        payload["compressions"] = v4_reports(trace)
+        del payload["keep"]
+        with pytest.raises(InvalidInput, match="^unsupported trace schema 4$"):
             import_trace(json.dumps(payload))
 
     def test_truncated_final_latent_rejected(self):
@@ -221,142 +308,152 @@ class TestExport:
         assert back.to_json() == text
 
     @pytest.mark.parametrize("mutate,path", [
-        (lambda p: p["chunk_steps"].update(compute=5),
-         r"^trace\.chunk_steps\.compute must be a base64 string$"),
-        (lambda p: p["chunk_steps"].update(compute=None),
-         r"^trace\.chunk_steps\.compute must be a base64 string$"),
-        (lambda p: p["compressions"][0].update(heads=[]),
-         r"compressions\[0\]\.heads must be an object"),
-        (lambda p: p.update(final_latents=[]), r"trace\.final_latents is missing"),
-        (lambda p: p.pop("final_latents"), r"trace\.final_latents is missing"),
-        (lambda p: p["compressions"][0].update(global_step=2**70),
-         r"compressions\[0\]\.global_step must be an int64"),
-        (lambda p: p["compressions"][0]["heads"]["1"].update(retained_ids=[2**70]),
-         r"compressions\[0\]\.heads\.1\.retained_ids must be a list of int64s"),
-        (lambda p: p["compressions"][0]["heads"]["1"].update(retained_ids=[1.0]),
-         r"^trace\.compressions\[0\]\.heads\.1\.retained_ids must be a list of int64s$"),
-        (lambda p: p["compressions"][0]["heads"]["0"].update(retained_ids="1,2"),
-         r"^trace\.compressions\[0\]\.heads\.0\.retained_ids must be a list of int64s$"),
-        (lambda p: p["compressions"][0]["heads"]["0"].update(retained_ids=[0, True]),
-         r"^trace\.compressions\[0\]\.heads\.0\.retained_ids must be a list of int64s$"),
-        (lambda p: p["compressions"][0]["heads"]["0"].update(retained_ids=[-2**63 - 1, 0]),
-         r"^trace\.compressions\[0\]\.heads\.0\.retained_ids must be a list of int64s$"),
-        (lambda p: p["compressions"][0]["heads"].update({HUGE: {}}),
-         rf"trace\.compressions\[0\]\.heads\.{HUGE} key must be an int64"),
-        (lambda p: p["compressions"][0]["heads"].update({"x": {}}),
-         r"trace\.compressions\[0\]\.heads\.x key must be an int64"),
-        (lambda p: p["final_latents"].update({HUGE: p["final_latents"]["1"]}),
-         rf"trace\.final_latents\.{HUGE} key must be an int64"),
-        (lambda p: p["final_latents"].update({"2": [0.0] * 72}),
-         r"trace\.final_latents\.2 must be a base64 string"),
-        (lambda p: p["final_latents"].update({"2": "*" + p["final_latents"]["2"][1:]}),
-         r"trace\.final_latents\.2 is not valid base64"),
-        (lambda p: p["final_latents"].update({"2": " " + p["final_latents"]["2"]}),
-         r"trace\.final_latents\.2 is not valid base64"),
+        pytest.param(lambda p: p["chunk_steps"].update(compute=5),
+                     r"^trace\.chunk_steps\.compute must be a base64 string$", id="decision-int"),
+        pytest.param(lambda p: p["chunk_steps"].update(compute=None),
+                     r"^trace\.chunk_steps\.compute must be a base64 string$", id="decision-none"),
+        pytest.param(lambda p: p.update(final_latents=[]), r"trace\.final_latents is missing",
+                     id="finals-list"),
+        pytest.param(lambda p: p.pop("final_latents"), r"trace\.final_latents is missing",
+                     id="finals-missing"),
+        pytest.param(lambda p: p["final_latents"].update({HUGE: p["final_latents"]["1"]}),
+                     r"^trace\.final_latents must hold chunks 1 to 3$", id="finals-key-huge"),
+        pytest.param(lambda p: p["final_latents"].update({"2": [0.0] * 72}),
+                     r"trace\.final_latents\.2 must be a base64 string", id="finals-list-latent"),
+        pytest.param(lambda p: p["final_latents"].update({"2": "*" + p["final_latents"]["2"][1:]}),
+                     r"trace\.final_latents\.2 is not valid base64", id="finals-not-base64"),
+        pytest.param(lambda p: p["final_latents"].update({"2": " " + p["final_latents"]["2"]}),
+                     r"trace\.final_latents\.2 is not valid base64", id="finals-space-base64"),
         # unhashed fields: the hash alone would not catch these
-        (recode("chunk_steps", "estimate", put(1, math.inf)),
-         r"^trace\.chunk_steps\.estimate must hold finite values or NaN$"),
-        (recode("chunk_steps", "estimate", put(1, -math.inf)),
-         r"^trace\.chunk_steps\.estimate must hold finite values or NaN$"),
-        (recode("chunk_steps", "metric", put(0, math.nan)),
-         r"^trace\.chunk_steps\.metric must hold finite values$"),
-        (recode("chunk_steps", "metric", lambda v: v[:-1]),
-         r"^trace\.chunk_steps\.metric has 23 values; 24 expected$"),
-        (recode("steps", "flops", lambda v: v.tobytes()[:-3]),
-         r"^trace\.steps\.flops has 125 bytes, not a multiple of 8$"),
-        (lambda p: p["steps"].update(flops=" " + p["steps"]["flops"]),
-         r"^trace\.steps\.flops is not valid base64$"),
-        (lambda p: p["steps"].update(flops=p["steps"]["flops"][:-1]),
-         r"^trace\.steps\.flops is not valid base64$"),
-        (recode("chunk_steps", "compute", put(0, 2)),
-         r"^trace\.chunk_steps\.compute must hold 0 or 1$"),
-        (recode("steps", "chunk_count", put(0, 2)),
-         r"^trace\.steps\.chunk_count must be counts that sum to the 24 "
-         r"chunk-step rows$"),
-        # the same sum, with step 0's count made -1
-        (recode("steps", "chunk_count",
-                lambda v: np.r_[-1, v[1] + v[0] + 1, v[2:]].astype(v.dtype)),
-         r"^trace\.steps\.chunk_count must be counts that sum to the 24 "
-         r"chunk-step rows$"),
-        (lambda p: p["steps"].update(chunk_count=[1] * 16),
-         r"^trace\.steps\.chunk_count must be a base64 string$"),
-        # off the config's chunk windows: with the hash recomputed, each would import unchecked
-        (recode("chunk_steps", "chunk", put(0, 77)),
-         r"^trace\.chunk_steps\.chunk does not follow the config's chunk windows$"),
-        (recode("steps", "global_step", put(5, 999)),
-         r"^trace\.steps\.global_step does not follow the config's chunk windows$"),
-        (recode("chunk_steps", "local_step", put(3, 5)),
-         r"^trace\.chunk_steps\.local_step does not follow the config's chunk windows$"),
-        (lambda p: p["final_latents"].pop("3"),
-         r"^trace\.final_latents must hold chunks 1 to 3$"),
-        (lambda p: p["final_latents"].update({"4": p["final_latents"]["3"]}),
-         r"^trace\.final_latents must hold chunks 1 to 3$"),
-        (lambda p: p["config"]["schedule"].update(steps=12),
-         r"^trace\.chunk_steps has 24 rows; the config gives 36$"),
-        # off the config's budget: with the hash recomputed, each would import unchecked
-        (lambda p: p["compressions"][0].update(arriving_chunk=99),
-         r"^trace\.compressions\[0\]\.arriving_chunk is 99; the config gives 3$"),
-        (lambda p: p["compressions"][0].update(global_step=-5),
-         r"^trace\.compressions\[0\]\.global_step is -5; the config gives 15$"),
-        (lambda p: p["compressions"][0].update(candidate_tokens=36),
-         r"^trace\.compressions\[0\]\.candidate_tokens is 36; the config gives 54$"),
-        (lambda p: p["compressions"][0]["heads"]["1"]["retained_ids"].__setitem__(-1, 10**6),
-         r"^trace\.compressions\[0\]\.heads\.1 must retain 36 ascending ids in \[0, 54\) "
-         r"and evict 18$"),
-        (lambda p: (ids := p["compressions"][0]["heads"]["0"]["retained_ids"]).__setitem__(
-            slice(0, 2), ids[1::-1]),
-         r"^trace\.compressions\[0\]\.heads\.0 must retain 36 ascending ids in \[0, 54\) "
-         r"and evict 18$"),
-        (lambda p: p["compressions"][0]["heads"]["0"]["retained_ids"].pop(),
-         r"^trace\.compressions\[0\]\.heads\.0 must retain 36 ascending ids"),
-        (lambda p: p["compressions"][0]["heads"]["0"].update(evicted_count=17),
-         r"^trace\.compressions\[0\]\.heads\.0 must retain 36 ascending ids"),
-        (lambda p: (heads := p["compressions"][0]["heads"]).update({"7": heads["0"]}),
-         r"^trace\.compressions\[0\]\.heads must be heads 0 to 1$"),
-        (lambda p: p["compressions"][0]["heads"].pop("1"),
-         r"^trace\.compressions\[0\]\.heads must be heads 0 to 1$"),
-        (lambda p: p["compressions"].pop(),
-         r"^trace\.compressions has 0 reports; the config gives 1$"),
-        (lambda p: p["config"]["kv"].update(budget_chunks=None),
-         r"^trace\.compressions has 1 reports; the config gives 0$"),
-        (lambda p: p.update(steps=[]),
-         r"^malformed trace\.steps: "),
-        (lambda p: p["totals"].update(computed_steps=999),
-         r"^trace\.totals\.computed_steps is 999; the records give 21$"),
-        (lambda p: p["totals"].pop("total_flops"),
-         r"^trace\.totals\.total_flops is missing$"),
-        (lambda p: p["config"]["scene"].update(extra=1),
-         r"^trace\.config\.scene\.extra is not a config field$"),
-        (lambda p: p["config"].update(schema_version=7),
-         r"^trace\.config\.schema_version must be 4$"),
-        # a second spelling of a key, with its value, would overwrite it unseen
-        *[(lambda p, key=key: (heads := p["compressions"][0]["heads"]).update(
-              {key: heads[str(int(key))]}),
-           rf"^trace\.compressions\[0\]\.heads\.{key} key must be an int64$")
-          for key in ("0_0", " 1", "01", "\u0661")],
-        *[(lambda p, key=key: (finals := p["final_latents"]).update(
+        pytest.param(recode("chunk_steps", "estimate", put(1, math.inf)),
+                     r"^trace\.chunk_steps\.estimate must hold finite values or NaN$",
+                     id="estimate-inf"),
+        pytest.param(recode("chunk_steps", "estimate", put(1, -math.inf)),
+                     r"^trace\.chunk_steps\.estimate must hold finite values or NaN$",
+                     id="estimate-minus-inf"),
+        pytest.param(recode("chunk_steps", "metric", put(0, math.nan)),
+                     r"^trace\.chunk_steps\.metric must hold finite values$", id="metric-nan"),
+        pytest.param(recode("chunk_steps", "metric", lambda v: v[:-1]),
+                     r"^trace\.chunk_steps\.metric has 23 values; 24 expected$",
+                     id="column-truncated"),
+        pytest.param(recode("steps", "flops", lambda v: v.tobytes()[:-3]),
+                     r"^trace\.steps\.flops has 125 bytes, not a multiple of 8$",
+                     id="column-odd-bytes"),
+        pytest.param(lambda p: p["steps"].update(flops=" " + p["steps"]["flops"]),
+                     r"^trace\.steps\.flops is not valid base64$", id="column-space-base64"),
+        pytest.param(lambda p: p["steps"].update(flops=p["steps"]["flops"][:-1]),
+                     r"^trace\.steps\.flops is not valid base64$", id="column-unpadded-base64"),
+        pytest.param(recode("chunk_steps", "compute", put(0, 2)),
+                     r"^trace\.chunk_steps\.compute must hold 0 or 1$", id="compute-2"),
+        # a window column the config fixes, written back into the file (forged or not),
+        # would be read by nothing and re-exported by nothing
+        pytest.param(forge_column("steps", "chunk_count", put(0, 2)),
+                     r"^trace\.steps\.chunk_count is not a trace field$", id="chunk-count-sum"),
+        pytest.param(forge_column("steps", "chunk_count",
+                                  lambda v: np.r_[-1, v[1] + v[0] + 1, v[2:]].astype(v.dtype)),
+                     r"^trace\.steps\.chunk_count is not a trace field$",
+                     id="chunk-count-negative"),
+        pytest.param(lambda p: p["steps"].update(chunk_count=[1] * 16),
+                     r"^trace\.steps\.chunk_count is not a trace field$", id="chunk-count-list"),
+        pytest.param(forge_column("chunk_steps", "chunk", put(0, 77)),
+                     r"^trace\.chunk_steps\.chunk is not a trace field$", id="chunk-off-window"),
+        pytest.param(forge_column("steps", "global_step", put(5, 999)),
+                     r"^trace\.steps\.global_step is not a trace field$",
+                     id="global-step-off-window"),
+        pytest.param(forge_column("chunk_steps", "local_step", put(3, 5)),
+                     r"^trace\.chunk_steps\.local_step is not a trace field$",
+                     id="local-step-off-window"),
+        pytest.param(lambda p: p["steps"].update(extra=p["steps"]["flops"]),
+                     r"^trace\.steps\.extra is not a trace field$", id="steps-extra-column"),
+        pytest.param(lambda p: p.update(extra=1), r"^trace\.extra is not a trace field$",
+                     id="top-level-extra"),
+        pytest.param(lambda p: p["totals"].update(extra=1),
+                     r"^trace\.totals\.extra is not a trace field$", id="totals-extra"),
+        pytest.param(lambda p: p["final_latents"].pop("3"),
+                     r"^trace\.final_latents must hold chunks 1 to 3$", id="finals-chunk-dropped"),
+        pytest.param(lambda p: p["final_latents"].update({"4": p["final_latents"]["3"]}),
+                     r"^trace\.final_latents must hold chunks 1 to 3$", id="finals-chunk-added"),
+        pytest.param(lambda p: p["config"]["schedule"].update(steps=12),
+                     r"^trace\.steps\.flops has 16 values; 24 expected$", id="config-more-steps"),
+        # schema v4's compression fields, even unforged, in a v5 file: the config and
+        # keep give each of them, so each would import unread
+        pytest.param(forge_v4(lambda c: None), V4_FIELD, id="compressions-leftover"),
+        pytest.param(forge_v4(lambda c: c[0].update(extra=1)), V4_FIELD, id="report-field-extra"),
+        pytest.param(forge_v4(lambda c: c[0]["heads"]["0"].update(extra=1)), V4_FIELD,
+                     id="head-field-extra"),
+        pytest.param(forge_v4(lambda c: c[0].update(heads=[])), V4_FIELD, id="heads-list"),
+        pytest.param(forge_v4(lambda c: c[0].update(global_step=2**70)), V4_FIELD,
+                     id="global-step-huge"),
+        pytest.param(forge_v4(lambda c: c[0].update(arriving_chunk=99)), V4_FIELD,
+                     id="arriving-chunk-99"),
+        pytest.param(forge_v4(lambda c: c[0].update(global_step=-5)), V4_FIELD,
+                     id="compression-step-negative"),
+        pytest.param(forge_v4(lambda c: c[0].update(candidate_tokens=36)), V4_FIELD,
+                     id="candidates-forged"),
+        *[pytest.param(forge_v4(lambda c, ids=ids: c[0]["heads"]["1"].update(retained_ids=ids)),
+                       V4_FIELD, id=name)
+          for name, ids in [("retained-id-huge", [2**70]), ("retained-id-float", [1.0]),
+                            ("retained-ids-text", "1,2"), ("retained-id-bool", [0, True]),
+                            ("retained-id-below-int64", [-2**63 - 1, 0])]],
+        *[pytest.param(forge_v4(lambda c, key=key: c[0]["heads"].update({key: {}})), V4_FIELD,
+                       id=name)
+          for name, key in [("head-key-huge", HUGE), ("head-key-text", "x"),
+                            ("head-key-underscore", "0_0"), ("head-key-space", " 1"),
+                            ("head-key-zero-padded", "01"), ("head-key-arabic-indic", "\u0661")]],
+        # the keep masks: one pass, two heads, 54 candidates each (108 bits in 14 bytes)
+        pytest.param(rekeep(flip(first(0))),   # a candidate kept that was evicted
+                     r"^trace\.keep\[0\]\[0\] must keep 36 of 54 candidates in whole groups "
+                     r"of 1$", id="evicted-forged"),
+        pytest.param(rekeep(flip(first(1, head=1))),   # one bit too few
+                     r"^trace\.keep\[0\]\[1\] must keep 36 of 54 candidates in whole groups "
+                     r"of 1$", id="retained-id-dropped"),
+        pytest.param(rekeep(flip(108)),   # a candidate past the last: a padding bit
+                     r"^trace\.keep must leave its padding bits clear$",
+                     id="retained-id-beyond-arrivals"),
+        pytest.param(rekeep(flip(first(1), first(0))),   # the count holds; the hash does not
+                     r"^trace content hash mismatch after import$", id="retained-ids-swapped"),
+        pytest.param(on_frame_keys(rekeep(flip(lambda b: off_group(b) - 1, off_group))),
+                     r"^trace\.keep\[0\]\[0\] must keep 36 of 54 candidates in whole groups "
+                     r"of 9$", id="keep-bit-off-frame-group"),
+        pytest.param(rekeep(lambda b: b[:-8]), r"^trace\.keep has 13 values; 14 expected$",
+                     id="keep-byte-short"),
+        pytest.param(rekeep(lambda b: np.r_[b[:108], b[:54]]),
+                     r"^trace\.keep has 21 values; 14 expected$", id="head-7-added"),
+        pytest.param(rekeep(lambda b: b[:54]), r"^trace\.keep has 7 values; 14 expected$",
+                     id="head-dropped"),
+        pytest.param(rekeep(lambda b: b[:0]), r"^trace\.keep has 0 values; 14 expected$",
+                     id="compression-dropped"),
+        pytest.param(lambda p: p["config"]["kv"].update(budget_chunks=None),
+                     r"^trace\.keep has 14 values; 0 expected$", id="compression-unbudgeted"),
+        pytest.param(lambda p: p.update(keep=[1, 0]), r"^trace\.keep must be a base64 string$",
+                     id="keep-list"),
+        pytest.param(lambda p: p.pop("keep"), r"^trace\.keep is missing$", id="keep-missing"),
+        pytest.param(lambda p: p.update(steps=[]), r"^trace\.steps must be an object$",
+                     id="steps-list"),
+        pytest.param(lambda p: p["totals"].update(computed_steps=999),
+                     r"^trace\.totals\.computed_steps is 999; the records give 21$",
+                     id="totals-forged"),
+        pytest.param(lambda p: p["totals"].update(computed_steps=21.0),
+                     r"^trace\.totals\.computed_steps is 21\.0; the records give 21$",
+                     id="totals-float"),
+        pytest.param(lambda p: p["totals"].pop("total_flops"),
+                     r"^trace\.totals\.total_flops is missing$", id="totals-missing"),
+        pytest.param(lambda p: p["config"]["scene"].update(extra=1),
+                     r"^trace\.config\.scene\.extra is not a config field$",
+                     id="config-scene-extra"),
+        pytest.param(lambda p: p["config"].update(schema_version=7),
+                     r"^trace\.config\.schema_version must be 5$", id="config-schema-7"),
+        pytest.param(lambda p: p.update(schema_version=4), r"^unsupported trace schema 4$",
+                     id="schema-4"),
+        pytest.param(lambda p: p.update(schema_version=5.0), r"^unsupported trace schema 5\.0$",
+                     id="schema-5-float"),
+        # a second spelling of a chunk key, with its value, would overwrite it unseen
+        *[pytest.param(lambda p, key=key: (finals := p["final_latents"]).update(
               {key: finals[str(int(key))]}),
-           rf"^trace\.final_latents\.{key} key must be an int64$")
-          for key in ("0_1", " 1", "01")],
-    ], ids=["decision-int", "decision-none", "heads-list", "finals-list",
-            "finals-missing", "global-step-huge", "retained-id-huge",
-            "retained-id-float", "retained-ids-text", "retained-id-bool",
-            "retained-id-below-int64", "head-key-huge",
-            "head-key-text", "finals-key-huge", "finals-list-latent",
-            "finals-not-base64", "finals-space-base64",
-            "estimate-inf", "estimate-minus-inf", "metric-nan",
-            "column-truncated", "column-odd-bytes", "column-space-base64",
-            "column-unpadded-base64", "compute-2", "chunk-count-sum",
-            "chunk-count-negative", "chunk-count-list", "chunk-off-window",
-            "global-step-off-window", "local-step-off-window", "finals-chunk-dropped",
-            "finals-chunk-added", "config-more-steps", "arriving-chunk-99",
-            "compression-step-negative", "candidates-forged", "retained-id-beyond-arrivals",
-            "retained-ids-swapped", "retained-id-dropped", "evicted-forged", "head-7-added",
-            "head-dropped", "compression-dropped", "compression-unbudgeted", "steps-list",
-            "totals-forged", "totals-missing", "config-scene-extra",
-            "config-schema-7", "head-key-underscore", "head-key-space",
-            "head-key-zero-padded", "head-key-arabic-indic", "finals-key-underscore",
-            "finals-key-space", "finals-key-zero-padded"])
+           r"^trace\.final_latents must hold chunks 1 to 3$", id=name)
+          for name, key in [("finals-key-underscore", "0_1"), ("finals-key-space", " 1"),
+                            ("finals-key-zero-padded", "01")]],
+    ])
     def test_mutated_field_names_its_path(self, mutate, path):
         payload = json.loads(tiny_run().to_json())
         mutate(payload)
@@ -583,7 +680,8 @@ ELEMENTS = st.one_of(   # eight little-endian bytes; a u1 column takes the first
 
 
 @settings(max_examples=300, deadline=None)
-@given(where=st.sampled_from([(t, n) for t in COLUMNS for n in COLUMNS[t]]),
+@given(where=st.sampled_from([(t, n) for t in COLUMNS for n in COLUMNS[t]
+                              if n not in WINDOW_COLUMNS]),
        index=st.integers(0, 2**16), element=ELEMENTS)
 def test_mutated_column_imports_or_raises_invalid_input(where, index, element):
     # one column element set to other bytes: the same hash or InvalidInput
@@ -600,3 +698,40 @@ def test_mutated_column_imports_or_raises_invalid_input(where, index, element):
     except InvalidInput:
         return
     assert back.content_hash == json.loads(TINY_JSON)["content_hash"]
+
+
+FLIP_JSON = {   # two passes, two heads, 54 candidates each: 216 bits in 27 bytes
+    keys: run_denoise(SceneConfig(num_chunks=4, window=2, shape=(4, 2, 3, 3), seed=3),
+                      PowerLawSchedule(power=0.25, steps=8), policy=ReusePolicy(0.05, 2),
+                      kv=KVPlan(budget_chunks=2, key_granularity=keys)).to_json()
+    for keys in ("token", "frame", "chunk")}
+
+
+@settings(max_examples=120, deadline=None)
+@given(keys=st.sampled_from(sorted(FLIP_JSON)), index=st.integers(0, 215))
+def test_flipped_keep_bit_raises_invalid_input(keys, index):
+    # a flip moves one head's count off the budget: keep is checked, not only hashed
+    payload = json.loads(FLIP_JSON[keys])
+    rekeep(flip(index))(payload)
+    with pytest.raises(InvalidInput, match=r"^trace\.keep\[[01]\]\[[01]\] must keep 36 of 54 "):
+        import_trace(payload)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chunks=st.integers(1, 6), window=st.integers(1, 4), per_window=st.integers(1, 3),
+       keys=st.sampled_from(["token", "frame", "chunk"]),
+       queries=st.sampled_from(["token", "frame"]),
+       budget=st.one_of(st.none(), st.integers(1, 3)), seed=st.integers(0, 2**32))
+def test_small_config_round_trips_byte_for_byte(chunks, window, per_window, keys, queries,
+                                                budget, seed):
+    window = min(window, chunks)
+    trace = run_denoise(SceneConfig(num_chunks=chunks, window=window, shape=(2, 2, 2, 2),
+                                    seed=seed),
+                        PowerLawSchedule(power=0.25, steps=window * per_window),
+                        policy=ReusePolicy(0.05, 1),
+                        kv=KVPlan(budget_chunks=budget, key_granularity=keys,
+                                  query_granularity=queries))
+    text = trace.to_json()
+    back = import_trace(text)
+    assert back.content_hash == trace.content_hash
+    assert back.to_json() == text
