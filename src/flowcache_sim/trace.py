@@ -40,6 +40,14 @@ COLUMNS = {
 }
 DTYPES = {table: np.dtype(list(columns.items())) for table, columns in COLUMNS.items()}
 DECISIONS = (REUSE, COMPUTE)   # indexed by the compute flag
+# the hash packs a step as its global_step, a HASH_ROW slot per chunk-step row and its
+# COSTS, then keeps the slot bytes ROW_KEEP[its row's compute flag] marks, or [2] if empty
+HASH_ROW = np.dtype([("chunk", "<i8"), ("local_step", "<i8"), ("decision", f"S{len(COMPUTE)}"),
+                     ("metric", "<f8"), ("accumulator", "<f8")])   # 39 bytes
+ROW_KEEP = np.ones((3, HASH_ROW.itemsize), bool)   # "reuse" drops its pad (decision at 16)
+ROW_KEEP[0, 16 + len(REUSE):16 + len(COMPUTE)] = ROW_KEEP[2] = False
+COSTS = ("flops", "kv_clean_tokens", "kv_active_tokens", "resident_bytes")
+HASH_BLOCK = 64   # steps packed at once, so the hash's transient stays bounded
 # the columns the config's chunk windows fix: trace.json leaves them out
 WINDOW_COLUMNS = {"global_step", "chunk_count", "chunk", "local_step"}
 TRACE_KEYS = {"schema_version", "config", *COLUMNS, "keep", "totals", "final_latents",
@@ -112,14 +120,10 @@ class RunTrace:
     @property
     def records(self) -> Iterator[StepRecord]:
         """The steps as ``StepRecord``s, each built from its rows when reached."""
-        for (g, _, *costs), rows in self._walk():
-            yield StepRecord(g, rows, *costs)
-
-    def _walk(self) -> Iterator[tuple[list, list[tuple]]]:
-        """Each step's row and its chunk-step rows, so no table is ever a list."""
         offsets = [0, *np.cumsum(self.steps["chunk_count"]).tolist()]
         for i in range(len(self.steps)):
-            yield self.steps[i].tolist(), self.chunk_steps[offsets[i]:offsets[i + 1]].tolist()
+            g, _, *costs = self.steps[i].tolist()
+            yield StepRecord(g, self.chunk_steps[offsets[i]:offsets[i + 1]].tolist(), *costs)
 
     def finish(self, final_latents: dict[int, np.ndarray]) -> None:
         """Derive the totals, the flops added with ``add_in_order``, but not the hash."""
@@ -142,15 +146,26 @@ class RunTrace:
         excluded: an epsilon=0 run and a run with the policy disabled differ
         only there and must hash identically.
         """
-        h = hashlib.sha256()
-        for (g, _, *costs), rows in self._walk():
-            fmt, values = ["<q"], [g]
-            for chunk, local_step, compute, metric, accumulator, _ in rows:
-                decision = DECISIONS[compute].encode()
-                fmt.append(f"qq{len(decision)}sdd")
-                values += (chunk, local_step, decision, metric, accumulator)
-            fmt.append("dqqd")
-            h.update(struct.pack("".join(fmt), *values, *costs))
+        h, first = hashlib.sha256(), 0
+        width = int(self.steps["chunk_count"].max(initial=0))
+        packed = np.dtype([("global_step", "<i8"), ("rows", HASH_ROW, width),
+                           *[(name, COLUMNS["steps"][name]) for name in COSTS]])
+        for start in range(0, len(self.steps), HASH_BLOCK):
+            block = self.steps[start:start + HASH_BLOCK]
+            filled = np.arange(width) < block["chunk_count"][:, None]   # the rows' slots
+            rows = self.chunk_steps[first:first + filled.sum()]
+            first += len(rows)
+            kind = np.full(filled.shape, 2)   # each slot's ROW_KEEP row
+            kind[filled] = rows["compute"]
+            out = np.zeros(len(block), packed)
+            for name in ("global_step", *COSTS):
+                out[name] = block[name]
+            for name in ("chunk", "local_step", "metric", "accumulator"):
+                out["rows"][name][filled] = rows[name]
+            out["rows"]["decision"][filled] = np.array(DECISIONS, "S")[rows["compute"]]
+            keep = np.ones((len(block), packed.itemsize), bool)
+            keep[:, 8:packed.fields["flops"][1]] = ROW_KEEP[kind].reshape(len(block), -1)   # slots
+            h.update(out.view(np.uint8)[keep.ravel()])
         for rep in self.compressions:
             # the trailing b"0" is the former no_op flag, kept so hashes hold
             h.update(struct.pack("<qqq1s", rep.global_step, rep.arriving_chunk,
@@ -366,14 +381,14 @@ def import_trace(data: dict | str) -> RunTrace:
 
 def curves_csv(trace: RunTrace) -> str:
     """CSV rendering of the per-chunk metric curves (no field needs quoting)."""
-    rows, steps = trace.chunk_steps, trace.config["schedule"]["steps"]
+    steps = trace.config["schedule"]["steps"]
+    progress = [f"{100.0 * s / steps:.6f}" for s in range(steps)]   # by local step, once each
     lines = [f"schema_version,{SCHEMA_VERSION}",
              "chunk,local_step,progress_pct,metric,decision,estimate"]
-    lines += [f"{chunk},{local_step},{progress:.6f},{metric!r},{DECISIONS[compute]},"
+    lines += [f"{chunk},{local_step},{progress[local_step]},{metric!r},{DECISIONS[compute]},"
               + ("" if math.isnan(estimate) else repr(estimate))
-              for chunk, local_step, compute, metric, _, estimate, progress
-              in zip(*(rows[name].tolist() for name in COLUMNS["chunk_steps"]),
-                     (100.0 * rows["local_step"] / steps).tolist())]
+              for chunk, local_step, compute, metric, _, estimate
+              in zip(*(trace.chunk_steps[name].tolist() for name in COLUMNS["chunk_steps"]))]
     return "\r\n".join(lines) + "\r\n"
 
 

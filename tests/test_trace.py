@@ -1,9 +1,12 @@
 import base64
 import csv
+import functools
 import gc
+import hashlib
 import json
 import math
 import os
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -15,8 +18,10 @@ from hypothesis import strategies as st
 from flowcache_sim import (PROFILES, CostModel, KVPlan, PowerLawSchedule,
                            ReusePolicy, SceneConfig, build_objects, import_trace,
                            resolve_config, run_denoise, speedup, trajectory)
+from flowcache_sim.config import _deep_merge
 from flowcache_sim.errors import InvalidComparison, InvalidInput
-from flowcache_sim.trace import COLUMNS, DTYPES, WINDOW_COLUMNS, RunTrace, curves_csv
+from flowcache_sim.trace import (COLUMNS, DECISIONS, DTYPES, WINDOW_COLUMNS, RunTrace,
+                                 curves_csv)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_magi_fast.json"
 
@@ -25,6 +30,19 @@ def magi_fast_run():
     scene = SceneConfig(num_chunks=10, window=4, shape=(8, 4, 6, 6), seed=0)
     sched = PowerLawSchedule(power=0.25, steps=64)
     return run_denoise(scene, sched, policy=ReusePolicy(0.015, 5))
+
+
+def profile_run(profile, overrides=None):
+    cfg = _deep_merge(resolve_config(profile=profile), overrides or {})
+    scene, sched, policy, kv, cost, noise = build_objects(cfg)
+    return run_denoise(scene, sched, policy=policy, kv=kv, cost=cost, noise_scale=noise)
+
+
+@functools.cache
+def forty_chunk_run():
+    """Noisy magi-fast over 40 chunks: 688 steps, so ten full hash blocks of 64
+    steps and a partial last one."""
+    return profile_run("magi-fast", {"scene": {"num_chunks": 40}, "noise_scale": 0.05})
 
 
 def tiny_run(policy=ReusePolicy(0.05, 2), seed=1, **kv_kw):
@@ -504,16 +522,80 @@ class TestMemory:
         assert len(trace.compressions) == 5
         assert kept < 250_000
 
-    def test_to_json_lists_one_head_of_ids_at_a_time(self):
+    def test_to_json_peaks_under_four_times_its_output(self):
         trace = magi_fast_run()
-        heads = [head for rep in trace.compressions for head in rep.heads.values()]
-        as_arrays = traced(trace.to_json)[2]
-        lists, all_lists, _ = traced(lambda: [h.retained_ids.tolist() for h in heads])
-        for head, ids in zip(heads, lists):   # every head's ids a list at once
-            head.retained_ids = ids
-        as_lists = traced(trace.to_json)[2]
-        # converting every head before encoding would add all of all_lists
-        assert as_arrays - as_lists < all_lists / 2
+        trace.content_hash   # cached, so only the export is measured
+        text, _, peak = traced(trace.to_json)
+        assert peak < 4 * len(text)   # 3.08x: 479,816 bytes for 155,578
+
+    def test_hash_transient_stays_bounded_on_40_chunks(self):
+        trace = forty_chunk_run()
+        trace._compute_hash()   # first-call caches stay out of the measurement
+        # blocks of 64 steps: about 43 KB; all 688 steps' 196-byte packed rows would be 135 KB
+        assert traced(trace._compute_hash)[2] < 96_000
+
+
+def reference_hash(trace: RunTrace) -> str:
+    """The content hash packed one step at a time with ``struct``: the byte
+    stream docs/trace_schema.md specifies, written out as directly as it reads."""
+    h = hashlib.sha256()
+    offsets = [0, *np.cumsum(trace.steps["chunk_count"]).tolist()]
+    for i in range(len(trace.steps)):
+        g, _, *costs = trace.steps[i].tolist()
+        fmt, values = ["<q"], [g]
+        for chunk, local_step, compute, metric, accumulator, _ in (
+                trace.chunk_steps[offsets[i]:offsets[i + 1]].tolist()):
+            decision = DECISIONS[compute].encode()
+            fmt.append(f"qq{len(decision)}sdd")
+            values += (chunk, local_step, decision, metric, accumulator)
+        fmt.append("dqqd")
+        h.update(struct.pack("".join(fmt), *values, *costs))
+    for rep in trace.compressions:
+        h.update(struct.pack("<qqq1s", rep.global_step, rep.arriving_chunk,
+                             rep.candidate_tokens, b"0"))
+        for head, body in sorted(rep.heads.items()):
+            h.update(struct.pack("<q", head) + body.retained_ids.tobytes()
+                     + struct.pack("<q", body.evicted_count))
+    for idx in sorted(trace.final_latents):
+        h.update(struct.pack("<q", idx) + trace.final_latents[idx].tobytes())
+    return h.hexdigest()
+
+
+class TestHashStream:
+    """``content_hash`` packs its step stream from whole columns in blocks of
+    steps; ``reference_hash`` packs the same stream step by step."""
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_profiles_match_the_reference(self, profile, noise):
+        trace = profile_run(profile, {"noise_scale": noise})
+        assert trace.content_hash == reference_hash(trace)
+
+    def test_several_blocks_and_a_partial_last_match_the_reference(self):
+        trace = forty_chunk_run()
+        assert len(trace.steps) == 688
+        assert trace.content_hash == reference_hash(trace)
+
+    def test_one_chunk_window_one_matches_the_reference(self):
+        trace = profile_run("magi-fast", {"scene": {"num_chunks": 1, "window": 1}})
+        assert set(trace.steps["chunk_count"].tolist()) == {1}
+        assert trace.content_hash == reference_hash(trace)
+
+    @settings(max_examples=40, deadline=None)
+    @given(chunks=st.integers(1, 6), window=st.integers(1, 4), per_window=st.integers(1, 3),
+           policy=st.sampled_from([None, *sorted(PROFILES)]),
+           budget=st.one_of(st.none(), st.integers(1, 3)),
+           keys=st.sampled_from(["token", "frame", "chunk"]),
+           noise=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2**32))
+    def test_small_configs_match_the_reference(self, chunks, window, per_window, policy,
+                                               budget, keys, noise, seed):
+        window = min(window, chunks)
+        trace = run_denoise(
+            SceneConfig(num_chunks=chunks, window=window, shape=(2, 2, 2, 2), seed=seed),
+            PowerLawSchedule(power=0.25, steps=window * per_window),
+            policy=policy and ReusePolicy(**PROFILES[policy]["policy"]),
+            kv=KVPlan(budget_chunks=budget, key_granularity=keys), noise_scale=noise)
+        assert trace.content_hash == reference_hash(trace)
 
 
 class TestRecordsView:
